@@ -54,6 +54,7 @@ _EXPORTS = {
     "sigma_hat": "solver",
     "surrogate_g": "solver",
     "sqrt_minvol": "solver",
+    "solve": "solver",
     # metrics
     "rel_rmse_X": "metrics",
     "rel_rmse_W": "metrics",

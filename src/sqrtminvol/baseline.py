@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    InvalidInputError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-)
+from .errors import DegenerateDenominatorError, InvalidInputError, InvalidParameterError
 from .fgm import minimize_fgm
 from .linalg import (
     as_matrix,
@@ -96,6 +91,12 @@ class MinvolState:
     H: np.ndarray
     objective_history: list = field(default_factory=list)
 
+    def write_csv(self, fh):
+        """Write the history as ``k,objective`` rows, ``k = 0`` the start."""
+        fh.write("k,objective\n")
+        for k, obj in enumerate(self.objective_history):
+            fh.write(f"{k},{obj:.17g}\n")
+
 
 def objective_minvol(X, W, H, lam, delta):
     """Penalized objective: squared residual plus weighted log-volume."""
@@ -137,27 +138,23 @@ def update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7):
     """One accelerated projected-gradient pass on the W block.
 
     Minimizes ``|X - W H|_F^2 + lam_eff * tr(A W^T W)`` over ``W >= 0``
-    with step 1/L, ``L = 2 (s_max(H H^T) + lam_eff * s_max(A))``.  ``A``
-    must be symmetric positive definite (it is the inverse shifted Gram
-    of the anchor W in the solvers).
+    with step 1/L, ``L = 2 (s_max(H H^T) + lam_eff * s_max(A))``.
+
+    Precondition, not checked here: ``A`` is symmetric positive definite.
+    The solvers pass the inverse shifted Gram of the anchor W, which is
+    SPD by construction.  L is the exact gradient Lipschitz constant, so
+    every step of length 1/L is a descent step.
     """
     Xm = as_matrix(X, "X")
     Hm = as_matrix(H, "H")
     W0 = project_nonneg(as_matrix(W, "W"))
     Am = as_matrix(A, "A")
-    try:
-        cholesky(Am)
-    except (NotPositiveDefiniteError, InvalidInputError) as exc:
-        raise InvalidInputError(f"A must be symmetric positive definite: {exc}")
 
     lam_eff = float(lam_eff)
     HHt = Hm @ Hm.T
     XHt = Xm @ Hm.T
     xsq = float(np.sum(Xm * Xm))
-    L = 2.0 * (
-        spectral_norm(Hm, tol=1e-12) ** 2
-        + abs(lam_eff) * spectral_norm(Am, tol=1e-12)
-    )
+    L = 2.0 * (spectral_norm(Hm) ** 2 + abs(lam_eff) * spectral_norm(Am))
 
     def objective(Wv):
         quad = float(np.sum(Wv * (Wv @ HHt)))

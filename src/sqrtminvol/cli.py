@@ -63,103 +63,59 @@ def cmd_generate(args):
     return 0
 
 
-def _write_factors(out, W, H):
-    from .matrixio import write_matrix
+def cmd_solve(args):
+    from .matrixio import read_matrix, write_matrix
+    from .metrics import rel_rmse_W, rel_rmse_X
+    from .solver import solve
 
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "W.txt", W)
-    write_matrix(out / "H.txt", H)
-
-
-def _solve_sqrt(args, X, ground_truth):
-    from .solver import SqrtConfig, sqrt_minvol
-
-    if args.lam is None:
-        raise InvalidInputError("sqrt-minvol needs --lambda")
-    cfg = SqrtConfig(
-        lam=args.lam,
-        delta=args.delta,
-        epsilon=args.epsilon,
-        max_outer=args.max_outer if args.max_outer is not None else 200,
-        tol_rel_f=args.tol if args.tol is not None else 1e-9,
-    )
-    print(
-        f"solver=sqrt-minvol rank={args.rank} lambda={cfg.lam:.17g} "
-        f"delta={cfg.delta:.17g} epsilon={cfg.epsilon:.17g}"
-    )
+    baseline = args.solver == "minvol-baseline"
+    if args.lambda_tilde is not None and not baseline:
+        raise InvalidInputError("--lambda-tilde is for --solver minvol-baseline only")
+    if args.lam is not None and args.lambda_tilde is not None:
+        raise InvalidInputError("give either --lambda or --lambda-tilde, not both")
+    if args.lam is None and args.lambda_tilde is None:
+        flags = "--lambda or --lambda-tilde" if baseline else "--lambda"
+        raise InvalidInputError(f"{args.solver} needs {flags}")
+    X = read_matrix(args.x_path)
+    W_star = read_matrix(args.w_star) if args.w_star else None
+    X_star = read_matrix(args.x_star) if args.x_star else None
     out = Path(args.out)
     try:
-        pair, trace = sqrt_minvol(X, args.rank, cfg, ground_truth=ground_truth)
+        W, H, lam, final_obj, iters, trace = solve(
+            X,
+            args.rank,
+            args.solver,
+            lam=args.lam,
+            lambda_tilde=args.lambda_tilde,
+            delta=args.delta,
+            epsilon=args.epsilon,
+            max_outer=args.max_outer,
+            tol=args.tol,
+            ground_truth=(W_star, X_star),
+        )
     except NumericalFaultError as err:
         if err.trace is not None:
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "trace.csv", "w") as fh:
                 err.trace.write_csv(fh)
         raise
-    _write_factors(out, pair.W, pair.H)
-    with open(out / "trace.csv", "w") as fh:
-        trace.write_csv(fh)
-    last = trace.rows[-1]
-    print(f"outer_iters={last.k} final_obj={last.f_eps:.17g}")
-    return pair.W, pair.H
-
-
-def _solve_baseline(args, X):
-    from .baseline import MinvolConfig, lambda_from_init, minvol
-    from .initialization import snpa
-
-    if args.lam is not None and args.lambda_tilde is not None:
-        raise InvalidInputError("give either --lambda or --lambda-tilde, not both")
-    init = snpa(X, args.rank)
-    if args.lambda_tilde is not None:
-        lam = lambda_from_init(X, init.W0, init.H0, args.lambda_tilde, args.delta)
-        origin = f" (from lambda_tilde={args.lambda_tilde:.17g})"
-    elif args.lam is not None:
-        lam = args.lam
-        origin = ""
-    else:
-        raise InvalidInputError("minvol-baseline needs --lambda or --lambda-tilde")
-    if lam <= 0.0:
+    if baseline and lam <= 0.0:
         print(
             f"warning: effective lambda = {lam:.17g} <= 0; "
             "the volume term will push outward",
             file=sys.stderr,
         )
-    cfg = MinvolConfig(
-        lam=lam,
-        delta=args.delta,
-        outer_sweeps=args.max_outer if args.max_outer is not None else 100,
-        inner_iters_per_block=50,
-        tol_rel_obj=args.tol if args.tol is not None else 1e-7,
-    )
-    print(f"solver=minvol-baseline rank={args.rank} lambda={lam:.17g}{origin} "
-          f"delta={cfg.delta:.17g}")
-    state = minvol(X, args.rank, init.W0, init.H0, cfg)
-    out = Path(args.out)
-    _write_factors(out, state.W, state.H)
+    echo = f"solver={args.solver} rank={args.rank} lambda={lam:.17g}"
+    if args.lambda_tilde is not None:
+        echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"
+    echo += f" delta={args.delta:.17g}"
+    print(echo if baseline else f"{echo} epsilon={args.epsilon:.17g}")
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix(out / "W.txt", W)
+    write_matrix(out / "H.txt", H)
     with open(out / "trace.csv", "w") as fh:
-        fh.write("k,objective\n")
-        for k, obj in enumerate(state.objective_history):
-            fh.write(f"{k},{obj:.17g}\n")
-    print(
-        f"outer_iters={len(state.objective_history) - 1} "
-        f"final_obj={state.objective_history[-1]:.17g}"
-    )
-    return state.W, state.H
-
-
-def cmd_solve(args):
-    from .matrixio import read_matrix
-    from .metrics import rel_rmse_W, rel_rmse_X
-
-    X = read_matrix(args.x_path)
-    W_star = read_matrix(args.w_star) if args.w_star else None
-    X_star = read_matrix(args.x_star) if args.x_star else None
-    if args.solver == "sqrt-minvol":
-        gt = (W_star, X_star) if (W_star is not None or X_star is not None) else None
-        W, H = _solve_sqrt(args, X, gt)
-    else:
-        W, H = _solve_baseline(args, X)
+        trace.write_csv(fh)
+    print(f"outer_iters={iters} final_obj={final_obj:.17g}")
     if X_star is not None:
         print(f"rel_rmse_X={rel_rmse_X(X_star, W, H):.17g}")
     if W_star is not None:

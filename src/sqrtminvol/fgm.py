@@ -4,17 +4,16 @@ One engine serves every block subproblem in the package (H given W,
 W given H, and the coefficient refits inside the initializer).  The
 momentum sequence is the usual fast-gradient one; whenever an
 extrapolated step would increase the objective the momentum is dropped
-and a plain projected step is taken instead, so the objective never
-increases across iterations.
+and a plain projected step is taken instead.  With the exact Lipschitz
+constant that plain step of length 1/L is a descent step; if rounding
+in the objective still makes it look like an ascent, the engine stops
+and returns the current iterate, so the objective never increases
+across iterations.
 """
 
 import math
 
 __all__ = ["minimize_fgm"]
-
-# Guards against a Lipschitz estimate that came out slightly small; each
-# retry halves the step, so 60 halvings cover any double-precision gap.
-_MAX_STEP_HALVINGS = 60
 
 
 def minimize_fgm(x0, objective, gradient, project, L, iters, tol):
@@ -54,19 +53,8 @@ def minimize_fgm(x0, objective, gradient, project, L, iters, tol):
         fn = objective(xn)
         if fn > fx:
             # Momentum overshot; retry as plain projected gradient.
-            g = gradient(x)
-            xn = project(x - step * g)
+            xn = project(x - step * gradient(x))
             fn = objective(xn)
-            halvings = 0
-            while fn > fx and halvings < _MAX_STEP_HALVINGS:
-                # A power-iteration Lipschitz estimate can undershoot
-                # when its start vector is nearly orthogonal to the top
-                # singular direction; shrinking the step restores the
-                # descent guarantee.
-                step *= 0.5
-                xn = project(x - step * g)
-                fn = objective(xn)
-                halvings += 1
             if fn > fx:
                 return x, fx
             t = 1.0

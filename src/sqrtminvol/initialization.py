@@ -58,7 +58,7 @@ def fit_coefficients(Wm, Xm, H0, iters, tol):
     G = Wm.T @ Wm
     WtX = Wm.T @ Xm
     xsq = float(np.sum(Xm * Xm))
-    L = 2.0 * spectral_norm(Wm, tol=1e-12) ** 2
+    L = 2.0 * spectral_norm(Wm) ** 2
 
     def objective(H):
         GH = G @ H

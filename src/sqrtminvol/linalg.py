@@ -24,10 +24,6 @@ __all__ = [
     "spectral_norm",
 ]
 
-# Power iteration rarely needs more than a few dozen sweeps on the
-# well-conditioned Grams seen here; the cap only guards degenerate input.
-_POWER_MAX_ITERS = 10_000
-
 
 def as_matrix(M, name="matrix", require_finite=True):
     """Coerce ``M`` to a 2-D float64 array, optionally checking finiteness.
@@ -172,34 +168,17 @@ def solve_spd(F, B):
     return scipy.linalg.cho_solve((F.lower, True), RHS, check_finite=False)
 
 
-def spectral_norm(M, tol=1e-12):
-    """Largest singular value of ``M`` by power iteration.
+def spectral_norm(M):
+    """Largest singular value of ``M``.
 
-    Iterates on whichever of ``M M^T`` / ``M^T M`` is smaller, starting
-    from the normalized all-ones vector, and stops once the relative
-    change of the eigenvalue estimate falls below ``tol``.  The fixed
-    start vector keeps repeated runs bit-for-bit identical.
+    The square root of the top eigenvalue (``numpy.linalg.eigvalsh``) of
+    whichever of ``M M^T`` / ``M^T M`` is smaller, clamped at 0 against
+    rounding.  For the factors the solvers pass in that Gram is r x r,
+    so the exact spectrum is cheap, and a step of 1/L built from it is a
+    descent step.
 
     A zero matrix returns 0; this is not an error.
     """
-    if not (float(tol) > 0.0):
-        raise InvalidParameterError(f"tol must be > 0, got {tol}")
     A = as_matrix(M, "M")
-    m, n = A.shape
-    if m <= n:
-        B = A @ A.T
-    else:
-        B = A.T @ A
-    d = B.shape[0]
-    v = np.full(d, 1.0 / np.sqrt(d))
-    est = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = B @ v
-        nw = float(np.sqrt(np.sum(w * w)))
-        if nw == 0.0:
-            return 0.0
-        prev, est = est, nw
-        v = w / nw
-        if abs(est - prev) <= tol * est:
-            break
-    return float(np.sqrt(est))
+    B = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return float(np.sqrt(max(np.linalg.eigvalsh(B)[-1], 0.0)))

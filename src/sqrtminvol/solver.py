@@ -36,7 +36,7 @@ from .linalg import (
     solve_spd,
 )
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, minvol
+from .baseline import MinvolConfig, lambda_from_init, minvol
 from .projections import require_feasible
 from .initialization import snpa
 
@@ -52,6 +52,7 @@ __all__ = [
     "sigma_hat",
     "surrogate_g",
     "sqrt_minvol",
+    "solve",
 ]
 
 TRACE_HEADER = "k,f_eps,r_k,lambda_k,sigma_hat,rel_rmse_X,rel_rmse_W,wall_ms"
@@ -61,13 +62,7 @@ def _default_inner():
     # Per outer iteration the surrogate only needs to be improved, not
     # solved to stationarity; 20 warm-started sweeps do that while the
     # tiny tolerance keeps late sweeps from quitting before the budget.
-    return MinvolConfig(
-        lam=0.0,
-        delta=0.1,
-        outer_sweeps=20,
-        inner_iters_per_block=50,
-        tol_rel_obj=1e-13,
-    )
+    return MinvolConfig(lam=0.0, outer_sweeps=20, tol_rel_obj=1e-13)
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def lambda_k(r_k, lam):
     r_k = float(r_k)
     if not (r_k > 0.0):
         raise InvalidParameterError(f"r_k must be > 0, got {r_k}")
-    return 2.0 * float(lam) * np.sqrt(r_k)
+    return float(2.0 * float(lam) * np.sqrt(r_k))
 
 
 def sigma_hat(X, W, H, epsilon):
@@ -268,16 +263,14 @@ def sqrt_minvol(X, r, config, ground_truth=None):
     f_prev = None
     for k in range(1, config.max_outer + 1):
         rk = residual_r(Xm, W, H, config.epsilon)
-        fk = float(np.sqrt(rk)) + config.lam * logdet_spd(
-            gram_shifted(W, config.delta)
-        )
-        lamk = 2.0 * config.lam * float(np.sqrt(rk))
+        fk = f_eps(Xm, W, H, config.lam, config.delta, config.epsilon)
+        lamk = lambda_k(rk, config.lam)
         row = TraceRow(
             k=k,
             f_eps=fk,
             r_k=rk,
             lambda_k=lamk,
-            sigma_hat=float(np.sqrt(rk)) / (Xm.shape[0] * Xm.shape[1]),
+            sigma_hat=sigma_hat(Xm, W, H, config.epsilon),
             wall_ms=wall * 1000.0,
         )
         if X_star is not None:
@@ -305,3 +298,60 @@ def sqrt_minvol(X, r, config, ground_truth=None):
         wall = time.perf_counter() - t0
 
     return FactorPair(W=W, H=H, rank=int(r)), trace
+
+
+def solve(
+    X,
+    r,
+    solver,
+    lam=None,
+    lambda_tilde=None,
+    delta=None,
+    epsilon=None,
+    max_outer=None,
+    tol=None,
+    inner_iters=None,
+    ground_truth=None,
+):
+    """Factor ``X`` from the SNPA start; the one solve path of CLI and sweeps.
+
+    ``solver`` is ``"sqrt-minvol"`` or ``"minvol-baseline"``.  The weight
+    is ``lam``, used as given, or for the baseline only ``lambda_tilde``,
+    rescaled by ``lambda_from_init`` at the start.  ``max_outer`` counts
+    outer iterations of ``sqrt-minvol`` and sweeps of the baseline,
+    ``tol`` stops either outer loop, and ``inner_iters`` budgets each
+    block update.  ``epsilon`` and ``ground_truth`` (``(W_star,
+    X_star)``, recorded in every trace row) apply to ``sqrt-minvol``
+    only.  A setting left at None takes its default from
+    :class:`SqrtConfig` or :class:`~sqrtminvol.baseline.MinvolConfig`.
+
+    Returns ``(W, H, lam, final_obj, outer_iters, trace)``: the factors,
+    the weight the solver used, the last objective value, the number of
+    outer iterations, and the trace ``trace.csv`` is written from (a
+    :class:`SolveTrace`, or the baseline's ``MinvolState``).
+    """
+
+    def given(**settings):
+        return {key: v for key, v in settings.items() if v is not None}
+
+    inner = given(inner_iters_per_block=inner_iters)
+    if solver == "sqrt-minvol":
+        cfg = SqrtConfig(
+            lam=lam,
+            inner=replace(_default_inner(), **inner),
+            **given(delta=delta, epsilon=epsilon, max_outer=max_outer, tol_rel_f=tol),
+        )
+        pair, trace = sqrt_minvol(X, r, cfg, ground_truth=ground_truth)
+        return pair.W, pair.H, cfg.lam, trace.rows[-1].f_eps, trace.rows[-1].k, trace
+    if solver != "minvol-baseline":
+        raise InvalidParameterError(f"unknown solver {solver!r}")
+    init = snpa(X, r)
+    cfg = MinvolConfig(
+        lam=lam, **inner, **given(delta=delta, outer_sweeps=max_outer, tol_rel_obj=tol)
+    )
+    if lambda_tilde is not None:
+        lam = lambda_from_init(X, init.W0, init.H0, lambda_tilde, cfg.delta)
+        cfg = replace(cfg, lam=lam)
+    state = minvol(X, r, init.W0, init.H0, cfg)
+    history = state.objective_history
+    return state.W, state.H, cfg.lam, history[-1], len(history) - 1, state

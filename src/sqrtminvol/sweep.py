@@ -21,9 +21,7 @@ import numpy as np
 from .datagen import InstanceSpec, make_instance
 from .errors import InvalidInputError, InvalidParameterError, SqrtMinvolError
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, lambda_from_init, minvol
-from .initialization import snpa
-from .solver import SqrtConfig, sqrt_minvol
+from .solver import solve
 
 __all__ = [
     "SOLVER_NAMES",
@@ -59,7 +57,9 @@ class ExperimentSpec:
     fields are overwritten per cell.  For the baseline solver the
     ``lambda_grid`` values are reference weights rescaled per instance
     from the initialization (the lambda-tilde convention); for the
-    square-root solver they are used as-is.
+    square-root solver they are used as-is.  A solver setting left at
+    None takes the solver's default; ``max_outer`` budgets the
+    square-root solver and ``baseline_sweeps`` the baseline.
     """
 
     generator: InstanceSpec
@@ -72,10 +72,10 @@ class ExperimentSpec:
     rank: int = None
     delta: float = 0.1
     epsilon: float = 0.1
-    max_outer: int = 200
-    tol: float = 1e-9
-    baseline_sweeps: int = 100
-    inner_iters: int = 50
+    max_outer: int = None
+    tol: float = None
+    baseline_sweeps: int = None
+    inner_iters: int = None
 
     def __post_init__(self):
         if self.solver not in SOLVER_NAMES:
@@ -136,42 +136,19 @@ def cell_seed(base_seed, replicate, sigma_index):
 
 def _solve_cell(spec, X, gt, lam):
     """Run the configured solver; returns (relX, relW, final_obj, iters)."""
-    r = spec.solve_rank
-    if spec.solver == "sqrt-minvol":
-        cfg = SqrtConfig(
-            lam=lam,
-            delta=spec.delta,
-            epsilon=spec.epsilon,
-            max_outer=spec.max_outer,
-            tol_rel_f=spec.tol,
-            inner=replace(
-                SqrtConfig(lam=0.0).inner, inner_iters_per_block=spec.inner_iters
-            ),
-        )
-        pair, trace = sqrt_minvol(X, r, cfg)
-        W, H = pair.W, pair.H
-        final_obj = trace.rows[-1].f_eps
-        iters = trace.rows[-1].k
-    else:
-        init = snpa(X, r)
-        lam_eff = lambda_from_init(X, init.W0, init.H0, lam, spec.delta)
-        cfg = MinvolConfig(
-            lam=lam_eff,
-            delta=spec.delta,
-            outer_sweeps=spec.baseline_sweeps,
-            inner_iters_per_block=spec.inner_iters,
-            tol_rel_obj=1e-7,
-        )
-        state = minvol(X, r, init.W0, init.H0, cfg)
-        W, H = state.W, state.H
-        final_obj = state.objective_history[-1]
-        iters = len(state.objective_history) - 1
-    return (
-        rel_rmse_X(gt.X_star, W, H),
-        rel_rmse_W(gt.W_star, W),
-        final_obj,
-        iters,
+    baseline = spec.solver == "minvol-baseline"
+    W, H, _, final_obj, iters, _ = solve(
+        X,
+        spec.solve_rank,
+        spec.solver,
+        **{"lambda_tilde" if baseline else "lam": lam},
+        delta=spec.delta,
+        epsilon=spec.epsilon,
+        max_outer=spec.baseline_sweeps if baseline else spec.max_outer,
+        tol=spec.tol,
+        inner_iters=spec.inner_iters,
     )
+    return rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W), final_obj, iters
 
 
 def run_cell(spec, sigma_index, replicate, lambda_index):
@@ -185,11 +162,9 @@ def run_cell(spec, sigma_index, replicate, lambda_index):
     t0 = time.perf_counter()
     try:
         gt, X = make_instance(replace(spec.generator, sigma=sigma, seed=seed))
-        relX, relW, final_obj, iters = _solve_cell(spec, X, gt, lam)
-        rec.rel_rmse_X = relX
-        rec.rel_rmse_W = relW
-        rec.final_obj = final_obj
-        rec.outer_iters = iters
+        rec.rel_rmse_X, rec.rel_rmse_W, rec.final_obj, rec.outer_iters = _solve_cell(
+            spec, X, gt, lam
+        )
     except SqrtMinvolError as err:
         rec.status = f"fault:{type(err).__name__}"
     rec.wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -149,6 +149,26 @@ class TestSolveSqrt:
         )
         assert code == 2
 
+    def test_lambda_tilde_is_rejected_for_sqrt_solver(self, tmp_path, instance_dir, capsys):
+        code = main(
+            [
+                "solve",
+                str(instance_dir / "X.txt"),
+                "--rank",
+                "4",
+                "--solver",
+                "sqrt-minvol",
+                "--lambda",
+                "0.5",
+                "--lambda-tilde",
+                "0.01",
+                "--out",
+                str(tmp_path / "s"),
+            ]
+        )
+        assert code == 2
+        assert "--lambda-tilde" in capsys.readouterr().err
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["solve", str(tmp_path / "absent.txt"), "--rank", "2", "--lambda", "0.1"]

@@ -74,7 +74,8 @@ class TestMinimizeFgm:
         objective, gradient, L = quad_problem(A, b)
         x0 = rng.random(4)
         f0 = objective(x0)
-        # Feed a Lipschitz constant 100x too small; halvings must rescue it.
+        # Feed a Lipschitz constant 100x too small: the steps are far too
+        # long, and the engine must stop rather than ascend.
         x, fx = minimize_fgm(x0, objective, gradient, lambda v: v, L / 100.0, 100, 1e-16)
         assert fx <= f0
 

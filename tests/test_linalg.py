@@ -164,7 +164,15 @@ class TestSpectralNorm:
     def test_matches_jacobi_svd_oracle(self):
         M = np.random.default_rng(5).random((6, 4))
         expected = jacobi_svd_values(M)[-1]
-        assert spectral_norm(M, tol=1e-12) == pytest.approx(expected, rel=1e-8)
+        assert spectral_norm(M) == pytest.approx(expected, rel=1e-8)
+
+    def test_top_direction_orthogonal_to_all_ones(self):
+        # The top singular vector (1, -1) is orthogonal to the all-ones
+        # vector, which is an eigenvector of the smaller value 1; a power
+        # iteration started from all-ones would never leave it.
+        assert spectral_norm(np.array([[2.0, -1.0], [-1.0, 2.0]])) == pytest.approx(
+            3.0, rel=1e-12
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestRunCell:
         rec = run_cell(spec, 0, 1, 1)
         assert rec.status == "ok"
         assert rec.outer_iters >= 1
+
+    def test_baseline_cell_honours_tol(self):
+        def cell(tol):
+            spec = tiny_spec(solver="minvol-baseline", baseline_sweeps=50, tol=tol)
+            return run_cell(spec, 1, 0, 0)
+
+        default, pinned, loose = cell(None), cell(1e-7), cell(0.1)
+        # Unset means the baseline's own default of 1e-7 ...
+        assert (default.final_obj, default.outer_iters) == (
+            pinned.final_obj,
+            pinned.outer_iters,
+        )
+        # ... and a loose tolerance stops the sweeps early.
+        assert loose.status == "ok"
+        assert loose.outer_iters < default.outer_iters
 
     def test_fault_is_recorded_not_raised(self, monkeypatch):
         def boom(spec, X, gt, lam):
@@ -301,6 +317,15 @@ class TestConfigParsing:
         b.write_text(body.format(grid="lambdas = 0.1 0.01"))
         assert parse_experiment_config(str(a)).lambda_grid == (0.1, 0.01)
         assert parse_experiment_config(str(b)).lambda_grid == (0.1, 0.01)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        spec = parse_experiment_config(str(path))
+        assert spec.sigma_grid == (1e-1, 1e-2, 1e-3)
+        assert spec.lambda_grid == (1.0, 0.5, 0.1)
 
     def test_missing_file_mentions_path(self, tmp_path):
         missing = tmp_path / "nope.ini"
