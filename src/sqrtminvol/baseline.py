@@ -151,18 +151,17 @@ def update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7):
     Am = as_matrix(A, "A")
 
     lam_eff = float(lam_eff)
-    HHt = Hm @ Hm.T
-    XHt = Xm @ Hm.T
+    M = Hm @ Hm.T + lam_eff * Am
+    XHt2 = 2.0 * (Xm @ Hm.T)
     xsq = float(np.sum(Xm * Xm))
     L = 2.0 * (spectral_norm(Hm) ** 2 + abs(lam_eff) * spectral_norm(Am))
 
+    # The surrogate is |X|^2 + <W, W M - 2 X H^T>: one m x r by r x r product.
     def objective(Wv):
-        quad = float(np.sum(Wv * (Wv @ HHt)))
-        pen = lam_eff * float(np.sum(Wv * (Wv @ Am)))
-        return xsq - 2.0 * float(np.sum(Wv * XHt)) + quad + pen
+        return xsq + float(np.vdot(Wv, Wv @ M - XHt2))
 
     def gradient(Wv):
-        return 2.0 * (Wv @ HHt - XHt) + 2.0 * lam_eff * (Wv @ Am)
+        return 2.0 * (Wv @ M) - XHt2
 
     Wn, _ = minimize_fgm(W0, objective, gradient, project_nonneg, L, iters, tol)
     return Wn

@@ -66,11 +66,13 @@ def cmd_generate(args):
 def cmd_solve(args):
     from .matrixio import read_matrix, write_matrix
     from .metrics import rel_rmse_W, rel_rmse_X
-    from .solver import solve
+    from .solver import SqrtConfig, solve
 
     baseline = args.solver == "minvol-baseline"
     if args.lambda_tilde is not None and not baseline:
         raise InvalidInputError("--lambda-tilde is for --solver minvol-baseline only")
+    if args.epsilon is not None and baseline:
+        raise InvalidInputError("--epsilon is for --solver sqrt-minvol only")
     if args.lam is not None and args.lambda_tilde is not None:
         raise InvalidInputError("give either --lambda or --lambda-tilde, not both")
     if args.lam is None and args.lambda_tilde is None:
@@ -109,7 +111,8 @@ def cmd_solve(args):
     if args.lambda_tilde is not None:
         echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"
     echo += f" delta={args.delta:.17g}"
-    print(echo if baseline else f"{echo} epsilon={args.epsilon:.17g}")
+    epsilon = SqrtConfig.epsilon if args.epsilon is None else args.epsilon
+    print(echo if baseline else f"{echo} epsilon={epsilon:.17g}")
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "W.txt", W)
     write_matrix(out / "H.txt", H)
@@ -192,7 +195,7 @@ def build_parser():
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--lambda-tilde", type=float, default=None)
     p_solve.add_argument("--delta", type=float, default=0.1)
-    p_solve.add_argument("--epsilon", type=float, default=0.1)
+    p_solve.add_argument("--epsilon", type=float, default=None)
     p_solve.add_argument("--max-outer", type=int, default=None)
     p_solve.add_argument("--tol", type=float, default=None)
     p_solve.add_argument("--w-star", default=None, help="true W for recovery error")

@@ -56,16 +56,16 @@ def fit_coefficients(Wm, Xm, H0, iters, tol):
     cross-products, so the big matrices are touched only once.
     """
     G = Wm.T @ Wm
-    WtX = Wm.T @ Xm
+    B2 = 2.0 * (Wm.T @ Xm)
     xsq = float(np.sum(Xm * Xm))
     L = 2.0 * spectral_norm(Wm) ** 2
 
+    # |X - W H|^2 = |X|^2 + <H, G H - 2 W^T X>: one r x r by r x n product.
     def objective(H):
-        GH = G @ H
-        return xsq - 2.0 * float(np.sum(H * WtX)) + float(np.sum(H * GH))
+        return xsq + float(np.vdot(H, G @ H - B2))
 
     def gradient(H):
-        return 2.0 * (G @ H - WtX)
+        return 2.0 * (G @ H) - B2
 
     H, _ = minimize_fgm(H0, objective, gradient, project_H_columns, L, iters, tol)
     return H

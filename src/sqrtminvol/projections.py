@@ -2,9 +2,14 @@
 
 The feasible set couples a nonnegativity constraint on ``W`` with a
 capped-simplex constraint on each column of ``H``: entries nonnegative
-and the column sum at most one.  The cap is an inequality, so columns
-with small mass are left alone and only overfull columns get pulled
-back to the unit simplex.
+and the column sum at most one.  A column ``h`` projects to
+``max(h - tau, 0)``, where ``tau`` is the largest prefix mean
+``(u_1 + ... + u_k - 1) / k`` of ``h`` sorted in decreasing order
+(Condat, "Fast projection onto the simplex and the l1 ball", Math.
+Prog. 2016), clamped at 0.  The prefix means rise while ``u_k`` lies
+above them and fall after, so their maximum is the sort-and-threshold
+rule's threshold; it is at most 0 exactly when the positive entries
+sum to at most 1, so the cap leaves feasible columns alone.
 """
 
 import numpy as np
@@ -28,24 +33,6 @@ def project_nonneg(M):
     return np.maximum(np.asarray(M, dtype=np.float64), 0.0)
 
 
-def _project_columns_inplace(Hc, V, over):
-    """Simplex-project the overfull columns ``V`` of ``Hc`` (sum > 1).
-
-    Sort-and-threshold rule: with the column sorted descending, find the
-    largest k such that u_k > (sum of top k - 1) / k; that prefix stays
-    active and tau = (sum of top k - 1) / k is subtracted everywhere.
-    """
-    U = np.sort(V, axis=0)[::-1, :]
-    css = np.cumsum(U, axis=0)
-    ks = np.arange(1, V.shape[0] + 1, dtype=np.float64)[:, None]
-    active = U - (css - 1.0) / ks > 0.0
-    # The active test holds exactly for a prefix of each sorted column,
-    # so the count locates the threshold index.
-    k = active.sum(axis=0)
-    tau = (css[k - 1, np.arange(V.shape[1])] - 1.0) / k
-    Hc[:, over] = np.maximum(V - tau[None, :], 0.0)
-
-
 def project_capped_simplex(v):
     """Project a vector onto ``{h >= 0, sum(h) <= 1}``.
 
@@ -63,18 +50,17 @@ def project_capped_simplex(v):
 def project_H_columns(H):
     """Project every column of ``H`` onto the capped simplex.
 
-    Columns are independent; feasible columns are returned bitwise
-    unchanged apart from the nonnegative clamp.
+    Columns are independent.  ``tau``, the largest prefix mean of the
+    column sorted in decreasing order (Condat 2016), is at most 0
+    exactly when the clamped column sums to at most 1; then
+    ``max(h - max(tau, 0), 0)`` is the clamp alone, so feasible columns
+    are returned bitwise unchanged.
     """
     A = np.asarray(H, dtype=np.float64)
-    Hc = np.maximum(A, 0.0)
-    over = Hc.sum(axis=0) > 1.0
-    if np.any(over):
-        # Projection of the raw column: entries below the threshold end
-        # up clamped anyway, so clamping first then thresholding the raw
-        # values yields the same point.
-        _project_columns_inplace(Hc, A[:, over], over)
-    return Hc
+    css = np.cumsum(np.sort(A, axis=0)[::-1], axis=0)
+    css -= 1.0
+    css /= np.arange(1, A.shape[0] + 1, dtype=np.float64)[:, None]
+    return np.maximum(A - css.max(axis=0, initial=0.0), 0.0)
 
 
 def require_feasible(W, H, where="input"):

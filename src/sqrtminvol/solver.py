@@ -320,10 +320,11 @@ def solve(
     rescaled by ``lambda_from_init`` at the start.  ``max_outer`` counts
     outer iterations of ``sqrt-minvol`` and sweeps of the baseline,
     ``tol`` stops either outer loop, and ``inner_iters`` budgets each
-    block update.  ``epsilon`` and ``ground_truth`` (``(W_star,
-    X_star)``, recorded in every trace row) apply to ``sqrt-minvol``
-    only.  A setting left at None takes its default from
-    :class:`SqrtConfig` or :class:`~sqrtminvol.baseline.MinvolConfig`.
+    block update.  ``epsilon`` (an error for the baseline) and
+    ``ground_truth`` (``(W_star, X_star)``, recorded in every trace row)
+    apply to ``sqrt-minvol`` only.  A setting left at None takes its
+    default from :class:`SqrtConfig` or
+    :class:`~sqrtminvol.baseline.MinvolConfig`.
 
     Returns ``(W, H, lam, final_obj, outer_iters, trace)``: the factors,
     the weight the solver used, the last objective value, the number of
@@ -345,6 +346,8 @@ def solve(
         return pair.W, pair.H, cfg.lam, trace.rows[-1].f_eps, trace.rows[-1].k, trace
     if solver != "minvol-baseline":
         raise InvalidParameterError(f"unknown solver {solver!r}")
+    if epsilon is not None:
+        raise InvalidParameterError("epsilon is for solver sqrt-minvol only")
     init = snpa(X, r)
     cfg = MinvolConfig(
         lam=lam, **inner, **given(delta=delta, outer_sweeps=max_outer, tol_rel_obj=tol)

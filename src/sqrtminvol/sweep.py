@@ -59,7 +59,8 @@ class ExperimentSpec:
     from the initialization (the lambda-tilde convention); for the
     square-root solver they are used as-is.  A solver setting left at
     None takes the solver's default; ``max_outer`` budgets the
-    square-root solver and ``baseline_sweeps`` the baseline.
+    square-root solver and ``baseline_sweeps`` the baseline.  A baseline
+    spec that sets ``epsilon`` (square-root only) is rejected.
     """
 
     generator: InstanceSpec
@@ -71,7 +72,7 @@ class ExperimentSpec:
     out_dir: str = None
     rank: int = None
     delta: float = 0.1
-    epsilon: float = 0.1
+    epsilon: float = None
     max_outer: int = None
     tol: float = None
     baseline_sweeps: int = None
@@ -94,6 +95,8 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"lambda grid values must be > 0, got {l}")
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be >= 1")
+        if self.epsilon is not None and self.solver == "minvol-baseline":
+            raise InvalidParameterError("epsilon is for solver sqrt-minvol only")
 
     @property
     def solve_rank(self):

@@ -96,6 +96,7 @@ class TestSolveSqrt:
         assert code == 0
         text = capsys.readouterr().out
         assert "solver=sqrt-minvol" in text
+        assert f"epsilon={0.1:.17g}" in text  # SqrtConfig's default, no flag given
         assert "outer_iters=" in text
         W = read_matrix(out / "W.txt")
         H = read_matrix(out / "H.txt")
@@ -224,6 +225,28 @@ class TestSolveBaseline:
         )
         assert code == 0
         assert "from lambda_tilde" not in capsys.readouterr().out
+
+    def test_epsilon_is_rejected_for_baseline(self, tmp_path, instance_dir, capsys):
+        out = tmp_path / "bl3"
+        code = main(
+            [
+                "solve",
+                str(instance_dir / "X.txt"),
+                "--rank",
+                "4",
+                "--solver",
+                "minvol-baseline",
+                "--lambda",
+                "0.05",
+                "--epsilon",
+                "5",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not (out / "W.txt").exists()
 
     def test_both_weight_flags_exit_2(self, tmp_path, instance_dir, capsys):
         code = main(

@@ -130,6 +130,38 @@ class TestUpdateW:
         np.testing.assert_allclose(W, W_star, atol=1e-10)
 
 
+class TestBlockDescent:
+    """Each block update lowers its objective, computed here directly.
+
+    r = 20 on a 25 x 200 matrix is the shape of the uniform-r20 workload
+    of the benchmark; r = 4 on 4 x 500 that of paper-4x4.
+    """
+
+    SHAPES = {4: (4, 500), 20: (25, 200)}
+
+    def instance(self, r, seed):
+        rng = np.random.default_rng(seed)
+        m, n = self.SHAPES[r]
+        X = rng.random((m, n))
+        W = rng.random((m, r))
+        A = np.linalg.inv(W.T @ W + 0.1 * np.eye(r))
+        return X, W, feasible_H(rng, r, n), 0.5 * (A + A.T)
+
+    @pytest.mark.parametrize("r", [4, 20])
+    @pytest.mark.parametrize("lam_eff", [0.0, 0.5])
+    def test_sweep_descends_block_by_block(self, r, lam_eff):
+        X, W, H, A = self.instance(r, 60 + r)
+
+        def surrogate(Wv):
+            return frobenius_norm(X - Wv @ H) ** 2 + lam_eff * np.trace(A @ Wv.T @ Wv)
+
+        W1 = update_W(X, W, H, A, lam_eff)
+        assert surrogate(W1) <= surrogate(W) * (1.0 + 1e-12)
+        before = frobenius_norm(X - W1 @ H) ** 2
+        after = frobenius_norm(X - W1 @ update_H(X, W1, H)) ** 2
+        assert after <= before * (1.0 + 1e-12)
+
+
 class TestMinvol:
     def test_separable_unpenalized_fit(self):
         rng = np.random.default_rng(5)

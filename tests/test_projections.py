@@ -14,6 +14,40 @@ from sqrtminvol.projections import (
 )
 
 
+# Exact binary fractions, so ties and column sums of exactly 1 survive
+# floating point: [0.5, 0.5] and [0.25] * 4 sit on the cap.
+TIE_VALUES = (-1.0, -0.25, 0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def h_matrices(draw):
+    """r x n matrices, r in 1..6 and n in 1..8, mixing column kinds.
+
+    Each column is drawn free, from a few tied values, all negative, or
+    with 1, 2 or 4 equal entries summing to exactly 1 and the rest
+    nonpositive, so the oracle comparison covers ties, columns that
+    clamp to zero and columns on the cap.
+    """
+    r = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    free = st.floats(-3, 3, allow_nan=False, width=64)
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("free", "tied", "negative", "unit_sum")))
+        if kind == "free":
+            col = draw(arrays(np.float64, r, elements=free))
+        elif kind == "tied":
+            col = draw(arrays(np.float64, r, elements=st.sampled_from(TIE_VALUES)))
+        elif kind == "negative":
+            col = draw(arrays(np.float64, r, elements=st.floats(-3, -1e-3, width=64)))
+        else:
+            k = draw(st.sampled_from([k for k in (1, 2, 4) if k <= r]))
+            col = draw(arrays(np.float64, r, elements=st.floats(-3, 0, width=64)))
+            col[draw(st.permutations(range(r)))[:k]] = 1.0 / k
+        cols.append(col)
+    return np.column_stack(cols)
+
+
 class TestProjectNonneg:
     def test_mixed_signs(self):
         M = np.array([[-1.0, 2.0], [0.0, -3.0]])
@@ -99,11 +133,35 @@ class TestProjectHColumns:
         np.testing.assert_array_equal(P[:, 0], H[:, 0])
         np.testing.assert_allclose(P[:, 1], [0.55, 0.45], atol=1e-15)
 
-    def test_matches_per_column_oracle(self):
-        H = np.random.default_rng(2).normal(size=(4, 6))
+    @settings(max_examples=300, deadline=None)
+    @given(h_matrices())
+    def test_matches_per_column_oracle(self, H):
         P = project_H_columns(H)
-        for j in range(6):
+        for j in range(H.shape[1]):
             np.testing.assert_allclose(P[:, j], proj_capped_oracle(H[:, j]), atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda r: arrays(
+                np.float64,
+                st.tuples(st.just(r), st.integers(1, 8)),
+                # Entries up to 0.9/r keep every column sum below 1 with
+                # room for rounding, so each column is strictly feasible.
+                elements=st.floats(0.0, 0.9 / r, width=64),
+            )
+        )
+    )
+    def test_feasible_matrix_is_bitwise_unchanged(self, H):
+        P = project_H_columns(H)
+        assert P.tobytes() == H.tobytes()
+
+    def test_unit_sum_columns_are_bitwise_unchanged(self):
+        H = np.zeros((4, 3))
+        H[:2, 0] = 0.5
+        H[:, 1] = 0.25
+        H[2, 2] = 1.0
+        np.testing.assert_array_equal(project_H_columns(H), H)
 
     def test_consistent_with_vector_version(self):
         rng = np.random.default_rng(17)

@@ -19,6 +19,7 @@ from sqrtminvol.sweep import (
     write_summary_csv,
     write_sweep_csv,
 )
+from sqrtminvol.solver import solve
 
 
 def tiny_spec(**overrides):
@@ -73,6 +74,16 @@ class TestExperimentSpec:
     def test_rejects_bad_replicates(self):
         with pytest.raises(InvalidParameterError):
             tiny_spec(replicates=0)
+
+    def test_rejects_epsilon_for_baseline(self):
+        assert tiny_spec(solver="minvol-baseline").epsilon is None
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            tiny_spec(solver="minvol-baseline", epsilon=1e-3)
+
+    def test_solve_rejects_epsilon_for_baseline(self):
+        X = np.random.default_rng(3).random((4, 12))
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            solve(X, 2, "minvol-baseline", lam=0.1, epsilon=1e-3)
 
     def test_solve_rank_falls_back_to_generator(self):
         assert tiny_spec().solve_rank == 4
@@ -317,6 +328,17 @@ class TestConfigParsing:
         b.write_text(body.format(grid="lambdas = 0.1 0.01"))
         assert parse_experiment_config(str(a)).lambda_grid == (0.1, 0.01)
         assert parse_experiment_config(str(b)).lambda_grid == (0.1, 0.01)
+
+    def test_baseline_rejects_solver_epsilon(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[generator]\nname = paper-4x4\nn = 50\n"
+            "[sweep]\nsolver = minvol-baseline\nsigmas = 0.1\n"
+            "lambda_tildes = 0.1\nbase_seed = 1\n"
+            "[solver]\nepsilon = 5\n"
+        )
+        with pytest.raises(InvalidInputError, match="epsilon"):
+            parse_experiment_config(str(path))
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
