@@ -151,19 +151,28 @@ def update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7):
     Am = as_matrix(A, "A")
 
     lam_eff = float(lam_eff)
+    L = 2.0 * (spectral_norm(Hm) ** 2 + abs(lam_eff) * spectral_norm(Am))
+    if L <= 0.0:
+        return W0
     M = Hm @ Hm.T + lam_eff * Am
     XHt2 = 2.0 * (Xm @ Hm.T)
     xsq = float(np.sum(Xm * Xm))
-    L = 2.0 * (spectral_norm(Hm) ** 2 + abs(lam_eff) * spectral_norm(Am))
+    # The gradient is 2 W M - 2 X H^T, so W - grad / L = W P + c.
+    P = np.eye(M.shape[0]) - (2.0 / L) * M
+    c = XHt2 / L
 
     # The surrogate is |X|^2 + <W, W M - 2 X H^T>: one m x r by r x r product.
     def objective(Wv):
-        return xsq + float(np.vdot(Wv, Wv @ M - XHt2))
+        WM = Wv @ M
+        WM -= XHt2
+        return xsq + float(np.vdot(Wv, WM))
 
-    def gradient(Wv):
-        return 2.0 * (Wv @ M) - XHt2
+    def forward(Wv):
+        Z = Wv @ P
+        Z += c
+        return Z
 
-    Wn, _ = minimize_fgm(W0, objective, gradient, project_nonneg, L, iters, tol)
+    Wn, _ = minimize_fgm(W0, objective, forward, project_nonneg, iters, tol)
     return Wn
 
 

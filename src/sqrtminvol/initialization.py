@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
 from .fgm import minimize_fgm
 from .linalg import as_matrix, spectral_norm
 from .projections import project_H_columns
@@ -55,19 +55,28 @@ def fit_coefficients(Wm, Xm, H0, iters, tol):
     Everything the iteration needs is expressible through the small
     cross-products, so the big matrices are touched only once.
     """
+    L = 2.0 * spectral_norm(Wm) ** 2
+    if L <= 0.0:
+        return H0
     G = Wm.T @ Wm
     B2 = 2.0 * (Wm.T @ Xm)
     xsq = float(np.sum(Xm * Xm))
-    L = 2.0 * spectral_norm(Wm) ** 2
+    # The gradient is 2 G H - B2, so H - grad / L = P H + c.
+    P = np.eye(G.shape[0]) - (2.0 / L) * G
+    c = B2 / L
 
     # |X - W H|^2 = |X|^2 + <H, G H - 2 W^T X>: one r x r by r x n product.
     def objective(H):
-        return xsq + float(np.vdot(H, G @ H - B2))
+        GH = G @ H
+        GH -= B2
+        return xsq + float(np.vdot(H, GH))
 
-    def gradient(H):
-        return 2.0 * (G @ H) - B2
+    def forward(H):
+        Z = P @ H
+        Z += c
+        return Z
 
-    H, _ = minimize_fgm(H0, objective, gradient, project_H_columns, L, iters, tol)
+    H, _ = minimize_fgm(H0, objective, forward, project_H_columns, iters, tol)
     return H
 
 
@@ -165,14 +174,22 @@ def snpa(X, r):
             f"rank must be in [1, min(m, n)] = [1, {min(m, n)}], got {r}"
         )
 
-    result = SnpaResult()
-    R = Xm.copy()
-    H = None
+    # The squared column norms are the first scores.  Every later score,
+    # Gram entry and residual is bounded by their sum, so if that sum
+    # overflows, the fault is the scale of X, not a step further down.
+    with np.errstate(over="ignore"):
+        scores = np.sum(Xm * Xm, axis=0)
+        if not np.isfinite(scores.sum()):
+            raise NumericalFaultError(
+                f"the squared norm of X overflows (largest entry {np.max(Xm):.3g}); "
+                "rescale X"
+            )
     # Zero data columns can never serve as vertices and would break the
     # refit, so they are excluded from selection alongside prior picks.
-    blocked = np.sum(Xm * Xm, axis=0) == 0.0
+    blocked = scores == 0.0
+    result = SnpaResult()
+    H = None
     for _ in range(r):
-        scores = np.sum(R * R, axis=0)
         scores[blocked] = -1.0
         j = int(np.argmax(scores))
         if scores[j] < 0.0:
@@ -188,7 +205,9 @@ def snpa(X, r):
             H_init = np.vstack([H, np.zeros((1, n))])
         H = nnls_capped_simplex(W0, Xm, H_init)
         R = Xm - W0 @ H
-        result.residual_norms.append(float(np.sqrt(np.sum(R * R))))
+        R *= R  # squared residual entries: the next scores and the norm
+        scores = np.sum(R, axis=0)
+        result.residual_norms.append(float(np.sqrt(np.sum(R))))
 
     W0 = Xm[:, result.selected_indices]
     H = _polish_columns(W0, Xm, H)

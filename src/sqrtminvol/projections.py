@@ -57,10 +57,18 @@ def project_H_columns(H):
     are returned bitwise unchanged.
     """
     A = np.asarray(H, dtype=np.float64)
-    css = np.cumsum(np.sort(A, axis=0)[::-1], axis=0)
+    r = A.shape[0]
+    # Sorted ascending, row k turns into the sum of the r - k largest
+    # entries: suffix sums from the bottom, the same additions in the
+    # same order as a cumulative sum of the decreasing sort.
+    css = np.sort(A, axis=0)
+    rows = list(css)
+    for k in range(r - 2, -1, -1):
+        rows[k] += rows[k + 1]
     css -= 1.0
-    css /= np.arange(1, A.shape[0] + 1, dtype=np.float64)[:, None]
-    return np.maximum(A - css.max(axis=0, initial=0.0), 0.0)
+    css /= np.arange(r, 0, -1, dtype=np.float64)[:, None]
+    out = A - css.max(axis=0, initial=0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def require_feasible(W, H, where="input"):

@@ -151,6 +151,53 @@ def proj_capped_oracle(v):
     return np.array([float(xi) for xi in best])
 
 
+def proj_capped_cumsum(H):
+    """Column-wise capped-simplex projection by a cumulative sum.
+
+    The threshold of each column is its largest prefix mean
+    ``(u_1 + ... + u_k - 1) / k`` over the decreasing sort, clamped at
+    0, with the prefix sums taken by ``np.cumsum``.  The library forms
+    the same sums as in-place suffix sums and must agree bit for bit.
+    """
+    A = np.asarray(H, dtype=float)
+    css = np.cumsum(np.sort(A, axis=0)[::-1], axis=0)
+    css -= 1.0
+    css /= np.arange(1, A.shape[0] + 1, dtype=float)[:, None]
+    return np.maximum(A - css.max(axis=0, initial=0.0), 0.0)
+
+
+def fgm_gradient_form(x0, objective, gradient, project, L, iters, tol):
+    """Accelerated projected gradient written with ``gradient`` and ``L``.
+
+    The step is ``project(y - gradient(y) / L)``, with fast-gradient
+    momentum; an ascent drops the momentum for one plain step, and an
+    ascent of the plain step stops the run.  The library engine takes
+    the same step as one caller-supplied affine map instead, so the
+    two follow the same iterates up to rounding.
+    """
+    fx = objective(x0)
+    if L <= 0.0:
+        return x0, fx
+    x, y, t = x0, x0, 1.0
+    step = 1.0 / L
+    for _ in range(int(iters)):
+        xn = project(y - step * gradient(y))
+        fn = objective(xn)
+        if fn > fx:
+            xn = project(x - step * gradient(x))
+            fn = objective(xn)
+            if fn > fx:
+                return x, fx
+            t = 1.0
+        done = (fx - fn) <= tol * max(abs(fx), 1e-300)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = xn + ((t - 1.0) / t_next) * (xn - x)
+        x, fx, t = xn, fn, t_next
+        if done:
+            break
+    return x, fx
+
+
 def nnls_capped_oracle(W, x):
     """argmin |x - W h|^2 over {h >= 0, sum(h) <= 1}, exhaustively.
 

@@ -170,6 +170,24 @@ class TestSolveSqrt:
         assert code == 2
         assert "--lambda-tilde" in capsys.readouterr().err
 
+    def test_overflowing_data_exits_3(self, tmp_path, instance_dir, capsys):
+        X = read_matrix(instance_dir / "X.txt") * 1e200
+        write_matrix(tmp_path / "huge.txt", X)
+        code = main(
+            [
+                "solve",
+                str(tmp_path / "huge.txt"),
+                "--rank",
+                "4",
+                "--lambda",
+                "0.1",
+                "--out",
+                str(tmp_path / "s"),
+            ]
+        )
+        assert code == 3
+        assert "squared norm of X overflows" in capsys.readouterr().err
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["solve", str(tmp_path / "absent.txt"), "--rank", "2", "--lambda", "0.1"]

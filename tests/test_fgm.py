@@ -16,6 +16,11 @@ def quad_problem(A, b):
     return objective, gradient, L
 
 
+def step(gradient, L):
+    """The engine's forward map ``x - gradient(x) / L``."""
+    return lambda x: x - gradient(x) / L
+
+
 class TestMinimizeFgm:
     def test_unconstrained_quadratic_reaches_solution(self):
         rng = np.random.default_rng(0)
@@ -24,7 +29,7 @@ class TestMinimizeFgm:
         b = rng.normal(size=5)
         objective, gradient, L = quad_problem(A, b)
         x, fx = minimize_fgm(
-            np.zeros(5), objective, gradient, lambda v: v, L, 500, 1e-16
+            np.zeros(5), objective, step(gradient, L), lambda v: v, 500, 1e-16
         )
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
@@ -35,9 +40,8 @@ class TestMinimizeFgm:
         x, _ = minimize_fgm(
             np.zeros(2),
             objective,
-            gradient,
+            step(gradient, L),
             lambda v: np.maximum(v, 0.0),
-            L,
             200,
             1e-16,
         )
@@ -60,7 +64,9 @@ class TestMinimizeFgm:
         x = x0
         # Drive the engine one iteration at a time to observe the value path.
         for _ in range(50):
-            x, fx = minimize_fgm(x, recording_objective, gradient, lambda v: v, L, 1, 1e-300)
+            x, fx = minimize_fgm(
+                x, recording_objective, step(gradient, L), lambda v: v, 1, 1e-300
+            )
             assert fx <= last + 1e-12 * abs(last)
             seen.append(fx)
             last = fx
@@ -76,13 +82,17 @@ class TestMinimizeFgm:
         f0 = objective(x0)
         # Feed a Lipschitz constant 100x too small: the steps are far too
         # long, and the engine must stop rather than ascend.
-        x, fx = minimize_fgm(x0, objective, gradient, lambda v: v, L / 100.0, 100, 1e-16)
+        x, fx = minimize_fgm(
+            x0, objective, step(gradient, L / 100.0), lambda v: v, 100, 1e-16
+        )
         assert fx <= f0
 
     def test_nonpositive_lipschitz_returns_start(self):
+        # L <= 0 means a zero gradient: the forward step is the identity.
+        # (The block updates return their start before calling the engine.)
         x0 = np.array([1.0, 2.0])
         x, fx = minimize_fgm(
-            x0, lambda v: 0.0, lambda v: np.zeros(2), lambda v: v, 0.0, 10, 1e-9
+            x0, lambda v: 0.0, lambda v: v + np.zeros(2), lambda v: v, 10, 1e-9
         )
         np.testing.assert_array_equal(x, x0)
         assert fx == 0.0
@@ -92,5 +102,5 @@ class TestMinimizeFgm:
         b = np.array([1.0, 8.0])
         objective, gradient, L = quad_problem(A, b)
         star = np.array([1.0, 2.0])
-        x, fx = minimize_fgm(star, objective, gradient, lambda v: v, L, 25, 1e-16)
+        x, fx = minimize_fgm(star, objective, step(gradient, L), lambda v: v, 25, 1e-16)
         np.testing.assert_allclose(x, star, atol=1e-12)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_grad, jacobi_eigenvalues, nnls_capped_oracle
+from oracles import (
+    fd_grad,
+    fgm_gradient_form,
+    jacobi_eigenvalues,
+    nnls_capped_oracle,
+    proj_capped_cumsum,
+)
 from sqrtminvol.errors import (
     DegenerateDenominatorError,
     InvalidInputError,
@@ -20,7 +26,7 @@ from sqrtminvol.baseline import (
     update_W,
 )
 from sqrtminvol.projections import project_H_columns
-from sqrtminvol.initialization import snpa
+from sqrtminvol.initialization import nnls_capped_simplex, snpa
 
 W4 = np.array(
     [
@@ -160,6 +166,86 @@ class TestBlockDescent:
         before = frobenius_norm(X - W1 @ H) ** 2
         after = frobenius_norm(X - W1 @ update_H(X, W1, H)) ** 2
         assert after <= before * (1.0 + 1e-12)
+
+
+class TestEngineStep:
+    """The block updates follow the gradient-form engine's iterates.
+
+    ``oracles.fgm_gradient_form`` runs from the same start with the
+    same budget and tolerance, on the block objective and gradient
+    written out here with step 1/L; the library's affine forward steps
+    must end at the same block objective, computed directly from each
+    final iterate, to 1e-12 relative.
+    """
+
+    instance = TestBlockDescent.instance
+    SHAPES = TestBlockDescent.SHAPES
+
+    @staticmethod
+    def residual(X, W):
+        return lambda H: frobenius_norm(X - W @ H) ** 2
+
+    @staticmethod
+    def h_block(X, W):
+        G, B2, xsq = W.T @ W, 2.0 * (W.T @ X), float(np.sum(X * X))
+        L = 2.0 * np.linalg.norm(W, 2) ** 2
+        return (
+            lambda H: xsq + float(np.vdot(H, G @ H - B2)),
+            lambda H: 2.0 * (G @ H) - B2,
+            L,
+        )
+
+    @staticmethod
+    def assert_same_value(value, got, want):
+        assert abs(value(got) - value(want)) <= 1e-12 * abs(value(want))
+
+    @pytest.mark.parametrize("r", [4, 20])
+    def test_update_H(self, r):
+        X, W, H, _ = self.instance(r, 70 + r)
+        objective, gradient, L = self.h_block(X, W)
+        want, _ = fgm_gradient_form(
+            H, objective, gradient, proj_capped_cumsum, L, 50, 1e-7
+        )
+        self.assert_same_value(self.residual(X, W), update_H(X, W, H), want)
+
+    @pytest.mark.parametrize("r", [4, 20])
+    def test_nnls_capped_simplex(self, r):
+        X, W, _, _ = self.instance(r, 80 + r)
+        H0 = np.zeros((r, X.shape[1]))
+        objective, gradient, L = self.h_block(X, W)
+        want, _ = fgm_gradient_form(
+            H0, objective, gradient, proj_capped_cumsum, L, 500, 1e-10
+        )
+        self.assert_same_value(self.residual(X, W), nnls_capped_simplex(W, X), want)
+
+    @pytest.mark.parametrize("r", [4, 20])
+    @pytest.mark.parametrize("lam_eff", [0.0, 0.5])
+    def test_update_W(self, r, lam_eff):
+        X, W, H, A = self.instance(r, 90 + r)
+        M, XHt2 = H @ H.T + lam_eff * A, 2.0 * (X @ H.T)
+        xsq = float(np.sum(X * X))
+        L = 2.0 * (np.linalg.norm(H, 2) ** 2 + lam_eff * np.linalg.norm(A, 2))
+
+        def surrogate(Wv):
+            return frobenius_norm(X - Wv @ H) ** 2 + lam_eff * np.trace(A @ Wv.T @ Wv)
+
+        want, _ = fgm_gradient_form(
+            W,
+            lambda Wv: xsq + float(np.vdot(Wv, Wv @ M - XHt2)),
+            lambda Wv: 2.0 * (Wv @ M) - XHt2,
+            lambda Z: np.maximum(Z, 0.0),
+            L,
+            50,
+            1e-7,
+        )
+        self.assert_same_value(surrogate, update_W(X, W, H, A, lam_eff), want)
+
+    def test_zero_lipschitz_returns_start(self):
+        # A zero gradient (W = 0 for H, H = 0 and no penalty for W) makes
+        # L = 0; each block returns its projected start.
+        X, W, H, A = self.instance(4, 74)
+        np.testing.assert_array_equal(update_H(X, np.zeros_like(W), H), H)
+        np.testing.assert_array_equal(update_W(X, W, np.zeros_like(H), A, 0.0), W)
 
 
 class TestMinvol:

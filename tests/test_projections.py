@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import clamp_oracle, proj_capped_oracle
+from oracles import clamp_oracle, proj_capped_cumsum, proj_capped_oracle
 from sqrtminvol.errors import InvalidInputError
 from sqrtminvol.projections import (
     project_H_columns,
@@ -20,15 +20,15 @@ TIE_VALUES = (-1.0, -0.25, 0.0, 0.25, 0.5, 1.0)
 
 
 @st.composite
-def h_matrices(draw):
-    """r x n matrices, r in 1..6 and n in 1..8, mixing column kinds.
+def h_matrices(draw, max_r=6):
+    """r x n matrices, r in 1..max_r and n in 1..8, mixing column kinds.
 
     Each column is drawn free, from a few tied values, all negative, or
-    with 1, 2 or 4 equal entries summing to exactly 1 and the rest
-    nonpositive, so the oracle comparison covers ties, columns that
-    clamp to zero and columns on the cap.
+    with 1, 2, 4, 8 or 16 equal entries summing to exactly 1 and the
+    rest nonpositive, so the comparisons cover ties, columns that clamp
+    to zero and columns on the cap.
     """
-    r = draw(st.integers(1, 6))
+    r = draw(st.integers(1, max_r))
     n = draw(st.integers(1, 8))
     free = st.floats(-3, 3, allow_nan=False, width=64)
     cols = []
@@ -41,7 +41,7 @@ def h_matrices(draw):
         elif kind == "negative":
             col = draw(arrays(np.float64, r, elements=st.floats(-3, -1e-3, width=64)))
         else:
-            k = draw(st.sampled_from([k for k in (1, 2, 4) if k <= r]))
+            k = draw(st.sampled_from([k for k in (1, 2, 4, 8, 16) if k <= r]))
             col = draw(arrays(np.float64, r, elements=st.floats(-3, 0, width=64)))
             col[draw(st.permutations(range(r)))[:k]] = 1.0 / k
         cols.append(col)
@@ -139,6 +139,12 @@ class TestProjectHColumns:
         P = project_H_columns(H)
         for j in range(H.shape[1]):
             np.testing.assert_allclose(P[:, j], proj_capped_oracle(H[:, j]), atol=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(h_matrices(max_r=24))
+    def test_bitwise_equal_to_cumsum_reference(self, H):
+        # The suffix sums repeat the cumulative sum's additions in order.
+        assert project_H_columns(H).tobytes() == proj_capped_cumsum(H).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(

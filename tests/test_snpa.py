@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import nnls_capped_oracle
-from sqrtminvol.errors import InvalidInputError, InvalidParameterError
+from sqrtminvol.errors import InvalidInputError, InvalidParameterError, NumericalFaultError
 from sqrtminvol.linalg import frobenius_norm
 from sqrtminvol.initialization import nnls_capped_simplex, snpa
 
@@ -109,3 +109,12 @@ class TestSnpa:
         assert result.H0.shape == (3, 12)
         assert len(result.residual_norms) == 3
         assert len(result.selected_indices) == 3
+
+    @pytest.mark.parametrize("scale", [1e200, 1e155])
+    def test_overflowing_scale_is_a_numerical_fault(self, scale):
+        # The squared norms overflow; the error must name X's scale, not
+        # an H_init the caller never passed.
+        rng = np.random.default_rng(4)
+        X = W4 @ rng.dirichlet(np.ones(4), size=30).T * scale
+        with pytest.raises(NumericalFaultError, match="squared norm of X overflows"):
+            snpa(X, 4)
