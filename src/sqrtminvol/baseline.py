@@ -187,7 +187,9 @@ def minvol(X, r, W_init, H_init, config):
     Xm = as_matrix(X, "X")
     require_feasible(W_init, H_init, "minvol initialization")
     Wm = as_matrix(W_init, "W_init").copy()
-    Hm = as_matrix(H_init, "H_init").copy()
+    # Feasible only to within the slack; every later H is an H-block
+    # output, itself a projection, so this is the one projection of H.
+    Hm = project_H_columns(as_matrix(H_init, "H_init"))
     r = int(r)
     if Wm.shape[1] != r:
         raise InvalidInputError(f"W_init has {Wm.shape[1]} columns, expected r={r}")
@@ -204,7 +206,9 @@ def minvol(X, r, W_init, H_init, config):
         Wm = update_W(
             Xm, Wm, Hm, A, lam, config.inner_iters_per_block, config.tol_rel_obj
         )
-        Hm = update_H(Xm, Wm, Hm, config.inner_iters_per_block, config.tol_rel_obj)
+        Hm = fit_coefficients(
+            Wm, Xm, Hm, config.inner_iters_per_block, config.tol_rel_obj
+        )
         obj = objective_minvol(Xm, Wm, Hm, lam, delta)
         prev = history[-1]
         history.append(obj)

@@ -3,13 +3,14 @@
 All matrices are plain 2-D ``numpy.ndarray`` objects in row-major order,
 dtype float64.  Problem sizes here are small (a few dozen rows, a few
 thousand columns at most), so everything stays dense and there is no
-sparse path on purpose.
+sparse path on purpose.  The only factorization the solvers need is the
+Cholesky factor of an r x r shifted Gram, so ``numpy.linalg`` covers it
+and the package depends on numpy alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, InvalidParameterError, NotPositiveDefiniteError
 
@@ -130,8 +131,8 @@ def cholesky(Q):
     if np.max(np.abs(A - A.T)) > 1e-10:
         raise InvalidInputError("Q is not symmetric (tolerance 1e-10)")
     try:
-        L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky failed, matrix is not positive definite: {exc}"
         ) from exc
@@ -151,6 +152,8 @@ def logdet_spd(Q):
 def solve_spd(F, B):
     """Solve ``Q Y = B`` given the Cholesky factor of ``Q``.
 
+    Two solves against the factor: ``L Z = B``, then ``L^T Y = Z``.
+
     Parameters
     ----------
     F : SpdFactor
@@ -165,7 +168,7 @@ def solve_spd(F, B):
         raise InvalidInputError(
             f"dimension mismatch: factor is {F.dim}x{F.dim}, B has {RHS.shape[0]} rows"
         )
-    return scipy.linalg.cho_solve((F.lower, True), RHS, check_finite=False)
+    return np.linalg.solve(F.lower.T, np.linalg.solve(F.lower, RHS))
 
 
 def spectral_norm(M):

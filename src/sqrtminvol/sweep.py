@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 SOLVER_NAMES = ("sqrt-minvol", "minvol-baseline")
+# Settings that only one solver reads, with that solver.
+SOLVER_ONLY = {
+    "epsilon": "sqrt-minvol",
+    "max_outer": "sqrt-minvol",
+    "baseline_sweeps": "minvol-baseline",
+}
 
 SWEEP_HEADER = (
     "solver,sigma,lambda,replicate,seed,rel_rmse_X,rel_rmse_W,"
@@ -59,8 +65,10 @@ class ExperimentSpec:
     from the initialization (the lambda-tilde convention); for the
     square-root solver they are used as-is.  A solver setting left at
     None takes the solver's default; ``max_outer`` budgets the
-    square-root solver and ``baseline_sweeps`` the baseline.  A baseline
-    spec that sets ``epsilon`` (square-root only) is rejected.
+    square-root solver and ``baseline_sweeps`` the baseline.  A setting
+    for the other solver (``epsilon`` or ``max_outer`` on a baseline
+    spec, ``baseline_sweeps`` on a square-root one) is rejected, since
+    the cells would run without it.
     """
 
     generator: InstanceSpec
@@ -95,8 +103,9 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"lambda grid values must be > 0, got {l}")
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be >= 1")
-        if self.epsilon is not None and self.solver == "minvol-baseline":
-            raise InvalidParameterError("epsilon is for solver sqrt-minvol only")
+        for name, owner in SOLVER_ONLY.items():
+            if owner != self.solver and getattr(self, name) is not None:
+                raise InvalidParameterError(f"{name} is for solver {owner} only")
 
     @property
     def solve_rank(self):

@@ -261,6 +261,14 @@ def fd_grad(fun, M, step=1e-6):
     return G
 
 
+def assignment_brute_force(C):
+    """Least total cost of a row-to-column matching, over all permutations."""
+    C = np.asarray(C, dtype=float)
+    r = C.shape[0]
+    perms = np.array(list(itertools.permutations(range(r))))
+    return float(C[np.arange(r), perms].sum(axis=1).min())
+
+
 def align_brute_force(W_star, W_hat):
     """Best column matching by trying all permutations; returns (perm, cost)."""
     Ws = np.asarray(W_star, dtype=float)

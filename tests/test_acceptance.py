@@ -463,9 +463,9 @@ def test_sweep_is_deterministic_across_jobs():
     """Serial and parallel sweeps emit identical bytes (minus timing)."""
     details = []
     ok = True
-    for solver, grid in (
-        ("sqrt-minvol", (0.5, 0.05)),
-        ("minvol-baseline", (0.1, 0.001)),
+    for solver, grid, budget in (
+        ("sqrt-minvol", (0.5, 0.05), {"max_outer": 10}),
+        ("minvol-baseline", (0.1, 0.001), {"baseline_sweeps": 15}),
     ):
         spec = ExperimentSpec(
             generator=InstanceSpec("paper-4x4", n=60, sigma=0.0, seed=0),
@@ -474,9 +474,8 @@ def test_sweep_is_deterministic_across_jobs():
             lambda_grid=grid,
             replicates=2,
             base_seed=BASE_SEED,
-            max_outer=10,
             inner_iters=15,
-            baseline_sweeps=15,
+            **budget,
         )
         outputs = []
         for jobs in (1, JOBS):

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +394,23 @@ class TestSweep:
         ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")
         assert main(["sweep", ini]) == 2
         assert "output directory" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_package_does_not_load_scipy(self):
+        # A fresh interpreter, so nothing imported by the test run can leak in.
+        code = (
+            "import sys\n"
+            "import sqrtminvol.cli, sqrtminvol.solver, sqrtminvol.sweep, sqrtminvol.metrics\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -42,6 +42,15 @@ W4_GRAM = np.array(
     ]
 )
 
+# Symmetric matrices that are not positive definite.  The singular one
+# has an exactly zero last pivot: 1 + 1e-300 rounds to 1.
+NOT_SPD = [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-300]]),
+    -np.eye(3),
+]
+NOT_SPD_IDS = ["indefinite", "singular", "negative-definite"]
+
 
 class TestFrobeniusNorm:
     def test_identity_2x2(self):
@@ -106,6 +115,11 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("Q", NOT_SPD, ids=NOT_SPD_IDS)
+    def test_not_positive_definite_raises(self, Q):
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(Q)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -124,6 +138,11 @@ class TestLogdetSpd:
         Q = A.T @ A + np.eye(5)
         expected = float(np.sum(np.log(jacobi_eigenvalues(Q))))
         assert logdet_spd(Q) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("Q", NOT_SPD, ids=NOT_SPD_IDS)
+    def test_not_positive_definite_raises(self, Q):
+        with pytest.raises(NotPositiveDefiniteError):
+            logdet_spd(Q)
 
 
 class TestSolveSpd:

@@ -1,14 +1,16 @@
 import csv
 import io
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import jacobi_eigenvalues
+from oracles import align_brute_force, assignment_brute_force, jacobi_eigenvalues
 from sqrtminvol.errors import InvalidInputError, UndefinedMetricError
 from sqrtminvol.metrics import (
+    _min_cost_assignment,
     align_columns,
     pca_2d,
     project_2d,
@@ -18,15 +20,41 @@ from sqrtminvol.metrics import (
 )
 
 
-def brute_force_alignment_cost(Ws, Wh):
-    best = math.inf
-    r = Ws.shape[1]
-    for perm in itertools.permutations(range(r)):
-        cost = sum(
-            float(np.sum((Ws[:, t] - Wh[:, perm[t]]) ** 2)) for t in range(r)
-        )
-        best = min(best, cost)
-    return best
+@st.composite
+def cost_matrices(draw, max_r):
+    """Square costs, often tied: small integers or spread-out floats,
+    sometimes with a zero row and a duplicated column."""
+    r = draw(st.integers(1, max_r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        C = rng.integers(0, 4, (r, r)).astype(float)
+    else:
+        C = rng.random((r, r)) * 10.0 ** draw(st.integers(-6, 6))
+    if draw(st.booleans()):
+        C[draw(st.integers(0, r - 1))] = 0.0
+    if draw(st.booleans()):
+        C[:, draw(st.integers(0, r - 1))] = C[:, draw(st.integers(0, r - 1))]
+    return C
+
+
+@st.composite
+def column_pairs(draw, max_r):
+    """Integer-valued (W_star, W_hat) whose costs tie: W_hat repeats columns
+    and may hold a zero column."""
+    r = draw(st.integers(1, max_r))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Ws = rng.integers(0, 3, (m, r)).astype(float)
+    Wh = rng.integers(0, 3, (m, r)).astype(float)
+    Wh[:, draw(st.integers(0, r - 1))] = Wh[:, draw(st.integers(0, r - 1))]
+    if draw(st.booleans()):
+        Wh[:, draw(st.integers(0, r - 1))] = 0.0
+    return Ws, Wh
+
+
+def matched_cost(C, cols):
+    assert sorted(cols.tolist()) == list(range(C.shape[0]))
+    return float(C[np.arange(C.shape[0]), cols].sum())
 
 
 class TestRelRmseX:
@@ -72,8 +100,37 @@ class TestAlignment:
             Wh = rng.random((5, 4))
             res = align_columns(Ws, Wh)
             assert res.cost == pytest.approx(
-                brute_force_alignment_cost(Ws, Wh), rel=1e-10, abs=1e-12
+                align_brute_force(Ws, Wh)[1], rel=1e-10, abs=1e-12
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_pairs(max_r=7))
+    def test_tied_costs_match_brute_force_exactly(self, pair):
+        Ws, Wh = pair
+        res = align_columns(Ws, Wh)
+        assert sorted(res.permutation.tolist()) == list(range(Ws.shape[1]))
+        # Integer entries make every cost an exact small integer.
+        assert res.cost == align_brute_force(Ws, Wh)[1]
+        assert res.cost == float(np.sum((Ws - Wh[:, res.permutation]) ** 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_matrices(max_r=7))
+    def test_assignment_is_optimal_against_brute_force(self, C):
+        got = matched_cost(C, _min_cost_assignment(C))
+        assert got == pytest.approx(assignment_brute_force(C), rel=1e-12, abs=0.0)
+
+    def test_assignment_matches_scipy(self):
+        # The package does not depend on scipy; check against it where present.
+        optimize = pytest.importorskip("scipy.optimize")
+
+        @settings(max_examples=100, deadline=None)
+        @given(cost_matrices(max_r=25))
+        def check(C):
+            rows, cols = optimize.linear_sum_assignment(C)
+            got = matched_cost(C, _min_cost_assignment(C))
+            assert got == pytest.approx(float(C[rows, cols].sum()), rel=1e-12, abs=0.0)
+
+        check()
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(InvalidInputError):

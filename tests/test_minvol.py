@@ -10,10 +10,12 @@ from oracles import (
     nnls_capped_oracle,
     proj_capped_cumsum,
 )
+import sqrtminvol.baseline as baseline_mod
 from sqrtminvol.errors import (
     DegenerateDenominatorError,
     InvalidInputError,
     InvalidParameterError,
+    NotPositiveDefiniteError,
 )
 from sqrtminvol.linalg import frobenius_norm
 from sqrtminvol.baseline import (
@@ -284,6 +286,32 @@ class TestMinvol:
         assert 2 <= len(hist) <= cfg.outer_sweeps + 1
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-9 * abs(a)
+
+    def test_singular_gram_raises_not_positive_definite(self):
+        # Two equal columns and a shift of 1e-300, which rounds away
+        # against 1: the shifted Gram has an exactly zero pivot.
+        W = np.array([[1.0, 1.0], [0.0, 0.0]])
+        H = np.full((2, 3), 0.25)
+        with pytest.raises(NotPositiveDefiniteError):
+            minvol(W @ H, 2, W, H, MinvolConfig(lam=1.0, delta=1e-300))
+
+    def test_projects_H_once(self, monkeypatch):
+        # Every H after the start is an H-block output, so only the start
+        # is projected by minvol itself; the H-block projects inside FGM.
+        calls = []
+
+        def counting(H):
+            calls.append(H.shape)
+            return project_H_columns(H)
+
+        monkeypatch.setattr(baseline_mod, "project_H_columns", counting)
+        rng = np.random.default_rng(27)
+        X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
+        init = snpa(X, 3)
+        cfg = MinvolConfig(lam=0.05, outer_sweeps=5, tol_rel_obj=1e-300)
+        state = minvol(X, 3, init.W0, init.H0, cfg)
+        assert len(state.objective_history) == 6
+        assert calls == [(3, 60)]
 
     def test_rejects_nonconforming_shapes(self):
         X = np.ones((3, 4))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sqrtminvol.sweep as sweep_mod
+from sqrtminvol.cli import main
 from sqrtminvol.datagen import InstanceSpec
 from sqrtminvol.errors import InvalidInputError, InvalidParameterError, NumericalFaultError
 from sqrtminvol.sweep import (
@@ -30,10 +31,11 @@ def tiny_spec(**overrides):
         lambda_grid=(0.1, 0.01),
         replicates=2,
         base_seed=5,
-        max_outer=8,
         inner_iters=10,
     )
     kwargs.update(overrides)
+    if kwargs["solver"] == "sqrt-minvol":
+        kwargs.setdefault("max_outer", 8)
     return ExperimentSpec(**kwargs)
 
 
@@ -79,6 +81,15 @@ class TestExperimentSpec:
         assert tiny_spec(solver="minvol-baseline").epsilon is None
         with pytest.raises(InvalidParameterError, match="epsilon"):
             tiny_spec(solver="minvol-baseline", epsilon=1e-3)
+
+    def test_rejects_max_outer_for_baseline(self):
+        # The baseline's budget is baseline_sweeps; max_outer would be ignored.
+        with pytest.raises(InvalidParameterError, match="max_outer"):
+            tiny_spec(solver="minvol-baseline", max_outer=1)
+
+    def test_rejects_baseline_sweeps_for_sqrt(self):
+        with pytest.raises(InvalidParameterError, match="baseline_sweeps"):
+            tiny_spec(baseline_sweeps=5)
 
     def test_solve_rejects_epsilon_for_baseline(self):
         X = np.random.default_rng(3).random((4, 12))
@@ -339,6 +350,26 @@ class TestConfigParsing:
         )
         with pytest.raises(InvalidInputError, match="epsilon"):
             parse_experiment_config(str(path))
+
+    @pytest.mark.parametrize(
+        "solver, grid, setting",
+        [
+            ("minvol-baseline", "lambda_tildes = 0.1", "max_outer = 1"),
+            ("sqrt-minvol", "lambdas = 0.1", "baseline_sweeps = 1"),
+        ],
+    )
+    def test_budget_of_the_other_solver_is_rejected(self, tmp_path, solver, grid, setting):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[generator]\nname = paper-4x4\nn = 40\n"
+            f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid}\nbase_seed = 1\n"
+            f"[solver]\n{setting}\n"
+        )
+        name = setting.split(" = ")[0]
+        with pytest.raises(InvalidInputError, match=name):
+            parse_experiment_config(str(path))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
