@@ -21,10 +21,9 @@ from .errors import DegenerateDenominatorError, InvalidInputError, InvalidParame
 from .fgm import minimize_fgm
 from .linalg import (
     as_matrix,
-    cholesky,
+    cholesky_shifted,
     frobenius_norm,
-    gram_shifted,
-    logdet_spd,
+    logdet_shifted,
     solve_spd,
     spectral_norm,
 )
@@ -57,7 +56,9 @@ class MinvolConfig:
         for lam >= 0.  ``lambda_from_init`` never returns one for a
         nonnegative ``lambda_tilde``.
     delta : float
-        Positive diagonal shift inside the logdet.
+        Positive diagonal shift inside the logdet, default 0.1; the
+        square-root solver, sweeps and the CLI take their default from
+        here.
     outer_sweeps : int
         Number of (W, H) sweeps.
     inner_iters_per_block : int
@@ -103,7 +104,7 @@ def objective_minvol(X, W, H, lam, delta):
     Xm = as_matrix(X, "X")
     require_feasible(W, H, "objective_minvol")
     res = frobenius_norm(Xm - np.asarray(W) @ np.asarray(H))
-    return res * res + float(lam) * logdet_spd(gram_shifted(W, delta))
+    return res * res + float(lam) * logdet_shifted(W, delta)
 
 
 def grad_H(X, W, H):
@@ -200,7 +201,7 @@ def minvol(X, r, W_init, H_init, config):
     history = [objective_minvol(Xm, Wm, Hm, lam, delta)]
     eye = np.eye(r)
     for _ in range(config.outer_sweeps):
-        F = cholesky(gram_shifted(Wm, delta))
+        F = cholesky_shifted(Wm, delta)
         A = solve_spd(F, eye)
         A = 0.5 * (A + A.T)
         Wm = update_W(
@@ -229,7 +230,7 @@ def lambda_from_init(X, W0, H0, lambda_tilde, delta):
     """
     Xm = as_matrix(X, "X")
     res = frobenius_norm(Xm - np.asarray(W0) @ np.asarray(H0))
-    denom = abs(logdet_spd(gram_shifted(W0, delta)))
+    denom = abs(logdet_shifted(W0, delta))
     if abs(denom) < 1e-300:
         raise DegenerateDenominatorError(
             "logdet of the initial Gram is numerically zero; "

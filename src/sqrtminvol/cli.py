@@ -110,7 +110,8 @@ def cmd_solve(args):
     echo = f"solver={args.solver} rank={args.rank} lambda={lam:.17g}"
     if args.lambda_tilde is not None:
         echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"
-    echo += f" delta={args.delta:.17g}"
+    delta = SqrtConfig.delta if args.delta is None else args.delta
+    echo += f" delta={delta:.17g}"
     epsilon = SqrtConfig.epsilon if args.epsilon is None else args.epsilon
     print(echo if baseline else f"{echo} epsilon={epsilon:.17g}")
     out.mkdir(parents=True, exist_ok=True)
@@ -118,7 +119,8 @@ def cmd_solve(args):
     write_matrix(out / "H.txt", H)
     with open(out / "trace.csv", "w") as fh:
         trace.write_csv(fh)
-    print(f"outer_iters={iters} final_obj={final_obj:.17g}")
+    done = f"outer_iters={iters} final_obj={final_obj:.17g}"
+    print(done if baseline else f"{done} stop={trace.stop}")
     if X_star is not None:
         print(f"rel_rmse_X={rel_rmse_X(X_star, W, H):.17g}")
     if W_star is not None:
@@ -194,7 +196,7 @@ def build_parser():
     )
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--lambda-tilde", type=float, default=None)
-    p_solve.add_argument("--delta", type=float, default=0.1)
+    p_solve.add_argument("--delta", type=float, default=None)
     p_solve.add_argument("--epsilon", type=float, default=None)
     p_solve.add_argument("--max-outer", type=int, default=None)
     p_solve.add_argument("--tol", type=float, default=None)

@@ -20,7 +20,9 @@ __all__ = [
     "frobenius_norm",
     "gram_shifted",
     "cholesky",
+    "cholesky_shifted",
     "logdet_spd",
+    "logdet_shifted",
     "solve_spd",
     "spectral_norm",
 ]
@@ -147,6 +149,29 @@ def logdet_spd(Q):
     """
     F = cholesky(Q)
     return float(2.0 * np.sum(np.log(np.diag(F.lower))))
+
+
+def _delta_too_small(delta):
+    return NotPositiveDefiniteError(
+        f"W^T W + delta I is not numerically positive definite at "
+        f"delta={float(delta):.17g}; use a larger delta"
+    )
+
+
+def cholesky_shifted(W, delta):
+    """Cholesky factor of ``W^T W + delta I``; a failure names ``delta``."""
+    try:
+        return cholesky(gram_shifted(W, delta))
+    except NotPositiveDefiniteError as exc:
+        raise _delta_too_small(delta) from exc
+
+
+def logdet_shifted(W, delta):
+    """``logdet(W^T W + delta I)``; a failure names ``delta``."""
+    try:
+        return logdet_spd(gram_shifted(W, delta))
+    except NotPositiveDefiniteError as exc:
+        raise _delta_too_small(delta) from exc
 
 
 def solve_spd(F, B):

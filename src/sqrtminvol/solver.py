@@ -29,10 +29,10 @@ import numpy as np
 from .errors import InvalidParameterError, NumericalFaultError
 from .linalg import (
     as_matrix,
-    cholesky,
+    cholesky_shifted,
     frobenius_norm,
     gram_shifted,
-    logdet_spd,
+    logdet_shifted,
     solve_spd,
 )
 from .metrics import rel_rmse_W, rel_rmse_X
@@ -74,7 +74,8 @@ class SqrtConfig:
     lam : float
         Volume-penalty weight; zero disables the penalty entirely.
     delta : float
-        Diagonal shift inside the logdet, default 0.1.
+        Diagonal shift inside the logdet; the default is
+        ``MinvolConfig.delta`` (0.1), the one place it is set.
     epsilon : float
         Smoothing constant added to the squared residual, default 0.1.
         Note ``sqrt(eps)`` floors the self-scaling: the effective inner
@@ -89,7 +90,7 @@ class SqrtConfig:
     """
 
     lam: float
-    delta: float = 0.1
+    delta: float = MinvolConfig.delta
     epsilon: float = 0.1
     max_outer: int = 200
     tol_rel_f: float = 1e-9
@@ -133,9 +134,17 @@ class TraceRow:
 
 @dataclass
 class SolveTrace:
-    """Append-only trace of a solve; serializes to CSV."""
+    """Append-only trace of a solve; serializes to CSV.
+
+    ``stop`` says why the outer loop ended, tested in this order:
+    ``"stalled"`` when ``f_eps`` repeated its previous value exactly (the
+    inner solves made no progress at all), ``"converged"`` when it moved
+    by at most ``tol_rel_f`` relative, and ``"budget"`` when ``max_outer``
+    iterations ran.  It is None while the solve runs or after a fault.
+    """
 
     rows: list = field(default_factory=list)
+    stop: str = None
 
     def write_csv(self, fh):
         """Write the trace to an open text file handle."""
@@ -181,7 +190,7 @@ def sigma_hat(X, W, H, epsilon):
 
 
 def _f_eps_at(r, W, lam, delta):
-    return float(np.sqrt(r)) + float(lam) * logdet_spd(gram_shifted(W, delta))
+    return float(np.sqrt(r)) + float(lam) * logdet_shifted(W, delta)
 
 
 def f_eps(X, W, H, lam, delta, epsilon):
@@ -202,7 +211,7 @@ def f_eps_grad(X, W, H, lam, delta, epsilon):
     Hm = as_matrix(H, "H")
     E = Wm @ Hm - Xm
     sr = float(np.sqrt(np.sum(E * E) + float(epsilon)))
-    F = cholesky(gram_shifted(Wm, delta))
+    F = cholesky_shifted(Wm, delta)
     Qinv = solve_spd(F, np.eye(F.dim))
     Gw = (E @ Hm.T) / sr + 2.0 * float(lam) * (Wm @ Qinv)
     Gh = (Wm.T @ E) / sr
@@ -225,11 +234,11 @@ def surrogate_g(W, H, W_k, H_k, X, lam, delta, epsilon):
     rk = residual_r(Xm, W_k, H_k, epsilon)
     sq = float(np.sqrt(rk))
     r_new = residual_r(Xm, W, H, epsilon)
-    Q = gram_shifted(W, delta)
-    Qk = gram_shifted(W_k, delta)
-    Fk = cholesky(Qk)
-    trace_term = float(np.trace(solve_spd(Fk, Q))) - Fk.dim
-    return sq + (r_new - rk) / (2.0 * sq) + float(lam) * (logdet_spd(Qk) + trace_term)
+    Fk = cholesky_shifted(W_k, delta)
+    trace_term = float(np.trace(solve_spd(Fk, gram_shifted(W, delta)))) - Fk.dim
+    return sq + (r_new - rk) / (2.0 * sq) + float(lam) * (
+        logdet_shifted(W_k, delta) + trace_term
+    )
 
 
 def sqrt_minvol(X, r, config, ground_truth=None):
@@ -292,13 +301,17 @@ def sqrt_minvol(X, r, config, ground_truth=None):
             raise NumericalFaultError(
                 f"non-finite objective at outer iteration {k}", trace=trace
             )
-        if f_prev is not None and abs(fk - f_prev) <= config.tol_rel_f * max(
+        if f_prev is not None and fk == f_prev:
+            trace.stop = "stalled"
+        elif f_prev is not None and abs(fk - f_prev) <= config.tol_rel_f * max(
             abs(f_prev), 1e-300
         ):
+            trace.stop = "converged"
+        elif k == config.max_outer:
+            trace.stop = "budget"
+        if trace.stop is not None:
             break
         f_prev = fk
-        if k == config.max_outer:
-            break
 
         t0 = time.perf_counter()
         inner_cfg = replace(config.inner, lam=lamk, delta=config.delta)

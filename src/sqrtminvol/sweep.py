@@ -79,7 +79,7 @@ class ExperimentSpec:
     base_seed: int
     out_dir: str = None
     rank: int = None
-    delta: float = 0.1
+    delta: float = None
     epsilon: float = None
     max_outer: int = None
     tol: float = None

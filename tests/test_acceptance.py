@@ -257,7 +257,8 @@ def test_weight_range_robustness():
     over_gt, _ = make_instance(
         replace(generator, sigma=1e-1, seed=cell_seed(BASE_SEED, 0, 0))
     )
-    lam_break = lambda_break(over_gt, overshoot.delta)
+    # The spec leaves delta unset, so its cells run at the solver default.
+    lam_break = lambda_break(over_gt, SqrtConfig.delta)
     over = run_sweep(overshoot, jobs=1)[0]
     over_ok = (
         over_lam > lam_break

@@ -102,6 +102,11 @@ class TestSolveSqrt:
         assert "solver=sqrt-minvol" in text
         assert f"epsilon={0.1:.17g}" in text  # SqrtConfig's default, no flag given
         assert "outer_iters=" in text
+        assert text.splitlines()[-1].split()[-1] in (
+            "stop=stalled",
+            "stop=converged",
+            "stop=budget",
+        )
         W = read_matrix(out / "W.txt")
         H = read_matrix(out / "H.txt")
         assert W.shape == (4, 4) and H.shape == (4, 60)
@@ -191,6 +196,20 @@ class TestSolveSqrt:
         )
         assert code == 3
         assert "squared norm of X overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight", [["--lambda", "1"], ["--solver", "minvol-baseline", "--lambda-tilde", "0.01"]]
+    )
+    def test_too_small_delta_exits_3_naming_it(self, tmp_path, instance_dir, capsys, weight):
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4", *weight]
+        argv += ["--delta", "1e-300", "--max-outer", "3", "--out", str(tmp_path / "s")]
+        assert main(argv) == 3
+        assert "delta=1e-300" in capsys.readouterr().err
+
+    def test_budget_stop_is_printed(self, tmp_path, instance_dir, capsys):
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4", "--lambda", "1"]
+        assert main(argv + ["--max-outer", "2", "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" stop=budget")
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(

@@ -15,8 +15,10 @@ from sqrtminvol.errors import (
 from sqrtminvol.linalg import (
     as_matrix,
     cholesky,
+    cholesky_shifted,
     frobenius_norm,
     gram_shifted,
+    logdet_shifted,
     logdet_spd,
     solve_spd,
     spectral_norm,
@@ -143,6 +145,24 @@ class TestLogdetSpd:
     def test_not_positive_definite_raises(self, Q):
         with pytest.raises(NotPositiveDefiniteError):
             logdet_spd(Q)
+
+
+class TestShiftedGramFactor:
+    # Two equal unit columns: W^T W = [[1, 1], [1, 1]] is singular, a
+    # shift of 1e-300 is lost when it is added to 1, and the second
+    # Cholesky pivot comes out exactly 0.
+    TWIN = np.array([[1.0, 1.0], [0.0, 0.0]])
+
+    def test_same_as_factoring_the_shifted_gram(self):
+        W = np.random.default_rng(4).random((6, 3))
+        F = cholesky_shifted(W, 0.1)
+        assert F.lower.tobytes() == cholesky(gram_shifted(W, 0.1)).lower.tobytes()
+        assert logdet_shifted(W, 0.1) == logdet_spd(gram_shifted(W, 0.1))
+
+    @pytest.mark.parametrize("kernel", [cholesky_shifted, logdet_shifted])
+    def test_failure_names_delta(self, kernel):
+        with pytest.raises(NotPositiveDefiniteError, match=r"delta=1e-300\b"):
+            kernel(self.TWIN, 1e-300)
 
 
 class TestSolveSpd:

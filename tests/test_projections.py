@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import clamp_oracle, proj_capped_cumsum, proj_capped_oracle
 from sqrtminvol.errors import InvalidInputError
 from sqrtminvol.projections import (
+    SORTING_NETWORKS,
     project_H_columns,
     project_capped_simplex,
     project_nonneg,
@@ -15,8 +18,9 @@ from sqrtminvol.projections import (
 
 
 # Exact binary fractions, so ties and column sums of exactly 1 survive
-# floating point: [0.5, 0.5] and [0.25] * 4 sit on the cap.
-TIE_VALUES = (-1.0, -0.25, 0.0, 0.25, 0.5, 1.0)
+# floating point: [0.5, 0.5] and [0.25] * 4 sit on the cap.  Both signed
+# zeros tie with each other.
+TIE_VALUES = (-1.0, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)
 
 
 @st.composite
@@ -122,6 +126,24 @@ class TestProjectCappedSimplex:
             np.testing.assert_allclose(project_capped_simplex(once), once, atol=1e-12)
 
 
+class TestSortingNetworks:
+    def test_sizes_are_optimal(self):
+        # Fewest comparators that sort r values (Knuth, TAOCP 5.3.4).
+        sizes = {r: len(net) for r, net in SORTING_NETWORKS.items()}
+        assert sizes == {1: 0, 2: 1, 3: 3, 4: 5, 5: 9}
+
+    @pytest.mark.parametrize("r", sorted(SORTING_NETWORKS))
+    def test_sorts_every_zero_one_vector(self, r):
+        # 0-1 principle: a comparator network sorts every input iff it
+        # sorts all 2^r vectors of 0s and 1s.
+        for bits in itertools.product((0, 1), repeat=r):
+            v = list(bits)
+            for i, j in SORTING_NETWORKS[r]:
+                assert 0 <= i < j < r
+                v[i], v[j] = min(v[i], v[j]), max(v[i], v[j])
+            assert v == sorted(bits), bits
+
+
 class TestProjectHColumns:
     def test_feasible_unchanged(self):
         H = np.array([[0.2, 0.5], [0.3, 0.5]])
@@ -161,6 +183,24 @@ class TestProjectHColumns:
     def test_feasible_matrix_is_bitwise_unchanged(self, H):
         P = project_H_columns(H)
         assert P.tobytes() == H.tobytes()
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_ties_and_unit_sum_bitwise_on_both_sides_of_cutoff(self, r):
+        # r = 5 sorts by network, r = 6 by column; columns hold tied
+        # entries, signed zeros, an exact unit sum and an overfull tie.
+        H = np.array(
+            [
+                [0.25, 0.5, -0.0, 0.5, 2.0, -1.0],
+                [0.25, -0.0, 0.0, 0.5, 2.0, 0.25],
+                [0.25, 0.5, -0.0, 0.5, -0.25, -0.0],
+                [0.25, 0.0, 0.0, 0.5, 2.0, 0.25],
+                [0.0, -0.25, -0.0, 0.5, 0.5, 0.5],
+                [-0.0, 0.0, 0.0, 0.5, 2.0, 0.0],
+            ]
+        )[:r]
+        assert H[:4, 0].sum() == 1.0
+        assert project_H_columns(H).tobytes() == proj_capped_cumsum(H).tobytes()
+        np.testing.assert_array_equal(project_H_columns(H)[:, 0], H[:, 0])
 
     def test_unit_sum_columns_are_bitwise_unchanged(self):
         H = np.zeros((4, 3))

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import fd_grad, frob_oracle, jacobi_eigenvalues
-from sqrtminvol.errors import InvalidInputError, InvalidParameterError
+from sqrtminvol.datagen import InstanceSpec, make_instance
+from sqrtminvol.errors import (
+    InvalidInputError,
+    InvalidParameterError,
+    NotPositiveDefiniteError,
+)
 from sqrtminvol.baseline import minvol
 from sqrtminvol.initialization import snpa
 from sqrtminvol.solver import (
@@ -17,6 +22,7 @@ from sqrtminvol.solver import (
     lambda_k,
     residual_r,
     sigma_hat,
+    solve,
     sqrt_minvol,
     surrogate_g,
 )
@@ -281,6 +287,49 @@ class TestSqrtMinvol:
             assert rec["rel_rmse_X"] == "" and rec["rel_rmse_W"] == ""
             float(rec["f_eps"])
             assert "." in rec["wall_ms"]
+
+
+class TestStopReason:
+    """Why the outer loop ended: stalled, converged or budget, in that order."""
+
+    @staticmethod
+    def run(**settings):
+        # A small paper-4x4 draw whose inner solves stop making progress
+        # after some 30 outer iterations, so f_eps repeats exactly.
+        _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
+        *_, iters, trace = solve(X, 4, "sqrt-minvol", lam=1.0, epsilon=1e-12, **settings)
+        return iters, trace
+
+    def test_exact_repeat_is_a_stall_not_convergence(self):
+        # The old rule stopped here too, calling it convergence.
+        iters, trace = self.run(tol=1e-300, max_outer=80)
+        assert trace.stop == "stalled"
+        assert iters < 80
+        assert trace.rows[-1].f_eps == trace.rows[-2].f_eps
+        f = [row.f_eps for row in trace.rows]
+        assert all(a != b for a, b in zip(f, f[1:-1]))
+
+    def test_stall_on_the_last_iteration_is_still_a_stall(self):
+        stalled_at, _ = self.run(tol=1e-300, max_outer=80)
+        iters, trace = self.run(tol=1e-300, max_outer=stalled_at)
+        assert (iters, trace.stop) == (stalled_at, "stalled")
+
+    def test_converged(self):
+        iters, trace = self.run()
+        assert trace.stop == "converged"
+        a, b = trace.rows[-2].f_eps, trace.rows[-1].f_eps
+        assert a != b and abs(b - a) <= 1e-9 * abs(a)
+
+    def test_budget(self):
+        iters, trace = self.run(max_outer=3)
+        assert (iters, trace.stop) == (3, "budget")
+        assert self.run(max_outer=1)[1].stop == "budget"
+
+
+def test_too_small_delta_is_named_in_the_error():
+    _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=1e-4, seed=0))
+    with pytest.raises(NotPositiveDefiniteError, match=r"delta=1e-300\b"):
+        solve(X, 4, "sqrt-minvol", lam=1.0, delta=1e-300, max_outer=3)
 
 
 class TestSqrtConfig:

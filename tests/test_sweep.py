@@ -326,7 +326,7 @@ class TestConfigParsing:
         assert spec.out_dir == "runs/demo"
         assert spec.max_outer == 30
         assert spec.epsilon == 1e-12
-        assert spec.delta == 0.1  # untouched default
+        assert spec.delta is None  # unset: the solver takes MinvolConfig.delta
 
     def test_baseline_accepts_either_grid_spelling(self, tmp_path):
         body = (
