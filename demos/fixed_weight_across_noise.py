@@ -51,7 +51,7 @@ for sigma in sigmas:
     init = snpa(X, rank)
     errs = []
     for lam in lams:
-        config = MinvolConfig(lam=lam, outer_sweeps=150)
+        config = MinvolConfig(lam=lam, max_outer=150)
         state = minvol(X, rank, init.W0, init.H0, config)
         errs.append(rel_rmse_W(truth.W_star, state.W))
     marks = [

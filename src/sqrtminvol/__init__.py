@@ -48,11 +48,9 @@ _EXPORTS = {
     "FactorPair": "solver",
     "SolveTrace": "solver",
     "f_eps": "solver",
-    "f_eps_grad": "solver",
     "residual_r": "solver",
     "lambda_k": "solver",
     "sigma_hat": "solver",
-    "surrogate_g": "solver",
     "sqrt_minvol": "solver",
     "solve": "solver",
     # metrics

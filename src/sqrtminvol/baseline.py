@@ -34,10 +34,7 @@ __all__ = [
     "MinvolConfig",
     "MinvolState",
     "objective_minvol",
-    "update_H",
     "update_W",
-    "grad_H",
-    "grad_W",
     "minvol",
     "lambda_from_init",
 ]
@@ -59,29 +56,29 @@ class MinvolConfig:
         Positive diagonal shift inside the logdet, default 0.1; the
         square-root solver, sweeps and the CLI take their default from
         here.
-    outer_sweeps : int
-        Number of (W, H) sweeps.
-    inner_iters_per_block : int
-        Projected-gradient budget for each block update.
-    tol_rel_obj : float
-        Sweep-level relative objective-change stopping threshold.
+    max_outer : int
+        Number of (W, H) sweeps, default 100.
+    inner_iters : int
+        Projected-gradient budget for each block update, default 50; the
+        square-root solver takes its default from here.
+    tol : float
+        Relative objective change that stops the sweeps, default 1e-7;
+        each block update stops on the same relative change.
     """
 
     lam: float
     delta: float = 0.1
-    outer_sweeps: int = 100
-    inner_iters_per_block: int = 50
-    tol_rel_obj: float = 1e-7
+    max_outer: int = 100
+    inner_iters: int = 50
+    tol: float = 1e-7
 
     def __post_init__(self):
         if not (self.delta > 0.0):
             raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
-        if self.outer_sweeps < 1 or self.inner_iters_per_block < 1:
+        if self.max_outer < 1 or self.inner_iters < 1:
             raise InvalidParameterError("iteration counts must be >= 1")
-        if not (self.tol_rel_obj > 0.0):
-            raise InvalidParameterError(
-                f"tol_rel_obj must be > 0, got {self.tol_rel_obj}"
-            )
+        if not (self.tol > 0.0):
+            raise InvalidParameterError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass
@@ -105,34 +102,6 @@ def objective_minvol(X, W, H, lam, delta):
     require_feasible(W, H, "objective_minvol")
     res = frobenius_norm(Xm - np.asarray(W) @ np.asarray(H))
     return res * res + float(lam) * logdet_shifted(W, delta)
-
-
-def grad_H(X, W, H):
-    """Gradient of ``|X - W H|_F^2`` in H: ``2 W^T (W H - X)``."""
-    return 2.0 * np.asarray(W).T @ (np.asarray(W) @ np.asarray(H) - np.asarray(X))
-
-
-def grad_W(X, W, H, A, lam_eff):
-    """Gradient of the W-block surrogate.
-
-    ``2 (W H - X) H^T + 2 lam_eff W A`` for the objective
-    ``|X - W H|_F^2 + lam_eff * tr(A W^T W)``.
-    """
-    Wm, Hm = np.asarray(W), np.asarray(H)
-    return 2.0 * ((Wm @ Hm - np.asarray(X)) @ Hm.T) + 2.0 * float(lam_eff) * (
-        Wm @ np.asarray(A)
-    )
-
-
-def update_H(X, W, H, iters=50, tol=1e-7):
-    """One accelerated projected-gradient pass on the H block.
-
-    Monotone in the residual objective; the returned H is feasible.
-    """
-    Xm = as_matrix(X, "X")
-    Wm = as_matrix(W, "W")
-    H0 = project_H_columns(as_matrix(H, "H"))
-    return fit_coefficients(Wm, Xm, H0, iters, tol)
 
 
 def update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7):
@@ -182,7 +151,7 @@ def minvol(X, r, W_init, H_init, config):
 
     Sweeps W then H, re-linearizing the logdet at the start of every
     sweep, until the relative objective change drops below
-    ``config.tol_rel_obj`` or the sweep budget runs out.  The recorded
+    ``config.tol`` or the ``config.max_outer`` sweeps run out.  The recorded
     objective history is non-increasing up to rounding.
     """
     Xm = as_matrix(X, "X")
@@ -200,20 +169,16 @@ def minvol(X, r, W_init, H_init, config):
     lam, delta = float(config.lam), float(config.delta)
     history = [objective_minvol(Xm, Wm, Hm, lam, delta)]
     eye = np.eye(r)
-    for _ in range(config.outer_sweeps):
+    for _ in range(config.max_outer):
         F = cholesky_shifted(Wm, delta)
         A = solve_spd(F, eye)
         A = 0.5 * (A + A.T)
-        Wm = update_W(
-            Xm, Wm, Hm, A, lam, config.inner_iters_per_block, config.tol_rel_obj
-        )
-        Hm = fit_coefficients(
-            Wm, Xm, Hm, config.inner_iters_per_block, config.tol_rel_obj
-        )
+        Wm = update_W(Xm, Wm, Hm, A, lam, config.inner_iters, config.tol)
+        Hm = fit_coefficients(Wm, Xm, Hm, config.inner_iters, config.tol)
         obj = objective_minvol(Xm, Wm, Hm, lam, delta)
         prev = history[-1]
         history.append(obj)
-        if abs(obj - prev) <= config.tol_rel_obj * max(abs(prev), 1e-300):
+        if abs(obj - prev) <= config.tol * max(abs(prev), 1e-300):
             break
     return MinvolState(W=Wm, H=Hm, objective_history=history)
 

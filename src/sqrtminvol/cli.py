@@ -63,27 +63,25 @@ def cmd_generate(args):
     return 0
 
 
+def _flag(name):
+    """The command-line flag of a solve setting: ``lam`` is ``--lambda``."""
+    return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
+
+
 def cmd_solve(args):
     from .matrixio import read_matrix, write_matrix
     from .metrics import rel_rmse_W, rel_rmse_X
-    from .solver import SqrtConfig, solve
+    from .solver import check_settings, solve
 
     baseline = args.solver == "minvol-baseline"
-    if args.lambda_tilde is not None and not baseline:
-        raise InvalidInputError("--lambda-tilde is for --solver minvol-baseline only")
-    if args.epsilon is not None and baseline:
-        raise InvalidInputError("--epsilon is for --solver sqrt-minvol only")
-    if args.lam is not None and args.lambda_tilde is not None:
-        raise InvalidInputError("give either --lambda or --lambda-tilde, not both")
-    if args.lam is None and args.lambda_tilde is None:
-        flags = "--lambda or --lambda-tilde" if baseline else "--lambda"
-        raise InvalidInputError(f"{args.solver} needs {flags}")
+    settings = dict(lam=args.lam, lambda_tilde=args.lambda_tilde, epsilon=args.epsilon)
+    check_settings(args.solver, settings, spell=_flag)
     X = read_matrix(args.x_path)
     W_star = read_matrix(args.w_star) if args.w_star else None
     X_star = read_matrix(args.x_star) if args.x_star else None
     out = Path(args.out)
     try:
-        W, H, lam, final_obj, iters, trace = solve(
+        W, H, cfg, final_obj, iters, trace = solve(
             X,
             args.rank,
             args.solver,
@@ -101,19 +99,17 @@ def cmd_solve(args):
             with open(out / "trace.csv", "w") as fh:
                 err.trace.write_csv(fh)
         raise
-    if baseline and lam <= 0.0:
+    if baseline and cfg.lam <= 0.0:
         print(
-            f"warning: effective lambda = {lam:.17g} <= 0; "
+            f"warning: effective lambda = {cfg.lam:.17g} <= 0; "
             "the volume term will push outward",
             file=sys.stderr,
         )
-    echo = f"solver={args.solver} rank={args.rank} lambda={lam:.17g}"
+    echo = f"solver={args.solver} rank={args.rank} lambda={cfg.lam:.17g}"
     if args.lambda_tilde is not None:
         echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"
-    delta = SqrtConfig.delta if args.delta is None else args.delta
-    echo += f" delta={delta:.17g}"
-    epsilon = SqrtConfig.epsilon if args.epsilon is None else args.epsilon
-    print(echo if baseline else f"{echo} epsilon={epsilon:.17g}")
+    echo += f" delta={cfg.delta:.17g}"
+    print(echo if baseline else f"{echo} epsilon={cfg.epsilon:.17g}")
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "W.txt", W)
     write_matrix(out / "H.txt", H)

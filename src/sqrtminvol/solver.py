@@ -27,42 +27,70 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFaultError
-from .linalg import (
-    as_matrix,
-    cholesky_shifted,
-    frobenius_norm,
-    gram_shifted,
-    logdet_shifted,
-    solve_spd,
-)
+from .linalg import as_matrix, frobenius_norm, logdet_shifted
 from .metrics import rel_rmse_W, rel_rmse_X
 from .baseline import MinvolConfig, lambda_from_init, minvol
 from .projections import require_feasible
 from .initialization import snpa
 
 __all__ = [
+    "SOLVER_NAMES",
+    "SOLVER_ONLY",
     "SqrtConfig",
     "FactorPair",
     "TraceRow",
     "SolveTrace",
+    "check_settings",
+    "make_config",
     "f_eps",
-    "f_eps_grad",
     "residual_r",
     "lambda_k",
     "sigma_hat",
-    "surrogate_g",
     "sqrt_minvol",
     "solve",
 ]
 
+SOLVER_NAMES = ("sqrt-minvol", "minvol-baseline")
+# Settings that only one solver reads, with that solver.  Every other
+# setting (lam, delta, max_outer, tol, inner_iters) means the same to both.
+SOLVER_ONLY = {"epsilon": "sqrt-minvol", "lambda_tilde": "minvol-baseline"}
+
+# Per outer iteration the surrogate only needs to be improved, not
+# solved to stationarity; 20 warm-started sweeps do that while the
+# tiny tolerance keeps late sweeps from quitting before the budget.
+INNER_SWEEPS = 20
+INNER_TOL = 1e-13
+
 TRACE_HEADER = "k,f_eps,r_k,lambda_k,sigma_hat,rel_rmse_X,rel_rmse_W,wall_ms"
 
 
-def _default_inner():
-    # Per outer iteration the surrogate only needs to be improved, not
-    # solved to stationarity; 20 warm-started sweeps do that while the
-    # tiny tolerance keeps late sweeps from quitting before the budget.
-    return MinvolConfig(lam=0.0, outer_sweeps=20, tol_rel_obj=1e-13)
+def check_settings(solver, settings, spell=str):
+    """Reject an unknown solver or a setting that ``solver`` would not read.
+
+    ``settings`` maps names to values, None meaning not given; a value for
+    the other solver's entry of :data:`SOLVER_ONLY` raises, and so does a
+    weight (``lam``, or for the baseline ``lambda_tilde``) not given
+    exactly once.  ``spell`` writes a name as the caller takes it, so the
+    CLI's messages name its flags.
+    """
+    if solver not in SOLVER_NAMES:
+        raise InvalidParameterError(
+            f"unknown solver {solver!r}; choose from {SOLVER_NAMES}"
+        )
+    for name, owner in SOLVER_ONLY.items():
+        if owner != solver and settings.get(name) is not None:
+            raise InvalidParameterError(
+                f"{spell(name)} is for {spell('solver')} {owner} only"
+            )
+    weights = ["lam"] + [w for w in ["lambda_tilde"] if SOLVER_ONLY[w] == solver]
+    given = [w for w in weights if settings.get(w) is not None]
+    if len(given) > 1:
+        raise InvalidParameterError(
+            f"give either {spell('lam')} or {spell('lambda_tilde')}, not both"
+        )
+    if not given:
+        flags = " or ".join(map(spell, weights))
+        raise InvalidParameterError(f"{solver} needs {flags}")
 
 
 @dataclass(frozen=True)
@@ -82,31 +110,29 @@ class SqrtConfig:
         weight can never drop below ``2 * lam * sqrt(eps)``.
     max_outer : int
         Outer (majorization) iteration budget, default 200.
-    tol_rel_f : float
-        Relative change of ``f_eps`` that stops the outer loop.
-    inner : MinvolConfig
-        Budget of each inner solve; its ``lam`` and ``delta`` fields are
-        overwritten per iteration.
+    tol : float
+        Relative change of ``f_eps`` that stops the outer loop, default
+        1e-9.
+    inner_iters : int
+        Projected-gradient budget of each block update in the inner
+        solves, default ``MinvolConfig.inner_iters`` (50).  Each inner
+        solve runs at most ``INNER_SWEEPS`` sweeps to ``INNER_TOL``.
     """
 
     lam: float
     delta: float = MinvolConfig.delta
     epsilon: float = 0.1
     max_outer: int = 200
-    tol_rel_f: float = 1e-9
-    inner: MinvolConfig = field(default_factory=_default_inner)
+    tol: float = 1e-9
+    inner_iters: int = MinvolConfig.inner_iters
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
-        if not (self.delta > 0.0):
-            raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
         if not (self.epsilon > 0.0):
             raise InvalidParameterError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_outer < 1:
-            raise InvalidParameterError("max_outer must be >= 1")
-        if not (self.tol_rel_f > 0.0):
-            raise InvalidParameterError(f"tol_rel_f must be > 0, got {self.tol_rel_f}")
+        # The shared settings are checked where the baseline checks them.
+        MinvolConfig(self.lam, self.delta, self.max_outer, self.inner_iters, self.tol)
 
 
 @dataclass(frozen=True)
@@ -139,7 +165,7 @@ class SolveTrace:
     ``stop`` says why the outer loop ended, tested in this order:
     ``"stalled"`` when ``f_eps`` repeated its previous value exactly (the
     inner solves made no progress at all), ``"converged"`` when it moved
-    by at most ``tol_rel_f`` relative, and ``"budget"`` when ``max_outer``
+    by at most ``tol`` relative, and ``"budget"`` when ``max_outer``
     iterations ran.  It is None while the solve runs or after a fault.
     """
 
@@ -197,48 +223,6 @@ def f_eps(X, W, H, lam, delta, epsilon):
     """Smoothed square-root objective value."""
     require_feasible(W, H, "f_eps")
     return _f_eps_at(residual_r(X, W, H, epsilon), W, lam, delta)
-
-
-def f_eps_grad(X, W, H, lam, delta, epsilon):
-    """Gradients of ``f_eps`` with respect to W and H.
-
-    Returns the pair ``(G_W, G_H)`` where
-    ``G_W = (W H - X) H^T / sqrt(r) + 2 lam W Q^{-1}`` and
-    ``G_H = W^T (W H - X) / sqrt(r)``.
-    """
-    Xm = as_matrix(X, "X")
-    Wm = as_matrix(W, "W")
-    Hm = as_matrix(H, "H")
-    E = Wm @ Hm - Xm
-    sr = float(np.sqrt(np.sum(E * E) + float(epsilon)))
-    F = cholesky_shifted(Wm, delta)
-    Qinv = solve_spd(F, np.eye(F.dim))
-    Gw = (E @ Hm.T) / sr + 2.0 * float(lam) * (Wm @ Qinv)
-    Gh = (Wm.T @ E) / sr
-    return Gw, Gh
-
-
-def surrogate_g(W, H, W_k, H_k, X, lam, delta, epsilon):
-    """Majorization of ``f_eps`` anchored at ``(W_k, H_k)``.
-
-    Tangent bound on the square root plus linearization of the logdet:
-
-    ``sqrt(r_k) + (|X - W H|_F^2 + eps - r_k) / (2 sqrt(r_k))
-    + lam * (logdet(Q_k) + tr(Q_k^{-1} (Q - Q_k)))``
-
-    with ``Q = W^T W + delta I`` and the anchor quantities ``r_k``,
-    ``Q_k`` evaluated at ``(W_k, H_k)``.  Equals ``f_eps(W, H)`` at the
-    anchor and dominates it everywhere else.
-    """
-    Xm = as_matrix(X, "X")
-    rk = residual_r(Xm, W_k, H_k, epsilon)
-    sq = float(np.sqrt(rk))
-    r_new = residual_r(Xm, W, H, epsilon)
-    Fk = cholesky_shifted(W_k, delta)
-    trace_term = float(np.trace(solve_spd(Fk, gram_shifted(W, delta)))) - Fk.dim
-    return sq + (r_new - rk) / (2.0 * sq) + float(lam) * (
-        logdet_shifted(W_k, delta) + trace_term
-    )
 
 
 def sqrt_minvol(X, r, config, ground_truth=None):
@@ -303,7 +287,7 @@ def sqrt_minvol(X, r, config, ground_truth=None):
             )
         if f_prev is not None and fk == f_prev:
             trace.stop = "stalled"
-        elif f_prev is not None and abs(fk - f_prev) <= config.tol_rel_f * max(
+        elif f_prev is not None and abs(fk - f_prev) <= config.tol * max(
             abs(f_prev), 1e-300
         ):
             trace.stop = "converged"
@@ -314,69 +298,61 @@ def sqrt_minvol(X, r, config, ground_truth=None):
         f_prev = fk
 
         t0 = time.perf_counter()
-        inner_cfg = replace(config.inner, lam=lamk, delta=config.delta)
-        state = minvol(Xm, r, W, H, inner_cfg)
+        inner = MinvolConfig(
+            lam=lamk,
+            delta=config.delta,
+            max_outer=INNER_SWEEPS,
+            inner_iters=config.inner_iters,
+            tol=INNER_TOL,
+        )
+        state = minvol(Xm, r, W, H, inner)
         W, H = state.W, state.H
         wall = time.perf_counter() - t0
 
     return FactorPair(W=W, H=H, rank=int(r)), trace
 
 
-def solve(
-    X,
-    r,
-    solver,
-    lam=None,
-    lambda_tilde=None,
-    delta=None,
-    epsilon=None,
-    max_outer=None,
-    tol=None,
-    inner_iters=None,
-    ground_truth=None,
-):
+def make_config(solver, lam=None, lambda_tilde=None, **settings):
+    """The config :func:`solve` runs ``solver`` with, checked as it checks it."""
+    check_settings(solver, dict(settings, lam=lam, lambda_tilde=lambda_tilde))
+    settings = {key: v for key, v in settings.items() if v is not None}
+    config = SqrtConfig if solver == "sqrt-minvol" else MinvolConfig
+    return config(lam=lam, **settings)
+
+
+def solve(X, r, solver, lam=None, lambda_tilde=None, ground_truth=None, **settings):
     """Factor ``X`` from the SNPA start; the one solve path of CLI and sweeps.
 
     ``solver`` is ``"sqrt-minvol"`` or ``"minvol-baseline"``.  The weight
     is ``lam``, used as given, or for the baseline only ``lambda_tilde``,
-    rescaled by ``lambda_from_init`` at the start.  ``max_outer`` counts
-    outer iterations of ``sqrt-minvol`` and sweeps of the baseline,
-    ``tol`` stops either outer loop, and ``inner_iters`` budgets each
-    block update.  ``epsilon`` (an error for the baseline) and
-    ``ground_truth`` (``(W_star, X_star)``, recorded in every trace row)
-    apply to ``sqrt-minvol`` only.  A setting left at None takes its
-    default from :class:`SqrtConfig` or
-    :class:`~sqrtminvol.baseline.MinvolConfig`.
+    rescaled by ``lambda_from_init`` at the start; exactly one must be
+    given.  The other ``settings`` (``delta``, ``epsilon``, ``max_outer``,
+    ``tol`` and ``inner_iters``) go to :class:`SqrtConfig` or
+    :class:`~sqrtminvol.baseline.MinvolConfig` under the same names, and
+    one left at None takes the config's default.  ``max_outer`` counts
+    outer iterations of ``sqrt-minvol`` and sweeps of the baseline.
+    ``epsilon`` is for ``sqrt-minvol`` only (:data:`SOLVER_ONLY`), and so
+    is ``ground_truth`` (``(W_star, X_star)``, recorded in every trace
+    row), which the baseline ignores.
 
-    Returns ``(W, H, lam, final_obj, outer_iters, trace)``: the factors,
-    the weight the solver used, the last objective value, the number of
-    outer iterations, and the trace ``trace.csv`` is written from (a
-    :class:`SolveTrace`, or the baseline's ``MinvolState``).
+    An unknown solver, a setting of the other solver or a weight not
+    given exactly once raises :class:`InvalidParameterError`.
+
+    Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
+    factors, the config the solver ran with (its ``lam`` is the weight
+    used, rescaled from ``lambda_tilde`` for the baseline), the last
+    objective value, the number of outer iterations, and the trace
+    ``trace.csv`` is written from (a :class:`SolveTrace`, or the
+    baseline's ``MinvolState``).
     """
-
-    def given(**settings):
-        return {key: v for key, v in settings.items() if v is not None}
-
-    inner = given(inner_iters_per_block=inner_iters)
+    cfg = make_config(solver, lam, lambda_tilde, **settings)
     if solver == "sqrt-minvol":
-        cfg = SqrtConfig(
-            lam=lam,
-            inner=replace(_default_inner(), **inner),
-            **given(delta=delta, epsilon=epsilon, max_outer=max_outer, tol_rel_f=tol),
-        )
         pair, trace = sqrt_minvol(X, r, cfg, ground_truth=ground_truth)
-        return pair.W, pair.H, cfg.lam, trace.rows[-1].f_eps, trace.rows[-1].k, trace
-    if solver != "minvol-baseline":
-        raise InvalidParameterError(f"unknown solver {solver!r}")
-    if epsilon is not None:
-        raise InvalidParameterError("epsilon is for solver sqrt-minvol only")
+        return pair.W, pair.H, cfg, trace.rows[-1].f_eps, trace.rows[-1].k, trace
     init = snpa(X, r)
-    cfg = MinvolConfig(
-        lam=lam, **inner, **given(delta=delta, outer_sweeps=max_outer, tol_rel_obj=tol)
-    )
     if lambda_tilde is not None:
         lam = lambda_from_init(X, init.W0, init.H0, lambda_tilde, cfg.delta)
         cfg = replace(cfg, lam=lam)
     state = minvol(X, r, init.W0, init.H0, cfg)
     history = state.objective_history
-    return state.W, state.H, cfg.lam, history[-1], len(history) - 1, state
+    return state.W, state.H, cfg, history[-1], len(history) - 1, state

@@ -7,8 +7,8 @@ sigma index), so the same instance is reused across the lambda axis and
 results do not depend on execution order or worker count.
 
 Config files are flat INI text with [generator], [sweep] and optional
-[solver] sections; grids are written as explicit whitespace-separated
-values.  See the README for the full grammar.
+[solver] sections (:data:`INI_KEYS`; any other section or key is an
+error), grids written as whitespace-separated values.  See the README.
 """
 
 import configparser
@@ -21,10 +21,9 @@ import numpy as np
 from .datagen import InstanceSpec, make_instance
 from .errors import InvalidInputError, InvalidParameterError, SqrtMinvolError
 from .metrics import rel_rmse_W, rel_rmse_X
-from .solver import solve
+from .solver import make_config, solve
 
 __all__ = [
-    "SOLVER_NAMES",
     "SWEEP_HEADER",
     "SUMMARY_HEADER",
     "ExperimentSpec",
@@ -39,14 +38,6 @@ __all__ = [
     "parse_generator_config",
     "parse_experiment_config",
 ]
-
-SOLVER_NAMES = ("sqrt-minvol", "minvol-baseline")
-# Settings that only one solver reads, with that solver.
-SOLVER_ONLY = {
-    "epsilon": "sqrt-minvol",
-    "max_outer": "sqrt-minvol",
-    "baseline_sweeps": "minvol-baseline",
-}
 
 SWEEP_HEADER = (
     "solver,sigma,lambda,replicate,seed,rel_rmse_X,rel_rmse_W,"
@@ -63,12 +54,12 @@ class ExperimentSpec:
     fields are overwritten per cell.  For the baseline solver the
     ``lambda_grid`` values are reference weights rescaled per instance
     from the initialization (the lambda-tilde convention); for the
-    square-root solver they are used as-is.  A solver setting left at
-    None takes the solver's default; ``max_outer`` budgets the
-    square-root solver and ``baseline_sweeps`` the baseline.  A setting
-    for the other solver (``epsilon`` or ``max_outer`` on a baseline
-    spec, ``baseline_sweeps`` on a square-root one) is rejected, since
-    the cells would run without it.
+    square-root solver they are used as-is.  ``rank`` and the settings
+    passed to :func:`~sqrtminvol.solver.solve` under the same names take
+    the solver's default when None; ``max_outer`` budgets both solvers.
+    A setting the solver would refuse (``epsilon`` on a baseline spec,
+    see :data:`~sqrtminvol.solver.SOLVER_ONLY`, or ``max_outer = 0``) is
+    refused when the spec is built, not in every cell.
     """
 
     generator: InstanceSpec
@@ -83,14 +74,9 @@ class ExperimentSpec:
     epsilon: float = None
     max_outer: int = None
     tol: float = None
-    baseline_sweeps: int = None
     inner_iters: int = None
 
     def __post_init__(self):
-        if self.solver not in SOLVER_NAMES:
-            raise InvalidParameterError(
-                f"unknown solver {self.solver!r}; choose from {SOLVER_NAMES}"
-            )
         if len(self.sigma_grid) == 0:
             raise InvalidParameterError("sigma_grid must be non-empty")
         if len(self.lambda_grid) == 0:
@@ -103,13 +89,18 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"lambda grid values must be > 0, got {l}")
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be >= 1")
-        for name, owner in SOLVER_ONLY.items():
-            if owner != self.solver and getattr(self, name) is not None:
-                raise InvalidParameterError(f"{name} is for solver {owner} only")
+        # A setting the solver rejects fails here, not once in every cell.
+        make_config(self.solver, **self.solve_settings(self.lambda_grid[0]))
 
     @property
     def solve_rank(self):
         return self.generator.rank if self.rank is None else self.rank
+
+    def solve_settings(self, lam):
+        """Keywords of :func:`~sqrtminvol.solver.solve` for grid weight ``lam``."""
+        weight = "lambda_tilde" if self.solver == "minvol-baseline" else "lam"
+        names = ("delta", "epsilon", "max_outer", "tol", "inner_iters")
+        return {weight: lam, **{name: getattr(self, name) for name in names}}
 
 
 @dataclass
@@ -148,17 +139,8 @@ def cell_seed(base_seed, replicate, sigma_index):
 
 def _solve_cell(spec, X, gt, lam):
     """Run the configured solver; returns (relX, relW, final_obj, iters)."""
-    baseline = spec.solver == "minvol-baseline"
     W, H, _, final_obj, iters, _ = solve(
-        X,
-        spec.solve_rank,
-        spec.solver,
-        **{"lambda_tilde" if baseline else "lam": lam},
-        delta=spec.delta,
-        epsilon=spec.epsilon,
-        max_outer=spec.baseline_sweeps if baseline else spec.max_outer,
-        tol=spec.tol,
-        inner_iters=spec.inner_iters,
+        X, spec.solve_rank, spec.solver, **spec.solve_settings(lam)
     )
     return rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W), final_obj, iters
 
@@ -266,7 +248,37 @@ def _config_error(path, section, message):
     return InvalidInputError(f"{path}: [{section}] {message}")
 
 
-def _read_ini(path):
+def _float_list(raw):
+    values = tuple(float(tok) for tok in raw.split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# Every key a config file may hold, with its type, by section; any other
+# section or key is an error.  [generator] keys are InstanceSpec fields and
+# [solver] keys ExperimentSpec fields, under the same names.
+INI_KEYS = {
+    "generator": dict(
+        name=str, n=int, m=int, r=int, alpha=float, sigma=float, seed=int
+    ),
+    "sweep": dict(
+        solver=str,
+        sigmas=_float_list,
+        lambdas=_float_list,
+        lambda_tildes=_float_list,
+        replicates=int,
+        base_seed=int,
+        out=str,
+    ),
+    "solver": dict(
+        rank=int, delta=float, epsilon=float, max_outer=int, tol=float, inner_iters=int
+    ),
+}
+
+
+def _read_ini(path, required):
+    """The typed values of every section, once the ``required`` keys are found."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r") as fh:
@@ -276,93 +288,64 @@ def _read_ini(path):
     except configparser.Error as err:
         # configparser reports the offending line in its message.
         raise InvalidInputError(f"{path}: {err}") from err
-    return parser
-
-
-def _get(parser, path, section, key, cast, required=True, default=None):
-    if not parser.has_section(section):
-        if required:
+    ini = {}
+    for section in parser.sections():
+        if section not in INI_KEYS:
+            raise InvalidInputError(f"{path}: unknown section [{section}]")
+        ini[section] = {}
+        for key, raw in parser.items(section):
+            if key not in INI_KEYS[section]:
+                raise _config_error(path, section, f"unknown key {key!r}")
+            try:
+                ini[section][key] = INI_KEYS[section][key](raw)
+            except ValueError as err:
+                raise _config_error(path, section, f"{key} = {raw!r}: {err}") from err
+    for section, keys in required.items():
+        if section not in ini:
             raise _config_error(path, section, "section missing")
-        return default
-    if not parser.has_option(section, key):
-        if required:
-            raise _config_error(path, section, f"missing key {key!r}")
-        return default
-    raw = parser.get(section, key)
+        for key in keys:
+            if key not in ini[section]:
+                raise _config_error(path, section, f"missing key {key!r}")
+    return ini
+
+
+def _build_generator(path, values):
     try:
-        return cast(raw)
-    except (ValueError, InvalidParameterError) as err:
-        raise _config_error(path, section, f"{key} = {raw!r}: {err}") from err
-
-
-def _float_list(raw):
-    values = tuple(float(tok) for tok in raw.split())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-def _build_generator(parser, path, need_sigma_seed):
-    name = _get(parser, path, "generator", "name", str)
-    n = _get(parser, path, "generator", "n", int)
-    m = _get(parser, path, "generator", "m", int, required=False)
-    r = _get(parser, path, "generator", "r", int, required=False)
-    alpha = _get(parser, path, "generator", "alpha", float, required=False, default=1.0)
-    sigma = _get(
-        parser, path, "generator", "sigma", float, required=need_sigma_seed, default=0.0
-    )
-    seed = _get(
-        parser, path, "generator", "seed", int, required=need_sigma_seed, default=0
-    )
-    try:
-        return InstanceSpec(
-            name=name, n=n, sigma=sigma, seed=seed, m=m, r=r, alpha=alpha
-        )
+        return InstanceSpec(**values)
     except InvalidParameterError as err:
         raise _config_error(path, "generator", str(err)) from err
 
 
 def parse_generator_config(path):
     """[generator] section only, for the generate command."""
-    parser = _read_ini(path)
-    return _build_generator(parser, path, need_sigma_seed=True)
+    ini = _read_ini(path, {"generator": ("name", "n", "sigma", "seed")})
+    return _build_generator(path, ini["generator"])
 
 
 def parse_experiment_config(path):
     """[generator] + [sweep] + optional [solver] sections."""
-    parser = _read_ini(path)
-    generator = _build_generator(parser, path, need_sigma_seed=False)
-    solver = _get(parser, path, "sweep", "solver", str)
-    key = "lambda_tildes" if solver == "minvol-baseline" else "lambdas"
-    grid_raw = _get(parser, path, "sweep", key, _float_list, required=False)
-    if grid_raw is None:
-        # Accept either spelling; the solver field disambiguates intent.
-        other = "lambdas" if key == "lambda_tildes" else "lambda_tildes"
-        grid_raw = _get(parser, path, "sweep", other, _float_list, required=False)
-    if grid_raw is None:
-        raise _config_error(path, "sweep", f"missing key {key!r}")
-    kwargs = dict(
-        generator=generator,
-        solver=solver,
-        sigma_grid=_get(parser, path, "sweep", "sigmas", _float_list),
-        lambda_grid=grid_raw,
-        replicates=_get(parser, path, "sweep", "replicates", int, required=False, default=1),
-        base_seed=_get(parser, path, "sweep", "base_seed", int),
-        out_dir=_get(parser, path, "sweep", "out", str, required=False),
+    ini = _read_ini(
+        path, {"generator": ("name", "n"), "sweep": ("solver", "sigmas", "base_seed")}
     )
-    for name, cast in (
-        ("rank", int),
-        ("delta", float),
-        ("epsilon", float),
-        ("max_outer", int),
-        ("tol", float),
-        ("baseline_sweeps", int),
-        ("inner_iters", int),
-    ):
-        value = _get(parser, path, "solver", name, cast, required=False)
-        if value is not None:
-            kwargs[name] = value
+    generator = _build_generator(path, {"sigma": 0.0, "seed": 0, **ini["generator"]})
+    sweep = ini["sweep"]
+    # Either spelling of the grid is accepted, but only one of them.
+    if "lambdas" in sweep and "lambda_tildes" in sweep:
+        raise _config_error(path, "sweep", "give lambdas or lambda_tildes, not both")
+    grid = sweep.get("lambdas", sweep.get("lambda_tildes"))
+    if grid is None:
+        key = "lambda_tildes" if sweep["solver"] == "minvol-baseline" else "lambdas"
+        raise _config_error(path, "sweep", f"missing key {key!r}")
     try:
-        return ExperimentSpec(**kwargs)
+        return ExperimentSpec(
+            generator=generator,
+            solver=sweep["solver"],
+            sigma_grid=sweep["sigmas"],
+            lambda_grid=grid,
+            replicates=sweep.get("replicates", 1),
+            base_seed=sweep["base_seed"],
+            out_dir=sweep.get("out"),
+            **ini.get("solver", {}),
+        )
     except InvalidParameterError as err:
         raise _config_error(path, "sweep", str(err)) from err

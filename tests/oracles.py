@@ -4,6 +4,12 @@ Everything here is written the slow, obvious way (explicit loops,
 cofactor expansion, exhaustive enumeration) on purpose: these are the
 yardsticks the fast library code is measured against, so they must not
 share any code path with it.
+
+The last section is different: the closed-form gradients of both
+objectives and the majorizing surrogate of the square-root method.  The
+solvers never evaluate them, so they live here, built on the package's
+kernels, and the tests check them against finite differences and
+``f_eps``.
 """
 
 import itertools
@@ -11,6 +17,15 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from sqrtminvol.linalg import (
+    as_matrix,
+    cholesky_shifted,
+    gram_shifted,
+    logdet_shifted,
+    solve_spd,
+)
+from sqrtminvol.solver import residual_r
 
 
 def frob_oracle(M):
@@ -283,3 +298,65 @@ def align_brute_force(W_star, W_hat):
         if best_cost is None or cost < best_cost:
             best_perm, best_cost = perm, cost
     return np.array(best_perm), best_cost
+
+
+# Test-only maths of the solvers: gradients and the MM surrogate.
+
+
+def grad_H(X, W, H):
+    """Gradient of ``|X - W H|_F^2`` in H: ``2 W^T (W H - X)``."""
+    return 2.0 * np.asarray(W).T @ (np.asarray(W) @ np.asarray(H) - np.asarray(X))
+
+
+def grad_W(X, W, H, A, lam_eff):
+    """Gradient of the W-block surrogate.
+
+    ``2 (W H - X) H^T + 2 lam_eff W A`` for the objective
+    ``|X - W H|_F^2 + lam_eff * tr(A W^T W)``.
+    """
+    Wm, Hm = np.asarray(W), np.asarray(H)
+    return 2.0 * ((Wm @ Hm - np.asarray(X)) @ Hm.T) + 2.0 * float(lam_eff) * (
+        Wm @ np.asarray(A)
+    )
+
+
+def f_eps_grad(X, W, H, lam, delta, epsilon):
+    """Gradients of ``f_eps`` with respect to W and H.
+
+    Returns the pair ``(G_W, G_H)`` where
+    ``G_W = (W H - X) H^T / sqrt(r) + 2 lam W Q^{-1}`` and
+    ``G_H = W^T (W H - X) / sqrt(r)``.
+    """
+    Xm = as_matrix(X, "X")
+    Wm = as_matrix(W, "W")
+    Hm = as_matrix(H, "H")
+    E = Wm @ Hm - Xm
+    sr = float(np.sqrt(np.sum(E * E) + float(epsilon)))
+    F = cholesky_shifted(Wm, delta)
+    Qinv = solve_spd(F, np.eye(F.dim))
+    Gw = (E @ Hm.T) / sr + 2.0 * float(lam) * (Wm @ Qinv)
+    Gh = (Wm.T @ E) / sr
+    return Gw, Gh
+
+
+def surrogate_g(W, H, W_k, H_k, X, lam, delta, epsilon):
+    """Majorization of ``f_eps`` anchored at ``(W_k, H_k)``.
+
+    Tangent bound on the square root plus linearization of the logdet:
+
+    ``sqrt(r_k) + (|X - W H|_F^2 + eps - r_k) / (2 sqrt(r_k))
+    + lam * (logdet(Q_k) + tr(Q_k^{-1} (Q - Q_k)))``
+
+    with ``Q = W^T W + delta I`` and the anchor quantities ``r_k``,
+    ``Q_k`` evaluated at ``(W_k, H_k)``.  Equals ``f_eps(W, H)`` at the
+    anchor and dominates it everywhere else.
+    """
+    Xm = as_matrix(X, "X")
+    rk = residual_r(Xm, W_k, H_k, epsilon)
+    sq = float(np.sqrt(rk))
+    r_new = residual_r(Xm, W, H, epsilon)
+    Fk = cholesky_shifted(W_k, delta)
+    trace_term = float(np.trace(solve_spd(Fk, gram_shifted(W, delta)))) - Fk.dim
+    return sq + (r_new - rk) / (2.0 * sq) + float(lam) * (
+        logdet_shifted(W_k, delta) + trace_term
+    )

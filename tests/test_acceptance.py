@@ -33,17 +33,21 @@ import numpy as np
 
 from oracles import (
     align_brute_force,
+    f_eps_grad,
     fd_grad,
+    grad_H,
+    grad_W,
     jacobi_eigenvalues,
     proj_capped_oracle,
+    surrogate_g,
 )
 from sqrtminvol.datagen import InstanceSpec, make_instance
 from sqrtminvol.linalg import cholesky, frobenius_norm, gram_shifted, logdet_spd, solve_spd
 from sqrtminvol.metrics import align_columns
-from sqrtminvol.baseline import grad_H, grad_W, objective_minvol
+from sqrtminvol.baseline import objective_minvol
 from sqrtminvol.projections import project_capped_simplex
 from sqrtminvol.initialization import snpa
-from sqrtminvol.solver import SqrtConfig, f_eps, f_eps_grad, sqrt_minvol, surrogate_g
+from sqrtminvol.solver import SqrtConfig, f_eps, sqrt_minvol
 from sqrtminvol.sweep import (
     ExperimentSpec,
     cell_seed,
@@ -338,7 +342,7 @@ def test_baseline_optimal_weight_trend():
         lambda_grid=lam_grid,
         replicates=5,
         base_seed=BASE_SEED,
-        baseline_sweeps=400,
+        max_outer=400,
     )
     records = run_sweep(spec, jobs=JOBS)
     rows = summarize(records, spec.sigma_grid, spec.lambda_grid)
@@ -466,7 +470,7 @@ def test_sweep_is_deterministic_across_jobs():
     ok = True
     for solver, grid, budget in (
         ("sqrt-minvol", (0.5, 0.05), {"max_outer": 10}),
-        ("minvol-baseline", (0.1, 0.001), {"baseline_sweeps": 15}),
+        ("minvol-baseline", (0.1, 0.001), {"max_outer": 15}),
     ):
         spec = ExperimentSpec(
             generator=InstanceSpec("paper-4x4", n=60, sigma=0.0, seed=0),

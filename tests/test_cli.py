@@ -9,6 +9,7 @@ import pytest
 
 from sqrtminvol.cli import main
 from sqrtminvol.matrixio import read_matrix, write_matrix
+from sqrtminvol.sweep import parse_generator_config
 
 GEN_INI = "[generator]\nname = paper-4x4\nn = 60\nsigma = 0\nseed = 3\n"
 
@@ -70,6 +71,10 @@ class TestGenerate:
         assert main(["generate", ini, "--out", str(out2), "--seed", "9"]) == 0
         assert (out2 / "X.txt").read_bytes() != (instance_dir / "X.txt").read_bytes()
         assert "seed = 9" in (out2 / "manifest.ini").read_text()
+
+    def test_manifest_parses_back(self, instance_dir):
+        spec = parse_generator_config(str(instance_dir / "manifest.ini"))
+        assert (spec.name, spec.n, spec.sigma, spec.seed) == ("paper-4x4", 60, 0.0, 3)
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         ini = write_ini(tmp_path, "[generator]\nname = paper-4x4\n")
@@ -342,6 +347,35 @@ class TestSolveBaseline:
         assert code == 0
         assert "warning:" in capsys.readouterr().err
 
+
+
+class TestSolveFlagChecks:
+    """The solve flags are checked before any data is read, with fixed messages."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--lambda", "0.5", "--lambda-tilde", "0.01"],
+                "--lambda-tilde is for --solver minvol-baseline only",
+            ),
+            (
+                ["--solver", "minvol-baseline", "--lambda", "0.1", "--epsilon", "5"],
+                "--epsilon is for --solver sqrt-minvol only",
+            ),
+            (
+                ["--solver", "minvol-baseline", "--lambda", "0.1", "--lambda-tilde", "0.1"],
+                "give either --lambda or --lambda-tilde, not both",
+            ),
+            ([], "sqrt-minvol needs --lambda"),
+            (["--solver", "minvol-baseline"], "minvol-baseline needs --lambda or --lambda-tilde"),
+        ],
+        ids=["tilde-for-sqrt", "epsilon-for-baseline", "both", "none-sqrt", "none-baseline"],
+    )
+    def test_message_comes_before_reading_data(self, tmp_path, capsys, flags, message):
+        code = main(["solve", str(tmp_path / "missing.txt"), "--rank", "4", *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 class TestPca:
     def test_overlay_of_identical_factors(self, tmp_path, instance_dir, capsys):

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     fd_grad,
     fgm_gradient_form,
+    grad_W,
     jacobi_eigenvalues,
     nnls_capped_oracle,
     proj_capped_cumsum,
@@ -20,15 +21,13 @@ from sqrtminvol.errors import (
 from sqrtminvol.linalg import frobenius_norm
 from sqrtminvol.baseline import (
     MinvolConfig,
-    grad_W,
     lambda_from_init,
     minvol,
     objective_minvol,
-    update_H,
     update_W,
 )
 from sqrtminvol.projections import project_H_columns
-from sqrtminvol.initialization import nnls_capped_simplex, snpa
+from sqrtminvol.initialization import fit_coefficients, nnls_capped_simplex, snpa
 
 W4 = np.array(
     [
@@ -71,24 +70,26 @@ class TestObjective:
 
 
 class TestUpdateH:
+    """The H-block update, through its public entry ``nnls_capped_simplex``."""
+
     def test_projection_is_a_fixed_point(self):
         rng = np.random.default_rng(21)
         X = rng.random((3, 5)) * 2.0
         H_opt = project_H_columns(X)
-        H = update_H(X, np.eye(3), H_opt, iters=50, tol=1e-12)
+        H = nnls_capped_simplex(np.eye(3), X, H_opt, iters=50, tol=1e-12)
         np.testing.assert_allclose(H, H_opt, atol=1e-12)
 
     def test_identity_factor_converges_to_projection(self):
         rng = np.random.default_rng(22)
         X = rng.random((4, 9)) * 1.5
-        H = update_H(X, np.eye(4), np.zeros((4, 9)), iters=80, tol=1e-14)
+        H = nnls_capped_simplex(np.eye(4), X, np.zeros((4, 9)), iters=80, tol=1e-14)
         np.testing.assert_allclose(H, project_H_columns(X), atol=1e-10)
 
     def test_small_case_matches_qp_oracle(self):
         rng = np.random.default_rng(30)
         W = rng.random((2, 2)) + 0.2
         X = rng.random((2, 2)) * 1.4
-        H = update_H(X, W, np.zeros((2, 2)), iters=4000, tol=1e-15)
+        H = nnls_capped_simplex(W, X, np.zeros((2, 2)), iters=4000, tol=1e-15)
         for j in range(2):
             want = nnls_capped_oracle(W, X[:, j])
             np.testing.assert_allclose(H[:, j], want, atol=1e-8)
@@ -166,7 +167,8 @@ class TestBlockDescent:
         W1 = update_W(X, W, H, A, lam_eff)
         assert surrogate(W1) <= surrogate(W) * (1.0 + 1e-12)
         before = frobenius_norm(X - W1 @ H) ** 2
-        after = frobenius_norm(X - W1 @ update_H(X, W1, H)) ** 2
+        H1 = nnls_capped_simplex(W1, X, H, iters=50, tol=1e-7)
+        after = frobenius_norm(X - W1 @ H1) ** 2
         assert after <= before * (1.0 + 1e-12)
 
 
@@ -208,7 +210,8 @@ class TestEngineStep:
         want, _ = fgm_gradient_form(
             H, objective, gradient, proj_capped_cumsum, L, 50, 1e-7
         )
-        self.assert_same_value(self.residual(X, W), update_H(X, W, H), want)
+        got = nnls_capped_simplex(W, X, H, iters=50, tol=1e-7)
+        self.assert_same_value(self.residual(X, W), got, want)
 
     @pytest.mark.parametrize("r", [4, 20])
     def test_nnls_capped_simplex(self, r):
@@ -244,9 +247,10 @@ class TestEngineStep:
 
     def test_zero_lipschitz_returns_start(self):
         # A zero gradient (W = 0 for H, H = 0 and no penalty for W) makes
-        # L = 0; each block returns its projected start.
+        # L = 0; each block returns its (projected) start.
         X, W, H, A = self.instance(4, 74)
-        np.testing.assert_array_equal(update_H(X, np.zeros_like(W), H), H)
+        H_out = fit_coefficients(np.zeros_like(W), X, H, 50, 1e-7)
+        np.testing.assert_array_equal(H_out, H)
         np.testing.assert_array_equal(update_W(X, W, np.zeros_like(H), A, 0.0), W)
 
 
@@ -256,7 +260,7 @@ class TestMinvol:
         D = rng.dirichlet(np.ones(4), size=30).T * 0.9
         X = np.hstack([W4, W4 @ D])
         init = snpa(X, 4)
-        cfg = MinvolConfig(lam=0.0, outer_sweeps=200, tol_rel_obj=1e-13)
+        cfg = MinvolConfig(lam=0.0, max_outer=200, tol=1e-13)
         state = minvol(X, 4, init.W0, init.H0, cfg)
         rel = frobenius_norm(X - state.W @ state.H) / frobenius_norm(X)
         assert rel <= 1e-8
@@ -277,13 +281,13 @@ class TestMinvol:
         W_star = rng.random((6, 3)) + 0.1
         X = W_star @ H_star
         init = snpa(X, 3)
-        cfg = MinvolConfig(lam=0.05, outer_sweeps=40)
+        cfg = MinvolConfig(lam=0.05, max_outer=40)
         state = minvol(X, 3, init.W0, init.H0, cfg)
         hist = state.objective_history
         assert hist[0] == pytest.approx(
             objective_minvol(X, init.W0, init.H0, 0.05, 0.1), rel=1e-12
         )
-        assert 2 <= len(hist) <= cfg.outer_sweeps + 1
+        assert 2 <= len(hist) <= cfg.max_outer + 1
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-9 * abs(a)
 
@@ -308,7 +312,7 @@ class TestMinvol:
         rng = np.random.default_rng(27)
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         init = snpa(X, 3)
-        cfg = MinvolConfig(lam=0.05, outer_sweeps=5, tol_rel_obj=1e-300)
+        cfg = MinvolConfig(lam=0.05, max_outer=5, tol=1e-300)
         state = minvol(X, 3, init.W0, init.H0, cfg)
         assert len(state.objective_history) == 6
         assert calls == [(3, 60)]
@@ -382,13 +386,13 @@ class TestConfigValidation:
 
     def test_bad_iteration_counts(self):
         with pytest.raises(InvalidParameterError):
-            MinvolConfig(lam=0.1, outer_sweeps=0)
+            MinvolConfig(lam=0.1, max_outer=0)
         with pytest.raises(InvalidParameterError):
-            MinvolConfig(lam=0.1, inner_iters_per_block=0)
+            MinvolConfig(lam=0.1, inner_iters=0)
 
     def test_bad_tolerance(self):
         with pytest.raises(InvalidParameterError):
-            MinvolConfig(lam=0.1, tol_rel_obj=0.0)
+            MinvolConfig(lam=0.1, tol=0.0)
 
     def test_negative_weight_is_accepted(self):
         cfg = MinvolConfig(lam=-0.2)

@@ -1,30 +1,29 @@
 import csv
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import fd_grad, frob_oracle, jacobi_eigenvalues
+from oracles import f_eps_grad, fd_grad, frob_oracle, jacobi_eigenvalues, surrogate_g
 from sqrtminvol.datagen import InstanceSpec, make_instance
 from sqrtminvol.errors import (
     InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
-from sqrtminvol.baseline import minvol
+from sqrtminvol.baseline import MinvolConfig, minvol
 from sqrtminvol.initialization import snpa
 from sqrtminvol.solver import (
+    INNER_SWEEPS,
+    INNER_TOL,
     SqrtConfig,
     f_eps,
-    f_eps_grad,
     lambda_k,
     residual_r,
     sigma_hat,
     solve,
     sqrt_minvol,
-    surrogate_g,
 )
 
 W4 = np.array(
@@ -251,14 +250,21 @@ class TestSqrtMinvol:
         for k in range(1, cfg.max_outer + 1):
             rk = residual_r(X, W, H, cfg.epsilon)
             fk = float(np.sqrt(rk))
-            if f_prev is not None and abs(fk - f_prev) <= cfg.tol_rel_f * max(
+            if f_prev is not None and abs(fk - f_prev) <= cfg.tol * max(
                 abs(f_prev), 1e-300
             ):
                 break
             f_prev = fk
             if k == cfg.max_outer:
                 break
-            state = minvol(X, 4, W, H, replace(cfg.inner, lam=0.0, delta=cfg.delta))
+            inner = MinvolConfig(
+                lam=0.0,
+                delta=cfg.delta,
+                max_outer=INNER_SWEEPS,
+                inner_iters=cfg.inner_iters,
+                tol=INNER_TOL,
+            )
+            state = minvol(X, 4, W, H, inner)
             W, H = state.W, state.H
         np.testing.assert_array_equal(pair.W, W)
         np.testing.assert_array_equal(pair.H, H)
@@ -347,4 +353,45 @@ class TestSqrtConfig:
         with pytest.raises(InvalidParameterError):
             SqrtConfig(lam=0.1, max_outer=0)
         with pytest.raises(InvalidParameterError):
-            SqrtConfig(lam=0.1, tol_rel_f=0.0)
+            SqrtConfig(lam=0.1, tol=0.0)
+
+
+class TestSolveSettings:
+    """``solve`` takes the weight exactly once and no setting of the other solver."""
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        return make_instance(InstanceSpec("paper-4x4", n=60, sigma=1e-3, seed=0))[1]
+
+    @pytest.mark.parametrize(
+        "solver, weights, message",
+        [
+            ("sqrt-minvol", {"lambda_tilde": 0.1}, "lambda_tilde is for solver minvol-baseline"),
+            ("sqrt-minvol", {}, "sqrt-minvol needs lam$"),
+            ("minvol-baseline", {}, "minvol-baseline needs lam or lambda_tilde$"),
+            ("sqrt-minvol", {"lam": 0.1, "lambda_tilde": 5.0}, "lambda_tilde is for solver"),
+            ("minvol-baseline", {"lam": 0.1, "lambda_tilde": 0.01}, "give either lam or"),
+        ],
+        ids=["tilde-only-sqrt", "no-weight-sqrt", "no-weight-baseline", "both-sqrt",
+             "both-baseline"],
+    )
+    def test_rejected(self, X, solver, weights, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            solve(X, 4, solver, max_outer=2, **weights)
+
+    def test_unknown_solver(self, X):
+        with pytest.raises(InvalidParameterError, match="unknown solver 'mu'"):
+            solve(X, 4, "mu", lam=0.1)
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_misspelled_setting_is_a_type_error(self, X, solver):
+        with pytest.raises(TypeError, match="max_outter"):
+            solve(X, 4, solver, lam=0.1, max_outter=2)
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_shared_settings_reach_the_config(self, X, solver):
+        weight = "lam" if solver == "sqrt-minvol" else "lambda_tilde"
+        settings = dict(delta=0.2, max_outer=3, tol=1e-300, inner_iters=7)
+        _, _, cfg, _, iters, _ = solve(X, 4, solver, **{weight: 0.1}, **settings)
+        assert {key: getattr(cfg, key) for key in settings} == settings
+        assert iters == 3

@@ -77,19 +77,29 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameterError):
             tiny_spec(replicates=0)
 
+    @pytest.mark.parametrize(
+        "setting", [{"max_outer": 0}, {"inner_iters": 0}, {"tol": -1.0}, {"delta": 0.0}]
+    )
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_rejects_a_bad_solver_setting_when_built(self, solver, setting):
+        # Every cell would fault on it; the spec refuses it instead.
+        with pytest.raises(InvalidParameterError):
+            tiny_spec(solver=solver, **setting)
+
     def test_rejects_epsilon_for_baseline(self):
         assert tiny_spec(solver="minvol-baseline").epsilon is None
         with pytest.raises(InvalidParameterError, match="epsilon"):
             tiny_spec(solver="minvol-baseline", epsilon=1e-3)
 
-    def test_rejects_max_outer_for_baseline(self):
-        # The baseline's budget is baseline_sweeps; max_outer would be ignored.
-        with pytest.raises(InvalidParameterError, match="max_outer"):
-            tiny_spec(solver="minvol-baseline", max_outer=1)
+    def test_max_outer_budgets_the_baseline(self):
+        spec = tiny_spec(solver="minvol-baseline", max_outer=1)
+        assert run_cell(spec, 1, 0, 0).outer_iters == 1
 
     def test_rejects_baseline_sweeps_for_sqrt(self):
-        with pytest.raises(InvalidParameterError, match="baseline_sweeps"):
-            tiny_spec(baseline_sweeps=5)
+        # max_outer is the one budget name; the old baseline-only one is gone.
+        for solver in ("sqrt-minvol", "minvol-baseline"):
+            with pytest.raises(TypeError, match="baseline_sweeps"):
+                tiny_spec(solver=solver, baseline_sweeps=5)
 
     def test_solve_rejects_epsilon_for_baseline(self):
         X = np.random.default_rng(3).random((4, 12))
@@ -112,14 +122,14 @@ class TestRunCell:
         assert np.isfinite(rec.final_obj)
 
     def test_baseline_cell_runs(self):
-        spec = tiny_spec(solver="minvol-baseline", baseline_sweeps=10)
+        spec = tiny_spec(solver="minvol-baseline", max_outer=10)
         rec = run_cell(spec, 0, 1, 1)
         assert rec.status == "ok"
         assert rec.outer_iters >= 1
 
     def test_baseline_cell_honours_tol(self):
         def cell(tol):
-            spec = tiny_spec(solver="minvol-baseline", baseline_sweeps=50, tol=tol)
+            spec = tiny_spec(solver="minvol-baseline", max_outer=50, tol=tol)
             return run_cell(spec, 1, 0, 0)
 
         default, pinned, loose = cell(None), cell(1e-7), cell(0.1)
@@ -339,6 +349,10 @@ class TestConfigParsing:
         b.write_text(body.format(grid="lambdas = 0.1 0.01"))
         assert parse_experiment_config(str(a)).lambda_grid == (0.1, 0.01)
         assert parse_experiment_config(str(b)).lambda_grid == (0.1, 0.01)
+        both = tmp_path / "both.ini"
+        both.write_text(body.format(grid="lambdas = 0.1\nlambda_tildes = 0.5 0.05"))
+        with pytest.raises(InvalidInputError, match="not both"):
+            parse_experiment_config(str(both))
 
     def test_baseline_rejects_solver_epsilon(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -351,25 +365,50 @@ class TestConfigParsing:
         with pytest.raises(InvalidInputError, match="epsilon"):
             parse_experiment_config(str(path))
 
-    @pytest.mark.parametrize(
-        "solver, grid, setting",
-        [
-            ("minvol-baseline", "lambda_tildes = 0.1", "max_outer = 1"),
-            ("sqrt-minvol", "lambdas = 0.1", "baseline_sweeps = 1"),
-        ],
-    )
-    def test_budget_of_the_other_solver_is_rejected(self, tmp_path, solver, grid, setting):
+    @staticmethod
+    def experiment_ini(tmp_path, solver, extra=""):
+        grid = "lambda_tildes" if solver == "minvol-baseline" else "lambdas"
         path = tmp_path / "exp.ini"
         path.write_text(
             "[generator]\nname = paper-4x4\nn = 40\n"
-            f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid}\nbase_seed = 1\n"
-            f"[solver]\n{setting}\n"
+            f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid} = 0.1\nbase_seed = 1\n"
+            + extra
         )
-        name = setting.split(" = ")[0]
-        with pytest.raises(InvalidInputError, match=name):
+        return path
+
+    @pytest.mark.parametrize(
+        "solver, extra, where",
+        [
+            # max_outer budgets both solvers; the old baseline-only key is unknown.
+            (
+                "minvol-baseline",
+                "[solver]\nbaseline_sweeps = 1\n",
+                r"\[solver\] unknown key 'baseline_sweeps'",
+            ),
+            (
+                "sqrt-minvol",
+                "[solver]\nbaseline_sweeps = 1\n",
+                r"\[solver\] unknown key 'baseline_sweeps'",
+            ),
+            ("sqrt-minvol", "[solver]\nmax_outter = 1\n", r"\[solver\] unknown key 'max_outter'"),
+            ("sqrt-minvol", "replicate = 3\n", r"\[sweep\] unknown key 'replicate'"),
+            ("sqrt-minvol", "[solvr]\nmax_outer = 1\n", r"unknown section \[solvr\]"),
+        ],
+        ids=["baseline_sweeps-baseline", "baseline_sweeps-sqrt", "typo", "sweep-key", "section"],
+    )
+    def test_unknown_key_or_section_exits_2(self, tmp_path, capsys, solver, extra, where):
+        path = self.experiment_ini(tmp_path, solver, extra)
+        with pytest.raises(InvalidInputError, match=where):
             parse_experiment_config(str(path))
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "exp.ini" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_generator_rejects_unknown_key(self, tmp_path):
+        path = tmp_path / "gen.ini"
+        path.write_text("[generator]\nname = paper-4x4\nn = 50\nsigma = 0\nseed = 1\nsead = 2\n")
+        with pytest.raises(InvalidInputError, match=r"\[generator\] unknown key 'sead'"):
+            parse_generator_config(str(path))
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -379,6 +418,7 @@ class TestConfigParsing:
         spec = parse_experiment_config(str(path))
         assert spec.sigma_grid == (1e-1, 1e-2, 1e-3)
         assert spec.lambda_grid == (1.0, 0.5, 0.1)
+        assert parse_generator_config(str(path)).seed == 3
 
     def test_missing_file_mentions_path(self, tmp_path):
         missing = tmp_path / "nope.ini"
