@@ -21,10 +21,7 @@ _EXPORTS = {
     "NumericalFaultError": "errors",
     # linear algebra kernels
     "frobenius_norm": "linalg",
-    "gram_shifted": "linalg",
-    "cholesky": "linalg",
-    "logdet_spd": "linalg",
-    "solve_spd": "linalg",
+    "shifted_gram": "linalg",
     "spectral_norm": "linalg",
     # projections
     "project_nonneg": "projections",

@@ -19,14 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidInputError, InvalidParameterError
 from .fgm import minimize_fgm
-from .linalg import (
-    as_matrix,
-    cholesky_shifted,
-    frobenius_norm,
-    logdet_shifted,
-    solve_spd,
-    spectral_norm,
-)
+from .linalg import as_matrix, frobenius_norm, shifted_gram, spectral_norm
 from .projections import project_H_columns, project_nonneg, require_feasible
 from .initialization import fit_coefficients
 
@@ -75,8 +68,10 @@ class MinvolConfig:
     def __post_init__(self):
         if not (self.delta > 0.0):
             raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
-        if self.max_outer < 1 or self.inner_iters < 1:
-            raise InvalidParameterError("iteration counts must be >= 1")
+        counts = {"max_outer": self.max_outer, "inner_iters": self.inner_iters}
+        for name, count in counts.items():
+            if count < 1:
+                raise InvalidParameterError(f"{name} must be >= 1, got {count}")
         if not (self.tol > 0.0):
             raise InvalidParameterError(f"tol must be > 0, got {self.tol}")
 
@@ -96,19 +91,23 @@ class MinvolState:
             fh.write(f"{k},{obj:.17g}\n")
 
 
-def objective_minvol(X, W, H, lam, delta):
-    """Penalized objective: squared residual plus weighted log-volume."""
-    Xm = as_matrix(X, "X")
+def _objective_at(Xm, W, H, lam, logdet):
     require_feasible(W, H, "objective_minvol")
     res = frobenius_norm(Xm - np.asarray(W) @ np.asarray(H))
-    return res * res + float(lam) * logdet_shifted(W, delta)
+    return res * res + float(lam) * logdet
 
 
-def update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7):
+def objective_minvol(X, W, H, lam, delta):
+    """Penalized objective: squared residual plus weighted log-volume."""
+    return _objective_at(as_matrix(X, "X"), W, H, lam, shifted_gram(W, delta)[0])
+
+
+def update_W(X, W, H, A, lam_eff, iters, tol):
     """One accelerated projected-gradient pass on the W block.
 
     Minimizes ``|X - W H|_F^2 + lam_eff * tr(A W^T W)`` over ``W >= 0``
-    with step 1/L, ``L = 2 (s_max(H H^T) + lam_eff * s_max(A))``.
+    with step 1/L, ``L = 2 (s_max(H H^T) + lam_eff * s_max(A))``, for at
+    most ``iters`` steps or until it moves by at most ``tol`` relative.
 
     Precondition, not checked here: ``A`` is symmetric positive definite.
     The solvers pass the inverse shifted Gram of the anchor W, which is
@@ -167,15 +166,14 @@ def minvol(X, r, W_init, H_init, config):
         raise InvalidInputError("factor shapes do not conform with X")
 
     lam, delta = float(config.lam), float(config.delta)
-    history = [objective_minvol(Xm, Wm, Hm, lam, delta)]
-    eye = np.eye(r)
+    # One factor per iterate: its objective's log-det and the next linearization.
+    logdet, A = shifted_gram(Wm, delta)
+    history = [_objective_at(Xm, Wm, Hm, lam, logdet)]
     for _ in range(config.max_outer):
-        F = cholesky_shifted(Wm, delta)
-        A = solve_spd(F, eye)
-        A = 0.5 * (A + A.T)
         Wm = update_W(Xm, Wm, Hm, A, lam, config.inner_iters, config.tol)
         Hm = fit_coefficients(Wm, Xm, Hm, config.inner_iters, config.tol)
-        obj = objective_minvol(Xm, Wm, Hm, lam, delta)
+        logdet, A = shifted_gram(Wm, delta)
+        obj = _objective_at(Xm, Wm, Hm, lam, logdet)
         prev = history[-1]
         history.append(obj)
         if abs(obj - prev) <= config.tol * max(abs(prev), 1e-300):
@@ -195,7 +193,7 @@ def lambda_from_init(X, W0, H0, lambda_tilde, delta):
     """
     Xm = as_matrix(X, "X")
     res = frobenius_norm(Xm - np.asarray(W0) @ np.asarray(H0))
-    denom = abs(logdet_shifted(W0, delta))
+    denom = abs(shifted_gram(W0, delta)[0])
     if abs(denom) < 1e-300:
         raise DegenerateDenominatorError(
             "logdet of the initial Gram is numerically zero; "

@@ -3,27 +3,21 @@
 All matrices are plain 2-D ``numpy.ndarray`` objects in row-major order,
 dtype float64.  Problem sizes here are small (a few dozen rows, a few
 thousand columns at most), so everything stays dense and there is no
-sparse path on purpose.  The only factorization the solvers need is the
-Cholesky factor of an r x r shifted Gram, so ``numpy.linalg`` covers it
-and the package depends on numpy alone.
+sparse path on purpose.  The only factorization the solvers need is one
+Cholesky factor of the r x r shifted Gram ``W^T W + delta I``, and one
+kernel, :func:`shifted_gram`, returns both quantities the min-vol model
+takes from it: the log-determinant and the inverse.  ``numpy.linalg``
+covers it, so the package depends on numpy alone.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NotPositiveDefiniteError
 
 __all__ = [
-    "SpdFactor",
     "as_matrix",
     "frobenius_norm",
-    "gram_shifted",
-    "cholesky",
-    "cholesky_shifted",
-    "logdet_spd",
-    "logdet_shifted",
-    "solve_spd",
+    "shifted_gram",
     "spectral_norm",
 ]
 
@@ -65,22 +59,17 @@ def frobenius_norm(M):
     return float(np.sqrt(np.sum(A * A)))
 
 
-def gram_shifted(W, delta):
-    """Shifted Gram matrix ``W^T W + delta * I``.
+def shifted_gram(W, delta):
+    """``(logdet(Q), Q^{-1})`` for ``Q = W^T W + delta I``, from one Cholesky factor.
 
-    The shift keeps the Gram positive definite even when ``W`` is
-    rank-deficient, which the volume penalty relies on.
-
-    Parameters
-    ----------
-    W : array_like, shape (m, r)
-    delta : float
-        Positive shift added to the diagonal.
-
-    Returns
-    -------
-    numpy.ndarray, shape (r, r)
-        Exactly symmetric output with diagonal entries >= delta.
+    ``W^T W`` is made exactly symmetric before ``delta > 0`` is added to
+    its diagonal; the shift keeps ``Q`` positive definite even when ``W``
+    is rank-deficient.  With ``Q = L L^T``, the log-determinant (the
+    volume penalty) is ``2 * sum(log(diag(L)))`` and the inverse (the
+    gradient of the penalty's tangent) is ``solve(L^T, solve(L, I))``,
+    made exactly symmetric.  A non-positive pivot means ``delta`` is too
+    small for this ``W`` in float64: it raises ``NotPositiveDefiniteError``
+    naming ``delta`` and is never masked by ad-hoc regularization.
     """
     if not (float(delta) > 0.0):
         raise InvalidParameterError(f"delta must be > 0, got {delta}")
@@ -89,111 +78,16 @@ def gram_shifted(W, delta):
     # Matrix products are only symmetric up to rounding; make it exact.
     G = 0.5 * (G + G.T)
     G[np.diag_indices_from(G)] += float(delta)
-    return G
-
-
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular Cholesky factor ``L`` with ``L L^T = Q``.
-
-    Attributes
-    ----------
-    dim : int
-        Order of the factored matrix.
-    lower : numpy.ndarray, shape (dim, dim)
-        Lower-triangular factor; all diagonal entries strictly positive.
-    """
-
-    dim: int
-    lower: np.ndarray
-
-
-def cholesky(Q):
-    """Cholesky factorization of a symmetric positive definite matrix.
-
-    Parameters
-    ----------
-    Q : array_like, shape (r, r)
-        Must be symmetric to 1e-10 absolute.
-
-    Returns
-    -------
-    SpdFactor
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If a non-positive pivot is encountered.  This signals that the
-        diagonal shift was too small or that something upstream broke;
-        it is never masked by ad-hoc regularization here.
-    """
-    A = as_matrix(Q, "Q")
-    if A.shape[0] != A.shape[1]:
-        raise InvalidInputError(f"Q must be square, got shape {A.shape}")
-    if np.max(np.abs(A - A.T)) > 1e-10:
-        raise InvalidInputError("Q is not symmetric (tolerance 1e-10)")
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
-            f"Cholesky failed, matrix is not positive definite: {exc}"
+            f"W^T W + delta I is not numerically positive definite at "
+            f"delta={float(delta):.17g}; use a larger delta"
         ) from exc
-    return SpdFactor(dim=A.shape[0], lower=L)
-
-
-def logdet_spd(Q):
-    """log-determinant of a symmetric positive definite matrix.
-
-    Computed as ``2 * sum(log(diag(L)))`` from the Cholesky factor,
-    which is stable for the well-conditioned shifted Grams used here.
-    """
-    F = cholesky(Q)
-    return float(2.0 * np.sum(np.log(np.diag(F.lower))))
-
-
-def _delta_too_small(delta):
-    return NotPositiveDefiniteError(
-        f"W^T W + delta I is not numerically positive definite at "
-        f"delta={float(delta):.17g}; use a larger delta"
-    )
-
-
-def cholesky_shifted(W, delta):
-    """Cholesky factor of ``W^T W + delta I``; a failure names ``delta``."""
-    try:
-        return cholesky(gram_shifted(W, delta))
-    except NotPositiveDefiniteError as exc:
-        raise _delta_too_small(delta) from exc
-
-
-def logdet_shifted(W, delta):
-    """``logdet(W^T W + delta I)``; a failure names ``delta``."""
-    try:
-        return logdet_spd(gram_shifted(W, delta))
-    except NotPositiveDefiniteError as exc:
-        raise _delta_too_small(delta) from exc
-
-
-def solve_spd(F, B):
-    """Solve ``Q Y = B`` given the Cholesky factor of ``Q``.
-
-    Two solves against the factor: ``L Z = B``, then ``L^T Y = Z``.
-
-    Parameters
-    ----------
-    F : SpdFactor
-    B : array_like, shape (F.dim, k)
-
-    Returns
-    -------
-    numpy.ndarray, shape (F.dim, k)
-    """
-    RHS = as_matrix(B, "B")
-    if RHS.shape[0] != F.dim:
-        raise InvalidInputError(
-            f"dimension mismatch: factor is {F.dim}x{F.dim}, B has {RHS.shape[0]} rows"
-        )
-    return np.linalg.solve(F.lower.T, np.linalg.solve(F.lower, RHS))
+    logdet = float(2.0 * np.sum(np.log(np.diag(L))))
+    Q_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(L.shape[0])))
+    return logdet, 0.5 * (Q_inv + Q_inv.T)
 
 
 def spectral_norm(M):

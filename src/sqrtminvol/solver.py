@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFaultError
-from .linalg import as_matrix, frobenius_norm, logdet_shifted
+from .linalg import as_matrix, frobenius_norm, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
 from .baseline import MinvolConfig, lambda_from_init, minvol
 from .projections import require_feasible
@@ -216,7 +216,7 @@ def sigma_hat(X, W, H, epsilon):
 
 
 def _f_eps_at(r, W, lam, delta):
-    return float(np.sqrt(r)) + float(lam) * logdet_shifted(W, delta)
+    return float(np.sqrt(r)) + float(lam) * shifted_gram(W, delta)[0]
 
 
 def f_eps(X, W, H, lam, delta, epsilon):

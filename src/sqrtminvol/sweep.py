@@ -58,8 +58,9 @@ class ExperimentSpec:
     passed to :func:`~sqrtminvol.solver.solve` under the same names take
     the solver's default when None; ``max_outer`` budgets both solvers.
     A setting the solver would refuse (``epsilon`` on a baseline spec,
-    see :data:`~sqrtminvol.solver.SOLVER_ONLY`, or ``max_outer = 0``) is
-    refused when the spec is built, not in every cell.
+    see :data:`~sqrtminvol.solver.SOLVER_ONLY`, ``max_outer = 0``, or a
+    ``rank`` outside ``[1, min(rows, n)]`` of the generator) is refused
+    when the spec is built, not in every cell.
     """
 
     generator: InstanceSpec
@@ -89,6 +90,11 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"lambda grid values must be > 0, got {l}")
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be >= 1")
+        top = min(self.generator.rows, self.generator.n)
+        if self.rank is not None and not 1 <= self.rank <= top:
+            raise InvalidParameterError(
+                f"rank must be in [1, min(rows, n)] = [1, {top}], got {self.rank}"
+            )
         # A setting the solver rejects fails here, not once in every cell.
         make_config(self.solver, **self.solve_settings(self.lambda_grid[0]))
 
@@ -337,7 +343,7 @@ def parse_experiment_config(path):
         key = "lambda_tildes" if sweep["solver"] == "minvol-baseline" else "lambdas"
         raise _config_error(path, "sweep", f"missing key {key!r}")
     try:
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             generator=generator,
             solver=sweep["solver"],
             sigma_grid=sweep["sigmas"],
@@ -345,7 +351,12 @@ def parse_experiment_config(path):
             replicates=sweep.get("replicates", 1),
             base_seed=sweep["base_seed"],
             out_dir=sweep.get("out"),
-            **ini.get("solver", {}),
         )
     except InvalidParameterError as err:
         raise _config_error(path, "sweep", str(err)) from err
+    # The [solver] keys go on a spec the [sweep] keys alone have built, so
+    # an error they raise is one of theirs.
+    try:
+        return replace(spec, **ini.get("solver", {}))
+    except InvalidParameterError as err:
+        raise _config_error(path, "solver", str(err)) from err

@@ -18,13 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sqrtminvol.linalg import (
-    as_matrix,
-    cholesky_shifted,
-    gram_shifted,
-    logdet_shifted,
-    solve_spd,
-)
+from sqrtminvol.linalg import as_matrix, shifted_gram
 from sqrtminvol.solver import residual_r
 
 
@@ -332,8 +326,7 @@ def f_eps_grad(X, W, H, lam, delta, epsilon):
     Hm = as_matrix(H, "H")
     E = Wm @ Hm - Xm
     sr = float(np.sqrt(np.sum(E * E) + float(epsilon)))
-    F = cholesky_shifted(Wm, delta)
-    Qinv = solve_spd(F, np.eye(F.dim))
+    _, Qinv = shifted_gram(Wm, delta)
     Gw = (E @ Hm.T) / sr + 2.0 * float(lam) * (Wm @ Qinv)
     Gh = (Wm.T @ E) / sr
     return Gw, Gh
@@ -355,8 +348,8 @@ def surrogate_g(W, H, W_k, H_k, X, lam, delta, epsilon):
     rk = residual_r(Xm, W_k, H_k, epsilon)
     sq = float(np.sqrt(rk))
     r_new = residual_r(Xm, W, H, epsilon)
-    Fk = cholesky_shifted(W_k, delta)
-    trace_term = float(np.trace(solve_spd(Fk, gram_shifted(W, delta)))) - Fk.dim
-    return sq + (r_new - rk) / (2.0 * sq) + float(lam) * (
-        logdet_shifted(W_k, delta) + trace_term
-    )
+    logdet_k, Qk_inv = shifted_gram(W_k, delta)
+    Wm = as_matrix(W, "W")
+    Q = Wm.T @ Wm + float(delta) * np.eye(Wm.shape[1])
+    trace_term = float(np.trace(Qk_inv @ Q)) - Wm.shape[1]
+    return sq + (r_new - rk) / (2.0 * sq) + float(lam) * (logdet_k + trace_term)

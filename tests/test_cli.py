@@ -443,6 +443,14 @@ class TestSweep:
         assert main(["sweep", ini, "--out", str(out2), "--seed", "99"]) == 0
         assert strip_wall(out1 / "sweep.csv") != strip_wall(out2 / "sweep.csv")
 
+    def test_out_of_range_rank_exits_2(self, tmp_path, capsys):
+        # paper-4x4 has 4 rows, so rank 9 would fault every cell.
+        ini = write_ini(tmp_path, SWEEP_INI + "rank = 9\n", "sweep.ini")
+        out = tmp_path / "out"
+        assert main(["sweep", ini, "--out", str(out)]) == 2
+        assert "[solver] rank must be in [1, min(rows, n)] = [1, 4], got 9" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_no_output_directory_exits_2(self, tmp_path, capsys):
         ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")
         assert main(["sweep", ini]) == 2

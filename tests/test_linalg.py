@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import frob_oracle, gauss_solve, jacobi_eigenvalues, jacobi_svd_values
+from oracles import (
+    cofactor_det,
+    frob_oracle,
+    gauss_solve,
+    jacobi_eigenvalues,
+    jacobi_svd_values,
+)
 from sqrtminvol.errors import (
     InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
-from sqrtminvol.linalg import (
-    as_matrix,
-    cholesky,
-    cholesky_shifted,
-    frobenius_norm,
-    gram_shifted,
-    logdet_shifted,
-    logdet_spd,
-    solve_spd,
-    spectral_norm,
-)
+from sqrtminvol.linalg import as_matrix, frobenius_norm, shifted_gram, spectral_norm
 
 W4 = np.array(
     [
@@ -44,15 +40,6 @@ W4_GRAM = np.array(
     ]
 )
 
-# Symmetric matrices that are not positive definite.  The singular one
-# has an exactly zero last pivot: 1 + 1e-300 rounds to 1.
-NOT_SPD = [
-    np.array([[1.0, 2.0], [2.0, 1.0]]),
-    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-300]]),
-    -np.eye(3),
-]
-NOT_SPD_IDS = ["indefinite", "singular", "negative-definite"]
-
 
 class TestFrobeniusNorm:
     def test_identity_2x2(self):
@@ -72,21 +59,28 @@ class TestFrobeniusNorm:
 
 
 class TestGramShifted:
+    """The matrix ``shifted_gram`` factors: ``W^T W + delta I``, made symmetric."""
+
     def test_zero_W(self):
-        np.testing.assert_allclose(
-            gram_shifted(np.zeros((4, 2)), 0.1), 0.1 * np.eye(2), atol=0
-        )
+        logdet, Q_inv = shifted_gram(np.zeros((4, 2)), 0.1)
+        assert logdet == pytest.approx(2 * math.log(0.1), rel=1e-15)
+        np.testing.assert_allclose(Q_inv, 10.0 * np.eye(2), rtol=1e-15)
 
     def test_identity_W(self):
-        np.testing.assert_allclose(gram_shifted(np.eye(2), 0.1), 1.1 * np.eye(2))
+        logdet, Q_inv = shifted_gram(np.eye(2), 0.1)
+        assert logdet == pytest.approx(2 * math.log(1.1), rel=1e-15)
+        np.testing.assert_allclose(Q_inv, np.eye(2) / 1.1, rtol=1e-15)
 
     def test_fixed_4x4_hand_product(self):
-        Q = gram_shifted(W4, 0.1)
-        np.testing.assert_allclose(Q, W4_GRAM + 0.1 * np.eye(4), atol=1e-14)
+        logdet, Q_inv = shifted_gram(W4, 0.1)
+        Q = W4_GRAM + 0.1 * np.eye(4)
+        assert logdet == pytest.approx(math.log(cofactor_det(Q)), rel=1e-13)
+        np.testing.assert_allclose(Q_inv @ Q, np.eye(4), atol=1e-14)
 
     def test_rejects_nonpositive_delta(self):
-        with pytest.raises(InvalidParameterError):
-            gram_shifted(np.eye(2), 0.0)
+        for delta in (0.0, -0.1):
+            with pytest.raises(InvalidParameterError):
+                shifted_gram(np.eye(2), delta)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -97,54 +91,69 @@ class TestGramShifted:
         )
     )
     def test_symmetric_for_any_W(self, W):
-        Q = gram_shifted(W, 0.5)
-        np.testing.assert_array_equal(Q, Q.T)
+        _, Q_inv = shifted_gram(W, 0.5)
+        np.testing.assert_array_equal(Q_inv, Q_inv.T)
 
 
 class TestCholesky:
+    """The one factorization, seen through what it returns and how it fails."""
+
     def test_scaled_identity(self):
-        F = cholesky(4.0 * np.eye(3))
-        np.testing.assert_allclose(F.lower, 2.0 * np.eye(3))
+        logdet, Q_inv = shifted_gram(np.zeros((2, 3)), 4.0)
+        assert logdet == pytest.approx(3 * math.log(4.0), rel=1e-15)
+        np.testing.assert_array_equal(Q_inv, 0.25 * np.eye(3))
 
     def test_2x2_hand_solution(self):
-        F = cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        expected = np.array(
-            [[math.sqrt(2), 0.0], [1.0 / math.sqrt(2), math.sqrt(1.5)]]
+        # Columns (1, 1, 0) and (1, 0, 1): W^T W + I = [[3, 1], [1, 3]],
+        # whose determinant is 8.
+        W = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        logdet, Q_inv = shifted_gram(W, 1.0)
+        assert logdet == pytest.approx(math.log(8.0), rel=1e-15)
+        np.testing.assert_allclose(
+            Q_inv, np.array([[3.0, -1.0], [-1.0, 3.0]]) / 8.0, rtol=1e-14
         )
-        np.testing.assert_allclose(F.lower, expected, rtol=1e-14)
 
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # Gram matrices that are singular in float64 once a shift of 1e-300 is
+    # lost against their entries: the last Cholesky pivot is exactly 0.
+    SINGULAR = {
+        "singular": np.array([[1.0, 1.0], [0.0, 0.0]]),
+        "parallel": np.array([[1.0, 2.0], [0.0, 0.0]]),
+    }
 
-    @pytest.mark.parametrize("Q", NOT_SPD, ids=NOT_SPD_IDS)
-    def test_not_positive_definite_raises(self, Q):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(Q)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    @pytest.mark.parametrize("W", SINGULAR.values(), ids=SINGULAR.keys())
+    def test_not_positive_definite_raises(self, W):
+        with pytest.raises(NotPositiveDefiniteError, match=r"delta=1e-300\b"):
+            shifted_gram(W, 1e-300)
 
 
 class TestLogdetSpd:
+    """The log-determinant ``shifted_gram`` returns."""
+
     def test_scaled_identity(self):
-        assert logdet_spd(0.1 * np.eye(4)) == pytest.approx(4 * math.log(0.1), rel=1e-12)
+        logdet, _ = shifted_gram(np.zeros((3, 4)), 0.1)
+        assert logdet == pytest.approx(4 * math.log(0.1), rel=1e-12)
 
     def test_identity_any_size(self):
+        # W = sqrt(1 - delta) I, so the shifted Gram is I up to rounding.
         for r in (1, 3, 7):
-            assert logdet_spd(np.eye(r)) == pytest.approx(0.0, abs=1e-14)
+            assert shifted_gram(math.sqrt(0.75) * np.eye(r), 0.25)[0] == pytest.approx(
+                0.0, abs=1e-14
+            )
 
     def test_matches_eigenvalue_oracle(self):
-        A = np.random.default_rng(3).random((5, 5))
-        Q = A.T @ A + np.eye(5)
-        expected = float(np.sum(np.log(jacobi_eigenvalues(Q))))
-        assert logdet_spd(Q) == pytest.approx(expected, rel=1e-10)
+        W = np.random.default_rng(3).random((5, 5))
+        expected = float(np.sum(np.log(jacobi_eigenvalues(W.T @ W + np.eye(5)))))
+        assert shifted_gram(W, 1.0)[0] == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("Q", NOT_SPD, ids=NOT_SPD_IDS)
-    def test_not_positive_definite_raises(self, Q):
+    # A rank-one W with three equal unit columns: W^T W is the all-ones
+    # matrix, the shift of 1e-300 is lost against it, and the second
+    # Cholesky pivot is exactly 0, so no log-determinant comes back.
+    SINGULAR = {"singular": np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])}
+
+    @pytest.mark.parametrize("W", SINGULAR.values(), ids=SINGULAR.keys())
+    def test_not_positive_definite_raises(self, W):
         with pytest.raises(NotPositiveDefiniteError):
-            logdet_spd(Q)
+            shifted_gram(W, 1e-300)
 
 
 class TestShiftedGramFactor:
@@ -154,40 +163,48 @@ class TestShiftedGramFactor:
     TWIN = np.array([[1.0, 1.0], [0.0, 0.0]])
 
     def test_same_as_factoring_the_shifted_gram(self):
+        # The kernel's steps written out in numpy: the same operations in
+        # the same order, so the same bits.
         W = np.random.default_rng(4).random((6, 3))
-        F = cholesky_shifted(W, 0.1)
-        assert F.lower.tobytes() == cholesky(gram_shifted(W, 0.1)).lower.tobytes()
-        assert logdet_shifted(W, 0.1) == logdet_spd(gram_shifted(W, 0.1))
+        G = W.T @ W
+        G = 0.5 * (G + G.T)
+        G[np.diag_indices_from(G)] += 0.1
+        L = np.linalg.cholesky(G)
+        Q_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(3)))
+        logdet, got = shifted_gram(W, 0.1)
+        assert logdet == float(2.0 * np.sum(np.log(np.diag(L))))
+        assert got.tobytes() == (0.5 * (Q_inv + Q_inv.T)).tobytes()
 
-    @pytest.mark.parametrize("kernel", [cholesky_shifted, logdet_shifted])
-    def test_failure_names_delta(self, kernel):
+    # The two results the solver reads from one call: the inverse that
+    # the factor gives and the log-determinant.  Each case id names the
+    # kernel that used to compute that result on its own.
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda out: out[1], id="cholesky_shifted"),
+            pytest.param(lambda out: out[0], id="logdet_shifted"),
+        ],
+    )
+    def test_failure_names_delta(self, read):
         with pytest.raises(NotPositiveDefiniteError, match=r"delta=1e-300\b"):
-            kernel(self.TWIN, 1e-300)
+            read(shifted_gram(self.TWIN, 1e-300))
 
 
 class TestSolveSpd:
+    """The inverse ``shifted_gram`` returns."""
+
     def test_identity(self):
-        B = np.arange(6.0).reshape(3, 2)
-        F = cholesky(np.eye(3))
-        np.testing.assert_allclose(solve_spd(F, B), B)
+        np.testing.assert_array_equal(shifted_gram(np.zeros((2, 3)), 1.0)[1], np.eye(3))
 
     def test_scaling(self):
-        F = cholesky(2.0 * np.eye(3))
-        np.testing.assert_allclose(solve_spd(F, np.eye(3)), 0.5 * np.eye(3))
+        np.testing.assert_allclose(shifted_gram(np.zeros((2, 3)), 2.0)[1], 0.5 * np.eye(3))
 
     def test_matches_gaussian_elimination(self):
-        rng = np.random.default_rng(11)
-        A = rng.random((4, 4))
-        Q = A.T @ A + np.eye(4)
-        B = rng.random((4, 2))
+        W = np.random.default_rng(11).random((4, 4))
+        Q = W.T @ W + np.eye(4)
         np.testing.assert_allclose(
-            solve_spd(cholesky(Q), B), gauss_solve(Q, B), atol=1e-10
+            shifted_gram(W, 1.0)[1], gauss_solve(Q, np.eye(4)), atol=1e-10
         )
-
-    def test_dimension_mismatch(self):
-        F = cholesky(np.eye(3))
-        with pytest.raises(InvalidInputError):
-            solve_spd(F, np.eye(2))
 
 
 class TestSpectralNorm:

@@ -18,7 +18,7 @@ from sqrtminvol.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
-from sqrtminvol.linalg import frobenius_norm
+from sqrtminvol.linalg import frobenius_norm, shifted_gram
 from sqrtminvol.baseline import (
     MinvolConfig,
     lambda_from_init,
@@ -164,7 +164,7 @@ class TestBlockDescent:
         def surrogate(Wv):
             return frobenius_norm(X - Wv @ H) ** 2 + lam_eff * np.trace(A @ Wv.T @ Wv)
 
-        W1 = update_W(X, W, H, A, lam_eff)
+        W1 = update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7)
         assert surrogate(W1) <= surrogate(W) * (1.0 + 1e-12)
         before = frobenius_norm(X - W1 @ H) ** 2
         H1 = nnls_capped_simplex(W1, X, H, iters=50, tol=1e-7)
@@ -243,7 +243,8 @@ class TestEngineStep:
             50,
             1e-7,
         )
-        self.assert_same_value(surrogate, update_W(X, W, H, A, lam_eff), want)
+        got = update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7)
+        self.assert_same_value(surrogate, got, want)
 
     def test_zero_lipschitz_returns_start(self):
         # A zero gradient (W = 0 for H, H = 0 and no penalty for W) makes
@@ -251,7 +252,8 @@ class TestEngineStep:
         X, W, H, A = self.instance(4, 74)
         H_out = fit_coefficients(np.zeros_like(W), X, H, 50, 1e-7)
         np.testing.assert_array_equal(H_out, H)
-        np.testing.assert_array_equal(update_W(X, W, np.zeros_like(H), A, 0.0), W)
+        W_out = update_W(X, W, np.zeros_like(H), A, 0.0, iters=50, tol=1e-7)
+        np.testing.assert_array_equal(W_out, W)
 
 
 class TestMinvol:
@@ -317,6 +319,26 @@ class TestMinvol:
         assert len(state.objective_history) == 6
         assert calls == [(3, 60)]
 
+    def test_factors_each_iterate_once(self, monkeypatch):
+        # The factor that gives an iterate's objective also gives the next
+        # sweep's linearization: one Cholesky for the start, one per sweep.
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(Q):
+            calls.append(Q.shape)
+            return cholesky(Q)
+
+        rng = np.random.default_rng(27)
+        X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
+        init = snpa(X, 3)
+        cfg = MinvolConfig(lam=0.05, max_outer=5, tol=1e-300)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        state = minvol(X, 3, init.W0, init.H0, cfg)
+        sweeps = len(state.objective_history) - 1
+        assert sweeps == 5
+        assert calls == [(3, 3)] * (1 + sweeps)
+
     def test_rejects_nonconforming_shapes(self):
         X = np.ones((3, 4))
         with pytest.raises(InvalidInputError):
@@ -344,10 +366,8 @@ class TestLambdaFromInit:
         H0 = feasible_H(rng, 3, 8)
         X = rng.random((5, 8))
         lam = lambda_from_init(X, W0, H0, 0.37, 0.1)
-        from sqrtminvol.linalg import gram_shifted, logdet_spd
-
         res2 = frobenius_norm(X - W0 @ H0) ** 2
-        assert lam * logdet_spd(gram_shifted(W0, 0.1)) == pytest.approx(
+        assert lam * shifted_gram(W0, 0.1)[0] == pytest.approx(
             0.37 * res2, rel=1e-10
         )
 
@@ -358,9 +378,7 @@ class TestLambdaFromInit:
         W0 = rng.random((4, 2)) * 0.1
         H0 = feasible_H(rng, 2, 6)
         X = rng.random((4, 6))
-        from sqrtminvol.linalg import gram_shifted, logdet_spd
-
-        logdet = logdet_spd(gram_shifted(W0, 0.1))
+        logdet = shifted_gram(W0, 0.1)[0]
         assert logdet < 0.0
         lam = lambda_from_init(X, W0, H0, 0.37, 0.1)
         res2 = frobenius_norm(X - W0 @ H0) ** 2
@@ -389,6 +407,11 @@ class TestConfigValidation:
             MinvolConfig(lam=0.1, max_outer=0)
         with pytest.raises(InvalidParameterError):
             MinvolConfig(lam=0.1, inner_iters=0)
+
+    @pytest.mark.parametrize("name", ["max_outer", "inner_iters"])
+    def test_bad_iteration_count_is_named(self, name):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be >= 1, got 0$"):
+            MinvolConfig(lam=0.1, **{name: 0})
 
     def test_bad_tolerance(self):
         with pytest.raises(InvalidParameterError):

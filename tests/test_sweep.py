@@ -110,6 +110,22 @@ class TestExperimentSpec:
         assert tiny_spec().solve_rank == 4
         assert tiny_spec(rank=3).solve_rank == 3
 
+    @pytest.mark.parametrize(
+        "generator, rank",
+        [
+            (InstanceSpec("paper-4x4", n=40, sigma=0.0, seed=0), 0),
+            (InstanceSpec("paper-4x4", n=40, sigma=0.0, seed=0), 5),
+            (InstanceSpec("random-uniform", n=3, m=6, r=2, sigma=0.0, seed=0), 4),
+        ],
+        ids=["zero", "above-rows", "above-n"],
+    )
+    def test_rejects_a_rank_out_of_range(self, generator, rank):
+        # Every cell's SNPA would refuse it; the spec refuses it instead.
+        top = min(generator.rows, generator.n)
+        assert tiny_spec(generator=generator, rank=top).solve_rank == top
+        with pytest.raises(InvalidParameterError, match=rf"\[1, {top}\], got {rank}$"):
+            tiny_spec(generator=generator, rank=rank)
+
 
 class TestRunCell:
     def test_ok_cell_fills_fields(self):
@@ -402,6 +418,25 @@ class TestConfigParsing:
             parse_experiment_config(str(path))
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "exp.ini" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "solver, extra, where",
+        [
+            ("sqrt-minvol", "[solver]\ninner_iters = 0\n", r"\[solver\] inner_iters must be >= 1, got 0"),
+            ("minvol-baseline", "[solver]\nmax_outer = 0\n", r"\[solver\] max_outer must be >= 1, got 0"),
+            ("sqrt-minvol", "[solver]\nrank = 0\n", r"\[solver\] rank must be in \[1, min\(rows, n\)\] = \[1, 4\], got 0"),
+            ("sqrt-minvol", "[solver]\nrank = 9\n", r"\[solver\] rank must be in \[1, min\(rows, n\)\] = \[1, 4\], got 9"),
+            ("minvol-baseline", "[solver]\nepsilon = 5\n", r"\[solver\] epsilon is for"),
+            ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates"),
+        ],
+        ids=["inner_iters", "max_outer", "rank-zero", "rank-above-rows", "epsilon", "sweep-key"],
+    )
+    def test_setting_error_names_its_section(self, tmp_path, capsys, solver, extra, where):
+        path = self.experiment_ini(tmp_path, solver, extra)
+        with pytest.raises(InvalidInputError, match=where):
+            parse_experiment_config(str(path))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_generator_rejects_unknown_key(self, tmp_path):
