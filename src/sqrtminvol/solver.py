@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalFaultError
+from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
 from .linalg import as_matrix, frobenius_norm, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
 from .baseline import MinvolConfig, lambda_from_init, minvol
@@ -225,7 +225,24 @@ def f_eps(X, W, H, lam, delta, epsilon):
     return _f_eps_at(residual_r(X, W, H, epsilon), W, lam, delta)
 
 
-def sqrt_minvol(X, r, config, ground_truth=None):
+def _start_pair(Xm, r, start):
+    """The ``(W, H)`` a solve starts from: SNPA's, or ``start`` once checked."""
+    if start is None:
+        init = snpa(Xm, r)
+        return init.W0, init.H0
+    W0, H0 = start
+    W0, H0 = as_matrix(W0, "start W"), as_matrix(H0, "start H")
+    (m, n), r = Xm.shape, int(r)
+    if W0.shape != (m, r) or H0.shape != (r, n):
+        raise InvalidInputError(
+            f"start has shapes {W0.shape} and {H0.shape}; "
+            f"X and r = {r} need {(m, r)} and {(r, n)}"
+        )
+    require_feasible(W0, H0, "start")
+    return W0, H0
+
+
+def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     """Run the full solver: greedy initialization plus the MM loop.
 
     Parameters
@@ -238,6 +255,10 @@ def sqrt_minvol(X, r, config, ground_truth=None):
     ground_truth : tuple, optional
         ``(W_star, X_star)``; when given, recovery errors are recorded
         in the trace at every outer iteration.
+    start : tuple, optional
+        ``(W0, H0)`` to start from in place of ``snpa(X, r)``; it must
+        have shapes ``(m, r)`` and ``(r, n)`` and be feasible, or
+        ``InvalidInputError`` is raised.  It is read, never written.
 
     Returns
     -------
@@ -256,8 +277,7 @@ def sqrt_minvol(X, r, config, ground_truth=None):
 
     trace = SolveTrace()
     t0 = time.perf_counter()
-    init = snpa(Xm, r)
-    W, H = init.W0, init.H0
+    W, H = _start_pair(Xm, r, start)
     wall = time.perf_counter() - t0
 
     f_prev = None
@@ -320,7 +340,9 @@ def make_config(solver, lam=None, lambda_tilde=None, **settings):
     return config(lam=lam, **settings)
 
 
-def solve(X, r, solver, lam=None, lambda_tilde=None, ground_truth=None, **settings):
+def solve(
+    X, r, solver, lam=None, lambda_tilde=None, ground_truth=None, start=None, **settings
+):
     """Factor ``X`` from the SNPA start; the one solve path of CLI and sweeps.
 
     ``solver`` is ``"sqrt-minvol"`` or ``"minvol-baseline"``.  The weight
@@ -333,7 +355,9 @@ def solve(X, r, solver, lam=None, lambda_tilde=None, ground_truth=None, **settin
     outer iterations of ``sqrt-minvol`` and sweeps of the baseline.
     ``epsilon`` is for ``sqrt-minvol`` only (:data:`SOLVER_ONLY`), and so
     is ``ground_truth`` (``(W_star, X_star)``, recorded in every trace
-    row), which the baseline ignores.
+    row), which the baseline ignores.  ``start``, a feasible ``(W0, H0)``
+    pair, replaces the SNPA start for both solvers, and the baseline's
+    ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
     An unknown solver, a setting of the other solver or a weight not
     given exactly once raises :class:`InvalidParameterError`.
@@ -347,12 +371,12 @@ def solve(X, r, solver, lam=None, lambda_tilde=None, ground_truth=None, **settin
     """
     cfg = make_config(solver, lam, lambda_tilde, **settings)
     if solver == "sqrt-minvol":
-        pair, trace = sqrt_minvol(X, r, cfg, ground_truth=ground_truth)
+        pair, trace = sqrt_minvol(X, r, cfg, ground_truth=ground_truth, start=start)
         return pair.W, pair.H, cfg, trace.rows[-1].f_eps, trace.rows[-1].k, trace
-    init = snpa(X, r)
+    W0, H0 = _start_pair(as_matrix(X, "X"), r, start)
     if lambda_tilde is not None:
-        lam = lambda_from_init(X, init.W0, init.H0, lambda_tilde, cfg.delta)
+        lam = lambda_from_init(X, W0, H0, lambda_tilde, cfg.delta)
         cfg = replace(cfg, lam=lam)
-    state = minvol(X, r, init.W0, init.H0, cfg)
+    state = minvol(X, r, W0, H0, cfg)
     history = state.objective_history
     return state.W, state.H, cfg, history[-1], len(history) - 1, state

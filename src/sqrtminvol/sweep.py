@@ -1,10 +1,12 @@
 """Declarative (sigma, lambda) sweeps over synthetic instances.
 
 An experiment is a grid: noise levels x penalty weights x replicates,
-one solver, one generator.  Cells share nothing mutable; each one
-regenerates its instance from a seed derived off (base_seed, replicate,
-sigma index), so the same instance is reused across the lambda axis and
-results do not depend on execution order or worker count.
+one solver, one generator.  A cell's instance seed is derived off
+(base_seed, replicate, sigma index), never lambda, so every cell of a
+(sigma, replicate) row solves the same instance from the same SNPA
+start.  A row shares them: its first cell builds the instance and the
+start, and the row's other cells reuse them, read-only.  Nothing else is
+shared, and results do not depend on execution order or worker count.
 
 Config files are flat INI text with [generator], [sweep] and optional
 [solver] sections (:data:`INI_KEYS`; any other section or key is an
@@ -20,6 +22,7 @@ import numpy as np
 
 from .datagen import InstanceSpec, make_instance
 from .errors import InvalidInputError, InvalidParameterError, SqrtMinvolError
+from .initialization import snpa
 from .metrics import rel_rmse_W, rel_rmse_X
 from .solver import make_config, solve
 
@@ -54,13 +57,14 @@ class ExperimentSpec:
     fields are overwritten per cell.  For the baseline solver the
     ``lambda_grid`` values are reference weights rescaled per instance
     from the initialization (the lambda-tilde convention); for the
-    square-root solver they are used as-is.  ``rank`` and the settings
-    passed to :func:`~sqrtminvol.solver.solve` under the same names take
-    the solver's default when None; ``max_outer`` budgets both solvers.
-    A setting the solver would refuse (``epsilon`` on a baseline spec,
-    see :data:`~sqrtminvol.solver.SOLVER_ONLY`, ``max_outer = 0``, or a
-    ``rank`` outside ``[1, min(rows, n)]`` of the generator) is refused
-    when the spec is built, not in every cell.
+    square-root solver they are used as-is.  Every cell solves at the
+    generator's rank.  The settings passed to
+    :func:`~sqrtminvol.solver.solve` under the same names take the
+    solver's default when None; ``max_outer`` budgets both solvers.  A
+    setting the solver would refuse (``epsilon`` on a baseline spec, see
+    :data:`~sqrtminvol.solver.SOLVER_ONLY`, or ``max_outer = 0``) and a
+    generator whose rank SNPA cannot select (``r`` above ``min(m, n)``)
+    are refused when the spec is built, not in every cell.
     """
 
     generator: InstanceSpec
@@ -70,7 +74,6 @@ class ExperimentSpec:
     replicates: int
     base_seed: int
     out_dir: str = None
-    rank: int = None
     delta: float = None
     epsilon: float = None
     max_outer: int = None
@@ -78,6 +81,7 @@ class ExperimentSpec:
     inner_iters: int = None
 
     def __post_init__(self):
+        _check_rank(self.generator)
         if len(self.sigma_grid) == 0:
             raise InvalidParameterError("sigma_grid must be non-empty")
         if len(self.lambda_grid) == 0:
@@ -90,17 +94,8 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"lambda grid values must be > 0, got {l}")
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be >= 1")
-        top = min(self.generator.rows, self.generator.n)
-        if self.rank is not None and not 1 <= self.rank <= top:
-            raise InvalidParameterError(
-                f"rank must be in [1, min(rows, n)] = [1, {top}], got {self.rank}"
-            )
         # A setting the solver rejects fails here, not once in every cell.
         make_config(self.solver, **self.solve_settings(self.lambda_grid[0]))
-
-    @property
-    def solve_rank(self):
-        return self.generator.rank if self.rank is None else self.rank
 
     def solve_settings(self, lam):
         """Keywords of :func:`~sqrtminvol.solver.solve` for grid weight ``lam``."""
@@ -111,7 +106,12 @@ class ExperimentSpec:
 
 @dataclass
 class SweepRecord:
-    """One grid cell result; ``lam`` holds the grid value for the cell."""
+    """One grid cell result; ``lam`` holds the grid value for the cell.
+
+    ``wall_ms`` is the cell's own time, except that the first cell of a
+    row (or of a row's chunk, see :func:`run_sweep`) also carries the
+    instance and SNPA start that the row's other cells reuse.
+    """
 
     solver: str
     sigma: float
@@ -143,16 +143,44 @@ def cell_seed(base_seed, replicate, sigma_index):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _solve_cell(spec, X, gt, lam):
+def _row_start(spec, sigma, seed, row):
+    """A row's ``(gt, X, (W0, H0))``, built by the first cell that asks.
+
+    ``row`` is the dict the row's cells share.  A fault while building is
+    kept there and raised again in every cell of the row, as each cell
+    would have raised it building its own.  ``X`` and the start are made
+    read-only, so no cell can change what the next one starts from.
+    """
+    if not row:
+        try:
+            gt, X = make_instance(replace(spec.generator, sigma=sigma, seed=seed))
+            init = snpa(X, spec.generator.rank)
+            for M in (X, init.W0, init.H0):
+                M.setflags(write=False)
+            row["built"] = gt, X, (init.W0, init.H0)
+        except SqrtMinvolError as err:
+            row["fault"] = err
+    if "fault" in row:
+        raise row["fault"]
+    return row["built"]
+
+
+def _solve_cell(spec, X, gt, lam, start):
     """Run the configured solver; returns (relX, relW, final_obj, iters)."""
     W, H, _, final_obj, iters, _ = solve(
-        X, spec.solve_rank, spec.solver, **spec.solve_settings(lam)
+        X, spec.generator.rank, spec.solver, start=start, **spec.solve_settings(lam)
     )
     return rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W), final_obj, iters
 
 
-def run_cell(spec, sigma_index, replicate, lambda_index):
-    """Execute one grid cell; solver faults land in the status field."""
+def run_cell(spec, sigma_index, replicate, lambda_index, row=None):
+    """Execute one grid cell; solver faults land in the status field.
+
+    Cells given the same ``row`` dict, all of one (sigma, replicate) row,
+    share its instance and SNPA start: the first of them builds both
+    inside its own call and ``wall_ms``, and the others reuse them.  A
+    cell without ``row`` builds its own.
+    """
     sigma = spec.sigma_grid[sigma_index]
     lam = spec.lambda_grid[lambda_index]
     seed = cell_seed(spec.base_seed, replicate, sigma_index)
@@ -161,9 +189,9 @@ def run_cell(spec, sigma_index, replicate, lambda_index):
     )
     t0 = time.perf_counter()
     try:
-        gt, X = make_instance(replace(spec.generator, sigma=sigma, seed=seed))
+        gt, X, start = _row_start(spec, sigma, seed, {} if row is None else row)
         rec.rel_rmse_X, rec.rel_rmse_W, rec.final_obj, rec.outer_iters = _solve_cell(
-            spec, X, gt, lam
+            spec, X, gt, lam, start
         )
     except SqrtMinvolError as err:
         rec.status = f"fault:{type(err).__name__}"
@@ -171,22 +199,49 @@ def run_cell(spec, sigma_index, replicate, lambda_index):
     return rec
 
 
-def _run_cell_packed(args):
-    return run_cell(*args)
+def _tasks(spec, jobs):
+    """``(sigma_index, replicate, lambda_indices)`` per task, in grid order.
+
+    A task is one (sigma, replicate) row, or when there are fewer rows
+    than ``jobs``, one of ``ceil(jobs / rows)`` contiguous chunks of it,
+    so that every worker gets work.
+    """
+    rows = [
+        (si, rep) for si in range(len(spec.sigma_grid)) for rep in range(spec.replicates)
+    ]
+    n = len(spec.lambda_grid)
+    chunks = min(n, -(-max(int(jobs), 1) // len(rows)))
+    return [
+        (si, rep, range(c * n // chunks, (c + 1) * n // chunks))
+        for si, rep in rows
+        for c in range(chunks)
+    ]
+
+
+def _run_task(spec, sigma_index, replicate, lambda_indices):
+    """Run some cells of one row from one shared instance and start."""
+    row = {}
+    return [run_cell(spec, sigma_index, replicate, li, row) for li in lambda_indices]
+
+
+def _run_task_packed(args):
+    return _run_task(*args)
 
 
 def run_sweep(spec, jobs=1):
-    """Run every cell; output order is the grid order (sigma, replicate, lambda)."""
-    cells = [
-        (spec, si, rep, li)
-        for si in range(len(spec.sigma_grid))
-        for rep in range(spec.replicates)
-        for li in range(len(spec.lambda_grid))
-    ]
+    """Run every cell; output order is the grid order (sigma, replicate, lambda).
+
+    The tasks are rows, or chunks of rows (:func:`_tasks`), each sharing
+    one instance and SNPA start; with ``jobs`` above 1 they run on a
+    process pool of that many workers.
+    """
+    tasks = [(spec, *task) for task in _tasks(spec, jobs)]
     if jobs <= 1:
-        return [run_cell(*c) for c in cells]
-    with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-        return list(pool.map(_run_cell_packed, cells, chunksize=1))
+        done = [_run_task(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+            done = list(pool.map(_run_task_packed, tasks, chunksize=1))
+    return [rec for records in done for rec in records]
 
 
 def _fmt(x):
@@ -278,7 +333,7 @@ INI_KEYS = {
         out=str,
     ),
     "solver": dict(
-        rank=int, delta=float, epsilon=float, max_outer=int, tol=float, inner_iters=int
+        delta=float, epsilon=float, max_outer=int, tol=float, inner_iters=int
     ),
 }
 
@@ -315,9 +370,22 @@ def _read_ini(path, required):
     return ini
 
 
-def _build_generator(path, values):
+def _check_rank(generator):
+    """Refuse a generator whose rank SNPA cannot select from its data."""
+    top = min(generator.rows, generator.n)
+    if generator.rank > top:
+        raise InvalidParameterError(
+            f"r = {generator.rank} exceeds min(m, n) = {top}: "
+            f"a sweep cannot select {generator.rank} columns"
+        )
+
+
+def _build_generator(path, values, for_sweep=False):
     try:
-        return InstanceSpec(**values)
+        generator = InstanceSpec(**values)
+        if for_sweep:
+            _check_rank(generator)
+        return generator
     except InvalidParameterError as err:
         raise _config_error(path, "generator", str(err)) from err
 
@@ -333,7 +401,9 @@ def parse_experiment_config(path):
     ini = _read_ini(
         path, {"generator": ("name", "n"), "sweep": ("solver", "sigmas", "base_seed")}
     )
-    generator = _build_generator(path, {"sigma": 0.0, "seed": 0, **ini["generator"]})
+    generator = _build_generator(
+        path, {"sigma": 0.0, "seed": 0, **ini["generator"]}, for_sweep=True
+    )
     sweep = ini["sweep"]
     # Either spelling of the grid is accepted, but only one of them.
     if "lambdas" in sweep and "lambda_tildes" in sweep:

@@ -444,11 +444,16 @@ class TestSweep:
         assert strip_wall(out1 / "sweep.csv") != strip_wall(out2 / "sweep.csv")
 
     def test_out_of_range_rank_exits_2(self, tmp_path, capsys):
-        # paper-4x4 has 4 rows, so rank 9 would fault every cell.
-        ini = write_ini(tmp_path, SWEEP_INI + "rank = 9\n", "sweep.ini")
+        # paper-4x4 has rank 4, so 3 columns would fault every cell in SNPA.
+        ini = write_ini(tmp_path, SWEEP_INI.replace("n = 40\n", "n = 3\n"), "sweep.ini")
         out = tmp_path / "out"
         assert main(["sweep", ini, "--out", str(out)]) == 2
-        assert "[solver] rank must be in [1, min(rows, n)] = [1, 4], got 9" in capsys.readouterr().err
+        assert "[generator] r = 4 exceeds min(m, n) = 3" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        # Any other solve rank would fault every cell in rel_rmse_W.
+        ini = write_ini(tmp_path, SWEEP_INI + "rank = 4\n", "sweep.ini")
+        assert main(["sweep", ini, "--out", str(out)]) == 2
+        assert "[solver] unknown key 'rank'" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_no_output_directory_exits_2(self, tmp_path, capsys):

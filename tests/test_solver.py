@@ -17,6 +17,7 @@ from sqrtminvol.initialization import snpa
 from sqrtminvol.solver import (
     INNER_SWEEPS,
     INNER_TOL,
+    SolveTrace,
     SqrtConfig,
     f_eps,
     lambda_k,
@@ -395,3 +396,71 @@ class TestSolveSettings:
         _, _, cfg, _, iters, _ = solve(X, 4, solver, **{weight: 0.1}, **settings)
         assert {key: getattr(cfg, key) for key in settings} == settings
         assert iters == 3
+
+
+class TestSolveStart:
+    """``start=(W0, H0)`` replaces the SNPA start and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return make_instance(InstanceSpec("paper-4x4", n=60, sigma=1e-3, seed=2))
+
+    @staticmethod
+    def answer(result):
+        W, H, cfg, final_obj, iters, trace = result
+        if isinstance(trace, SolveTrace):
+            rows = [(r.k, r.f_eps, r.r_k, r.lambda_k, r.sigma_hat, r.rel_rmse_X,
+                     r.rel_rmse_W) for r in trace.rows]
+            trace = (rows, trace.stop)
+        else:
+            trace = trace.objective_history
+        return W.tobytes(), H.tobytes(), cfg, final_obj, iters, trace
+
+    @pytest.mark.parametrize(
+        "solver, settings",
+        [
+            ("sqrt-minvol", {"lam": 0.5, "epsilon": 1e-9}),
+            ("minvol-baseline", {"lambda_tilde": 0.01}),
+            ("minvol-baseline", {"lam": 0.05}),
+        ],
+        ids=["sqrt", "baseline-tilde", "baseline-lam"],
+    )
+    def test_snpa_start_is_bitwise_the_default(self, instance, solver, settings):
+        gt, X = instance
+        init = snpa(X, 4)
+        start = (init.W0.copy(), init.H0.copy())
+        for M in start:
+            M.setflags(write=False)  # the solver reads the start, never writes it
+        settings = dict(settings, max_outer=5, inner_iters=10)
+        if solver == "sqrt-minvol":
+            settings["ground_truth"] = (gt.W_star, gt.X_star)
+        default = solve(X, 4, solver, **settings)
+        started = solve(X, 4, solver, start=start, **settings)
+        assert self.answer(started) == self.answer(default)
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["W-columns", "W-rows", "H-columns", "W-negative", "H-negative", "H-overfull", "W-nan"],
+    )
+    def test_bad_start_raises(self, instance, solver, bad):
+        _, X = instance
+        init = snpa(X, 4)
+        W0, H0 = init.W0.copy(), init.H0.copy()
+        if bad == "W-columns":
+            W0, H0 = W0[:, :3], H0[:3]
+        elif bad == "W-rows":
+            W0 = W0[:3]
+        elif bad == "H-columns":
+            H0 = H0[:, :-1]
+        elif bad == "W-negative":
+            W0[0, 0] = -1e-3
+        elif bad == "H-negative":
+            H0[0, 0] = -1e-3
+        elif bad == "H-overfull":
+            H0[:, 0] = 0.5
+        else:
+            W0[1, 1] = np.nan
+        weight = {"lam": 0.5} if solver == "sqrt-minvol" else {"lambda_tilde": 0.01}
+        with pytest.raises(InvalidInputError, match="start"):
+            solve(X, 4, solver, start=(W0, H0), max_outer=2, **weight)

@@ -1,9 +1,12 @@
+import dataclasses
 import io
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqrtminvol.solver as solver_mod
 import sqrtminvol.sweep as sweep_mod
 from sqrtminvol.cli import main
 from sqrtminvol.datagen import InstanceSpec
@@ -106,25 +109,28 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameterError, match="epsilon"):
             solve(X, 2, "minvol-baseline", lam=0.1, epsilon=1e-3)
 
-    def test_solve_rank_falls_back_to_generator(self):
-        assert tiny_spec().solve_rank == 4
-        assert tiny_spec(rank=3).solve_rank == 3
+    def test_rank_is_the_generators(self):
+        # Any other rank would fault every cell in rel_rmse_W (shapes differ).
+        with pytest.raises(TypeError, match="rank"):
+            tiny_spec(rank=3)
 
     @pytest.mark.parametrize(
-        "generator, rank",
+        "generator, fits",
         [
-            (InstanceSpec("paper-4x4", n=40, sigma=0.0, seed=0), 0),
-            (InstanceSpec("paper-4x4", n=40, sigma=0.0, seed=0), 5),
-            (InstanceSpec("random-uniform", n=3, m=6, r=2, sigma=0.0, seed=0), 4),
+            (dict(name="random-uniform", m=3, r=5, n=40), dict(m=5)),
+            (dict(name="random-uniform", m=6, r=4, n=3), dict(n=4)),
+            (dict(name="paper-4x4", n=3), dict(n=4)),
         ],
-        ids=["zero", "above-rows", "above-n"],
+        ids=["above-rows", "above-n", "paper-4x4-above-n"],
     )
-    def test_rejects_a_rank_out_of_range(self, generator, rank):
+    def test_rejects_a_rank_out_of_range(self, generator, fits):
         # Every cell's SNPA would refuse it; the spec refuses it instead.
-        top = min(generator.rows, generator.n)
-        assert tiny_spec(generator=generator, rank=top).solve_rank == top
-        with pytest.raises(InvalidParameterError, match=rf"\[1, {top}\], got {rank}$"):
-            tiny_spec(generator=generator, rank=rank)
+        too_big = InstanceSpec(sigma=0.0, seed=0, **generator)
+        top = min(too_big.rows, too_big.n)
+        with pytest.raises(InvalidParameterError, match=rf"r = {too_big.rank} exceeds min\(m, n\) = {top}"):
+            tiny_spec(generator=too_big)
+        # At r = min(m, n) the spec is built.
+        tiny_spec(generator=dataclasses.replace(too_big, **fits))
 
 
 class TestRunCell:
@@ -159,7 +165,7 @@ class TestRunCell:
         assert loose.outer_iters < default.outer_iters
 
     def test_fault_is_recorded_not_raised(self, monkeypatch):
-        def boom(spec, X, gt, lam):
+        def boom(spec, X, gt, lam, start):
             raise NumericalFaultError("synthetic blow-up")
 
         monkeypatch.setattr(sweep_mod, "_solve_cell", boom)
@@ -184,10 +190,10 @@ class TestRunSweep:
     def test_fault_does_not_stop_the_sweep(self, monkeypatch):
         real = sweep_mod._solve_cell
 
-        def sometimes(spec, X, gt, lam):
+        def sometimes(spec, X, gt, lam, start):
             if lam == 0.01:
                 raise NumericalFaultError("synthetic blow-up")
-            return real(spec, X, gt, lam)
+            return real(spec, X, gt, lam, start)
 
         monkeypatch.setattr(sweep_mod, "_solve_cell", sometimes)
         records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
@@ -207,6 +213,107 @@ class TestRunSweep:
             return [",".join(line.split(",")[:-1]) for line in lines]
 
         assert strip_wall(serial) == strip_wall(parallel)
+
+
+class TestRowSharing:
+    """A (sigma, replicate) row builds its instance and SNPA start once."""
+
+    @staticmethod
+    def one_row(**overrides):
+        grid = (1.0, 0.5, 0.1, 0.05, 0.01, 0.005)
+        return tiny_spec(sigma_grid=(0.01,), replicates=1, lambda_grid=grid, **overrides)
+
+    def test_one_instance_and_start_per_row(self, monkeypatch):
+        calls = {"snpa": 0, "make_instance": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        snpa = counting("snpa", solver_mod.snpa)
+        for module in (solver_mod, sweep_mod):
+            monkeypatch.setattr(module, "snpa", snpa, raising=False)
+        make_instance = counting("make_instance", sweep_mod.make_instance)
+        monkeypatch.setattr(sweep_mod, "make_instance", make_instance)
+        records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
+        # 2 sigmas x 2 replicates = 4 rows of 2 lambdas each.
+        assert len(records) == 8 and all(r.status == "ok" for r in records)
+        assert calls == {"snpa": 4, "make_instance": 4}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("grid", ["rows", "one-row"])
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_records_equal_cells_run_alone(self, solver, grid, jobs):
+        settings = dict(solver=solver, max_outer=3, inner_iters=5)
+        spec = self.one_row(**settings) if grid == "one-row" else tiny_spec(**settings)
+        alone = [
+            run_cell(spec, si, rep, li)
+            for si in range(len(spec.sigma_grid))
+            for rep in range(spec.replicates)
+            for li in range(len(spec.lambda_grid))
+        ]
+
+        def fields(rec):
+            values = dataclasses.asdict(rec)
+            del values["wall_ms"]
+            return values
+
+        assert all(r.status == "ok" for r in alone)
+        assert [fields(r) for r in run_sweep(spec, jobs=jobs)] == [fields(r) for r in alone]
+
+    def test_few_rows_are_split_into_chunks(self):
+        def chunks(spec, jobs):
+            return [(si, rep, list(lis)) for si, rep, lis in sweep_mod._tasks(spec, jobs)]
+
+        spec = self.one_row()
+        assert chunks(spec, 1) == [(0, 0, [0, 1, 2, 3, 4, 5])]
+        assert chunks(spec, 2) == [(0, 0, [0, 1, 2]), (0, 0, [3, 4, 5])]
+        assert chunks(spec, 4) == [(0, 0, [0]), (0, 0, [1, 2]), (0, 0, [3]), (0, 0, [4, 5])]
+        assert len(chunks(spec, 64)) == 6  # never more chunks than cells
+        # As many rows as jobs or more: one task per row.
+        assert chunks(tiny_spec(), 4) == [
+            (si, rep, [0, 1]) for si in range(2) for rep in range(2)
+        ]
+        assert len(chunks(tiny_spec(), 5)) == 8
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the pool workers must inherit the patched task function",
+    )
+    def test_one_row_runs_on_two_workers(self, monkeypatch):
+        # Each task waits until the other has started, so the sweep only
+        # finishes if its two chunks run at the same time on two workers.
+        barrier = multiprocessing.Barrier(2)
+        real = sweep_mod._run_task
+
+        def meet_then_run(*args):
+            barrier.wait(timeout=30)
+            return real(*args)
+
+        monkeypatch.setattr(sweep_mod, "_run_task", meet_then_run)
+        records = run_sweep(self.one_row(max_outer=2, inner_iters=5), jobs=2)
+        assert [r.status for r in records] == ["ok"] * 6
+
+    @pytest.mark.parametrize("where", ["make_instance", "snpa"])
+    def test_a_row_fault_marks_that_row_only(self, monkeypatch, where):
+        calls = []
+        real = getattr(sweep_mod, where)
+
+        def second_row_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericalFaultError("synthetic blow-up")
+            return real(*args)
+
+        monkeypatch.setattr(sweep_mod, where, second_row_fails)
+        records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
+        fault = "fault:NumericalFaultError"
+        assert [r.status for r in records] == ["ok"] * 2 + [fault] * 2 + ["ok"] * 4
+        assert len(calls) == 4  # the fault is kept for the row, not rebuilt
+        assert all(r.rel_rmse_X is None for r in records if r.status == fault)
 
 
 class TestSummarize:
@@ -382,11 +489,11 @@ class TestConfigParsing:
             parse_experiment_config(str(path))
 
     @staticmethod
-    def experiment_ini(tmp_path, solver, extra=""):
+    def experiment_ini(tmp_path, solver, extra="", generator="name = paper-4x4\nn = 40\n"):
         grid = "lambda_tildes" if solver == "minvol-baseline" else "lambdas"
         path = tmp_path / "exp.ini"
         path.write_text(
-            "[generator]\nname = paper-4x4\nn = 40\n"
+            f"[generator]\n{generator}"
             f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid} = 0.1\nbase_seed = 1\n"
             + extra
         )
@@ -409,8 +516,17 @@ class TestConfigParsing:
             ("sqrt-minvol", "[solver]\nmax_outter = 1\n", r"\[solver\] unknown key 'max_outter'"),
             ("sqrt-minvol", "replicate = 3\n", r"\[sweep\] unknown key 'replicate'"),
             ("sqrt-minvol", "[solvr]\nmax_outer = 1\n", r"unknown section \[solvr\]"),
+            # The generator's rank is the only one a sweep can score.
+            ("sqrt-minvol", "[solver]\nrank = 4\n", r"\[solver\] unknown key 'rank'"),
         ],
-        ids=["baseline_sweeps-baseline", "baseline_sweeps-sqrt", "typo", "sweep-key", "section"],
+        ids=[
+            "baseline_sweeps-baseline",
+            "baseline_sweeps-sqrt",
+            "typo",
+            "sweep-key",
+            "section",
+            "rank",
+        ],
     )
     def test_unknown_key_or_section_exits_2(self, tmp_path, capsys, solver, extra, where):
         path = self.experiment_ini(tmp_path, solver, extra)
@@ -421,19 +537,25 @@ class TestConfigParsing:
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
-        "solver, extra, where",
+        "solver, extra, where, generator",
         [
-            ("sqrt-minvol", "[solver]\ninner_iters = 0\n", r"\[solver\] inner_iters must be >= 1, got 0"),
-            ("minvol-baseline", "[solver]\nmax_outer = 0\n", r"\[solver\] max_outer must be >= 1, got 0"),
-            ("sqrt-minvol", "[solver]\nrank = 0\n", r"\[solver\] rank must be in \[1, min\(rows, n\)\] = \[1, 4\], got 0"),
-            ("sqrt-minvol", "[solver]\nrank = 9\n", r"\[solver\] rank must be in \[1, min\(rows, n\)\] = \[1, 4\], got 9"),
-            ("minvol-baseline", "[solver]\nepsilon = 5\n", r"\[solver\] epsilon is for"),
-            ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates"),
+            ("sqrt-minvol", "[solver]\ninner_iters = 0\n", r"\[solver\] inner_iters must be >= 1, got 0", None),
+            ("minvol-baseline", "[solver]\nmax_outer = 0\n", r"\[solver\] max_outer must be >= 1, got 0", None),
+            (
+                "sqrt-minvol",
+                "",
+                r"\[generator\] r = 5 exceeds min\(m, n\) = 3",
+                "name = random-uniform\nn = 40\nm = 3\nr = 5\n",
+            ),
+            ("minvol-baseline", "", r"\[generator\] r = 4 exceeds min\(m, n\) = 3", "name = paper-4x4\nn = 3\n"),
+            ("minvol-baseline", "[solver]\nepsilon = 5\n", r"\[solver\] epsilon is for", None),
+            ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates", None),
         ],
-        ids=["inner_iters", "max_outer", "rank-zero", "rank-above-rows", "epsilon", "sweep-key"],
+        ids=["inner_iters", "max_outer", "rank-above-rows", "rank-above-n", "epsilon", "sweep-key"],
     )
-    def test_setting_error_names_its_section(self, tmp_path, capsys, solver, extra, where):
-        path = self.experiment_ini(tmp_path, solver, extra)
+    def test_setting_error_names_its_section(self, tmp_path, capsys, solver, extra, where, generator):
+        kwargs = {} if generator is None else {"generator": generator}
+        path = self.experiment_ini(tmp_path, solver, extra, **kwargs)
         with pytest.raises(InvalidInputError, match=where):
             parse_experiment_config(str(path))
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
