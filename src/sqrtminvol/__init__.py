@@ -25,7 +25,6 @@ _EXPORTS = {
     "spectral_norm": "linalg",
     # projections
     "project_nonneg": "projections",
-    "project_capped_simplex": "projections",
     "project_H_columns": "projections",
     # matrix text files
     "read_matrix": "matrixio",
@@ -55,8 +54,6 @@ _EXPORTS = {
     "rel_rmse_W": "metrics",
     "align_columns": "metrics",
     "AlignmentResult": "metrics",
-    "pca_2d": "metrics",
-    "project_2d": "metrics",
     # data generation
     "InstanceSpec": "datagen",
     "GroundTruth": "datagen",

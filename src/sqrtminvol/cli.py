@@ -1,4 +1,4 @@
-"""Command line front end: generate, solve, sweep, pca.
+"""Command line front end: generate, solve, sweep.
 
 Exit codes: 0 success, 2 invalid input or config, 3 numerical fault.
 
@@ -22,7 +22,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import InvalidInputError, NumericalFaultError, SqrtMinvolError
+from .errors import (
+    InvalidInputError,
+    InvalidParameterError,
+    NumericalFaultError,
+    SqrtMinvolError,
+)
 
 
 def _manifest_text(spec):
@@ -37,6 +42,14 @@ def _manifest_text(spec):
     return "\n".join(lines) + "\n"
 
 
+def _with_seed(spec, section, **seed):
+    """``spec`` with its seed set from ``--seed``, refused as the INI key would be."""
+    try:
+        return replace(spec, **seed)
+    except InvalidParameterError as err:
+        raise InvalidInputError(f"--seed: [{section}] {err}") from err
+
+
 def cmd_generate(args):
     from .datagen import make_instance
     from .matrixio import write_matrix
@@ -44,7 +57,7 @@ def cmd_generate(args):
 
     spec = parse_generator_config(args.config)
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        spec = _with_seed(spec, "generator", seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt, X = make_instance(spec)
@@ -135,7 +148,7 @@ def cmd_sweep(args):
 
     spec = parse_experiment_config(args.config)
     if args.seed is not None:
-        spec = replace(spec, base_seed=args.seed)
+        spec = _with_seed(spec, "sweep", base_seed=args.seed)
     out_dir = args.out if args.out is not None else spec.out_dir
     if out_dir is None:
         raise InvalidInputError("no output directory: give --out or an 'out' key")
@@ -149,23 +162,6 @@ def cmd_sweep(args):
         write_summary_csv(fh, rows)
     print(out / "sweep.csv")
     print(out / "summary.csv")
-    return 0
-
-
-def cmd_pca(args):
-    from .matrixio import read_matrix
-    from .metrics import pca_2d, write_pca_csv
-
-    X = read_matrix(args.x_path)
-    frame = pca_2d(X)
-    named = [("X", X)]
-    if args.w_star:
-        named.append(("W_star", read_matrix(args.w_star)))
-    if args.w_hat:
-        named.append(("W_hat", read_matrix(args.w_hat)))
-    with open(args.out, "w") as fh:
-        write_pca_csv(fh, frame, named)
-    print(args.out)
     return 0
 
 
@@ -207,13 +203,6 @@ def build_parser():
     p_sweep.add_argument("--seed", type=int, default=None, help="override base seed")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_pca = sub.add_parser("pca", help="2-D projection CSV of data and factors")
-    p_pca.add_argument("x_path", help="data matrix whose columns fix the frame")
-    p_pca.add_argument("--w-star", default=None)
-    p_pca.add_argument("--w-hat", default=None)
-    p_pca.add_argument("--out", required=True, help="output CSV path")
-    p_pca.set_defaults(func=cmd_pca)
     return parser
 
 

@@ -72,10 +72,16 @@ class InstanceSpec:
             )
         if self.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if self.sigma < 0.0:
-            raise InvalidParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if not (self.alpha > 0.0):
-            raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
+        if not (0.0 <= self.sigma < np.inf):
+            raise InvalidParameterError(
+                f"sigma must be finite and >= 0, got {self.sigma}"
+            )
+        if not (0.0 < self.alpha < np.inf):
+            raise InvalidParameterError(
+                f"alpha must be finite and > 0, got {self.alpha}"
+            )
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.name == "paper-4x4":
             if self.m not in (None, 4) or self.r not in (None, 4):
                 raise InvalidParameterError("paper-4x4 is fixed at m = r = 4")

@@ -1,10 +1,11 @@
-"""Recovery metrics and a small PCA helper for visual checks.
+"""Recovery metrics: fit error on X and column-matched error on W.
 
 Factorizations are only identifiable up to a permutation of the rank-r
 components, so errors on W are measured after optimally matching
 estimated columns to true ones.  The matching is a linear assignment
 problem on an r x r cost matrix, solved exactly by the Hungarian method
-in numpy.
+in numpy.  The 2-D picture of data and vertices that the paper draws is
+a demo, ``demos/paper_picture.py``, not part of the package.
 """
 
 from dataclasses import dataclass
@@ -19,13 +20,7 @@ __all__ = [
     "AlignmentResult",
     "align_columns",
     "rel_rmse_W",
-    "Pca2d",
-    "pca_2d",
-    "project_2d",
-    "write_pca_csv",
 ]
-
-PCA_HEADER = "set,index,pc1,pc2"
 
 
 def rel_rmse_X(X_star, W, H):
@@ -122,58 +117,3 @@ def rel_rmse_W(W_star, W_hat):
     res = align_columns(Ws, W_hat)
     aligned = as_matrix(W_hat, "W_hat")[:, res.permutation]
     return frobenius_norm(Ws - aligned) / denom
-
-
-@dataclass(frozen=True)
-class Pca2d:
-    """Affine map onto the top two principal directions of a point set."""
-
-    mean: np.ndarray
-    basis: np.ndarray
-
-
-def pca_2d(X):
-    """Fit the 2-D PCA of the columns of ``X``.
-
-    The sign of each direction is fixed by making its largest-magnitude
-    entry positive, so the output does not depend on solver internals.
-    """
-    Xm = as_matrix(X, "X")
-    m, n = Xm.shape
-    if m < 2:
-        raise InvalidInputError(f"pca_2d needs points in dimension >= 2, got {m}")
-    mean = Xm.mean(axis=1)
-    Z = Xm - mean[:, None]
-    S = (Z @ Z.T) / n
-    S = 0.5 * (S + S.T)
-    _, vecs = np.linalg.eigh(S)
-    basis = np.empty((m, 2))
-    for out_col, eig_col in enumerate((m - 1, m - 2)):
-        v = vecs[:, eig_col].copy()
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0.0:
-            v = -v
-        basis[:, out_col] = v
-    return Pca2d(mean=mean, basis=basis)
-
-
-def project_2d(p, points):
-    """Coordinates of column points in the fitted 2-D frame, one row each."""
-    P = as_matrix(points, "points")
-    if P.shape[0] != p.mean.shape[0]:
-        raise InvalidInputError(
-            f"points live in dimension {P.shape[0]}, PCA frame in {p.mean.shape[0]}"
-        )
-    return ((P - p.mean[:, None]).T @ p.basis)
-
-
-def write_pca_csv(fh, p, named_sets):
-    """Write ``set,index,pc1,pc2`` rows for each named point set.
-
-    All sets share the same frame ``p`` so overlays are comparable.
-    """
-    fh.write(PCA_HEADER + "\n")
-    for name, points in named_sets:
-        coords = project_2d(p, points)
-        for i in range(coords.shape[0]):
-            fh.write(f"{name},{i},{coords[i, 0]:.17g},{coords[i, 1]:.17g}\n")

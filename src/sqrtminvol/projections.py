@@ -27,7 +27,6 @@ from .linalg import as_matrix
 
 __all__ = [
     "project_nonneg",
-    "project_capped_simplex",
     "project_H_columns",
     "require_feasible",
 ]
@@ -49,20 +48,6 @@ SORTING_NETWORKS = {
 def project_nonneg(M):
     """Entrywise clamp to the nonnegative orthant."""
     return np.maximum(np.asarray(M, dtype=np.float64), 0.0)
-
-
-def project_capped_simplex(v):
-    """Project a vector onto ``{h >= 0, sum(h) <= 1}``.
-
-    Clamps to the nonnegative orthant first; if the clamped vector
-    already fits under the cap it is returned unchanged, otherwise the
-    vector is projected onto the unit simplex.
-    """
-    w = np.asarray(v, dtype=np.float64)
-    if w.ndim != 1:
-        raise InvalidInputError(f"expected a vector, got ndim={w.ndim}")
-    out = project_H_columns(w[:, None])
-    return out[:, 0]
 
 
 def project_H_columns(H):

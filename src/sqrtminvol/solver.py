@@ -204,25 +204,18 @@ def lambda_k(r_k, lam):
     return float(2.0 * float(lam) * np.sqrt(r_k))
 
 
-def _sigma_hat_at(r, shape):
-    m, n = shape
-    return float(np.sqrt(r) / (m * n))
-
-
 def sigma_hat(X, W, H, epsilon):
     """Residual-based noise-scale estimate ``sqrt(r) / (m n)``."""
     Xm = as_matrix(X, "X")
-    return _sigma_hat_at(residual_r(Xm, W, H, epsilon), Xm.shape)
-
-
-def _f_eps_at(r, W, lam, delta):
-    return float(np.sqrt(r)) + float(lam) * shifted_gram(W, delta)[0]
+    m, n = Xm.shape
+    return float(np.sqrt(residual_r(Xm, W, H, epsilon)) / (m * n))
 
 
 def f_eps(X, W, H, lam, delta, epsilon):
-    """Smoothed square-root objective value."""
+    """Smoothed square-root objective value; ``(W, H)`` must be feasible."""
     require_feasible(W, H, "f_eps")
-    return _f_eps_at(residual_r(X, W, H, epsilon), W, lam, delta)
+    r = residual_r(X, W, H, epsilon)
+    return float(np.sqrt(r)) + float(lam) * shifted_gram(W, delta)[0]
 
 
 def _start_pair(Xm, r, start):
@@ -282,17 +275,15 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
 
     f_prev = None
     for k in range(1, config.max_outer + 1):
-        # One residual X - W H per iteration serves f_eps, r_k and sigma_hat.
-        require_feasible(W, H, "f_eps")
+        fk = f_eps(Xm, W, H, config.lam, config.delta, config.epsilon)
         rk = residual_r(Xm, W, H, config.epsilon)
-        fk = _f_eps_at(rk, W, config.lam, config.delta)
         lamk = lambda_k(rk, config.lam)
         row = TraceRow(
             k=k,
             f_eps=fk,
             r_k=rk,
             lambda_k=lamk,
-            sigma_hat=_sigma_hat_at(rk, Xm.shape),
+            sigma_hat=sigma_hat(Xm, W, H, config.epsilon),
             wall_ms=wall * 1000.0,
         )
         if X_star is not None:

@@ -87,13 +87,19 @@ class ExperimentSpec:
         if len(self.lambda_grid) == 0:
             raise InvalidParameterError("lambda_grid must be non-empty")
         for s in self.sigma_grid:
-            if s < 0.0:
-                raise InvalidParameterError(f"sigma grid values must be >= 0, got {s}")
+            if not (0.0 <= s < np.inf):
+                raise InvalidParameterError(
+                    f"sigma grid values must be finite and >= 0, got {s}"
+                )
         for l in self.lambda_grid:
-            if not (l > 0.0):
-                raise InvalidParameterError(f"lambda grid values must be > 0, got {l}")
+            if not (0.0 < l < np.inf):
+                raise InvalidParameterError(
+                    f"lambda grid values must be finite and > 0, got {l}"
+                )
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be >= 1")
+        if self.base_seed < 0:
+            raise InvalidParameterError(f"base_seed must be >= 0, got {self.base_seed}")
         # A setting the solver rejects fails here, not once in every cell.
         make_config(self.solver, **self.solve_settings(self.lambda_grid[0]))
 
@@ -313,6 +319,8 @@ def _float_list(raw):
     values = tuple(float(tok) for tok in raw.split())
     if not values:
         raise ValueError("empty list")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     return values
 
 

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sqrtminvol.cli import main
@@ -83,6 +82,26 @@ class TestGenerate:
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "nope.ini"), "--out", "o"]) == 2
+
+    @pytest.mark.parametrize(
+        "old, new, flags, message",
+        [
+            ("seed = 3", "seed = -1", [], "[generator] seed must be >= 0, got -1"),
+            ("", "", ["--seed", "-1"], "--seed: [generator] seed must be >= 0, got -1"),
+            ("sigma = 0", "sigma = inf", [], "[generator] sigma must be finite"),
+            ("sigma = 0", "sigma = nan", [], "[generator] sigma must be finite"),
+            ("sigma = 0", "sigma = 0\nalpha = inf", [], "[generator] alpha must be finite"),
+        ],
+        ids=["ini-seed", "flag-seed", "inf-sigma", "nan-sigma", "inf-alpha"],
+    )
+    def test_bad_value_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, old, new, flags, message
+    ):
+        ini = write_ini(tmp_path, GEN_INI.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["generate", ini, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolveSqrt:
@@ -377,51 +396,6 @@ class TestSolveFlagChecks:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-class TestPca:
-    def test_overlay_of_identical_factors(self, tmp_path, instance_dir, capsys):
-        out_csv = tmp_path / "view.csv"
-        code = main(
-            [
-                "pca",
-                str(instance_dir / "X.txt"),
-                "--w-star",
-                str(instance_dir / "W_star.txt"),
-                "--w-hat",
-                str(instance_dir / "W_star.txt"),
-                "--out",
-                str(out_csv),
-            ]
-        )
-        assert code == 0
-        with open(out_csv) as fh:
-            rows = list(csv.DictReader(fh))
-        star = [(r["pc1"], r["pc2"]) for r in rows if r["set"] == "W_star"]
-        hat = [(r["pc1"], r["pc2"]) for r in rows if r["set"] == "W_hat"]
-        assert star and star == hat
-
-    def test_data_only_projection(self, tmp_path, instance_dir):
-        out_csv = tmp_path / "x_only.csv"
-        assert main(["pca", str(instance_dir / "X.txt"), "--out", str(out_csv)]) == 0
-        with open(out_csv) as fh:
-            rows = list(csv.DictReader(fh))
-        assert {r["set"] for r in rows} == {"X"}
-        assert len(rows) == 60
-
-    def test_dimension_mismatch_exits_2(self, tmp_path, instance_dir, capsys):
-        bad = tmp_path / "bad_W.txt"
-        write_matrix(bad, np.ones((3, 2)))
-        code = main(
-            [
-                "pca",
-                str(instance_dir / "X.txt"),
-                "--w-star",
-                str(bad),
-                "--out",
-                str(tmp_path / "v.csv"),
-            ]
-        )
-        assert code == 2
-
 
 class TestSweep:
     def test_end_to_end_and_parallel_determinism(self, tmp_path, capsys):
@@ -455,6 +429,25 @@ class TestSweep:
         assert main(["sweep", ini, "--out", str(out)]) == 2
         assert "[solver] unknown key 'rank'" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, flags, message",
+        [
+            ("base_seed = 11", "base_seed = -5", [], "[sweep] base_seed must be >= 0"),
+            ("", "", ["--seed", "-5"], "--seed: [sweep] base_seed must be >= 0"),
+            ("sigmas = 0.01", "sigmas = nan 0.01", [], "[sweep] sigmas = 'nan 0.01'"),
+            ("lambdas = 0.1 0.01", "lambdas = inf", [], "[sweep] lambdas = 'inf'"),
+        ],
+        ids=["ini-seed", "flag-seed", "nan-sigma", "inf-lambda"],
+    )
+    def test_bad_value_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, old, new, flags, message
+    ):
+        ini = write_ini(tmp_path, SWEEP_INI.replace(old, new), "sweep.ini")
+        out = tmp_path / "out"
+        assert main(["sweep", ini, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_output_directory_exits_2(self, tmp_path, capsys):
         ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")

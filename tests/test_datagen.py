@@ -126,6 +126,16 @@ class TestInstanceSpec:
         with pytest.raises(InvalidParameterError):
             InstanceSpec("paper-4x4", n=10, sigma=0.0, seed=0, alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("sigma", np.inf), ("sigma", np.nan), ("alpha", np.inf)],
+    )
+    def test_rejects_negative_seed_and_non_finite_scalars(self, field, value):
+        # Each would otherwise fail deep inside the draw, or draw a non-finite X.
+        kwargs = {"n": 10, "sigma": 0.0, "seed": 0, field: value}
+        with pytest.raises(InvalidParameterError, match=rf"^{field} must be"):
+            InstanceSpec("paper-4x4", **kwargs)
+
 
 class TestMakeInstance:
     def test_paper_instance_shapes_and_consistency(self):

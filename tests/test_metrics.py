@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -7,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import align_brute_force, assignment_brute_force, jacobi_eigenvalues
+from oracles import align_brute_force, assignment_brute_force
 from sqrtminvol.errors import InvalidInputError, UndefinedMetricError
 from sqrtminvol.metrics import (
     _min_cost_assignment,
     align_columns,
-    pca_2d,
-    project_2d,
     rel_rmse_W,
     rel_rmse_X,
-    write_pca_csv,
 )
 
 
@@ -155,66 +150,3 @@ class TestRelRmseW:
     def test_zero_reference_raises(self):
         with pytest.raises(UndefinedMetricError):
             rel_rmse_W(np.zeros((3, 2)), np.ones((3, 2)))
-
-
-class TestPca:
-    def test_planar_points_keep_distances(self):
-        rng = np.random.default_rng(5)
-        B, _ = np.linalg.qr(rng.normal(size=(7, 2)))
-        coords = rng.normal(size=(2, 40)) * np.array([[3.0], [1.5]])
-        X = B @ coords + rng.normal(size=(7, 1))
-        p = pca_2d(X)
-        Y = project_2d(p, X)
-        for _ in range(30):
-            i, j = rng.integers(0, 40, size=2)
-            d_full = np.linalg.norm(X[:, i] - X[:, j])
-            d_proj = np.linalg.norm(Y[i] - Y[j])
-            assert d_proj == pytest.approx(d_full, abs=1e-10)
-
-    def test_duplicated_columns_share_coordinates(self):
-        rng = np.random.default_rng(6)
-        X = rng.random((4, 10))
-        X2 = np.hstack([X, X[:, :3]])
-        Y = project_2d(pca_2d(X2), X2)
-        np.testing.assert_allclose(Y[10:], Y[:3], atol=1e-12)
-
-    def test_captured_variance_matches_eigenvalue_oracle(self):
-        rng = np.random.default_rng(7)
-        X = rng.random((5, 60)) * np.arange(1, 6)[:, None]
-        p = pca_2d(X)
-        Y = project_2d(p, X)
-        Yc = Y - Y.mean(axis=0, keepdims=True)
-        captured = float(np.sum(Yc * Yc)) / 60.0
-        Z = X - X.mean(axis=1, keepdims=True)
-        eigs = sorted(jacobi_eigenvalues((Z @ Z.T) / 60.0), reverse=True)
-        assert captured == pytest.approx(eigs[0] + eigs[1], rel=1e-9)
-
-    def test_one_dimensional_points_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pca_2d(np.ones((1, 5)))
-
-    def test_frame_is_deterministic(self):
-        rng = np.random.default_rng(8)
-        X = rng.random((4, 12))
-        p1, p2 = pca_2d(X), pca_2d(X.copy())
-        np.testing.assert_array_equal(p1.basis, p2.basis)
-        np.testing.assert_array_equal(p1.mean, p2.mean)
-
-
-class TestPcaCsv:
-    def test_layout_and_overlay(self):
-        rng = np.random.default_rng(9)
-        X = rng.random((3, 5))
-        W = rng.random((3, 2))
-        p = pca_2d(X)
-        buf = io.StringIO()
-        write_pca_csv(buf, p, [("X", X), ("W_star", W), ("W_hat", W)])
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "set,index,pc1,pc2"
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert [r["set"] for r in rows] == ["X"] * 5 + ["W_star"] * 2 + ["W_hat"] * 2
-        assert [r["index"] for r in rows[:5]] == ["0", "1", "2", "3", "4"]
-        # Identical overlay sets serialize to identical coordinates.
-        star = [(r["pc1"], r["pc2"]) for r in rows if r["set"] == "W_star"]
-        hat = [(r["pc1"], r["pc2"]) for r in rows if r["set"] == "W_hat"]
-        assert star == hat

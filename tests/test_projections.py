@@ -11,7 +11,6 @@ from sqrtminvol.errors import InvalidInputError
 from sqrtminvol.projections import (
     SORTING_NETWORKS,
     project_H_columns,
-    project_capped_simplex,
     project_nonneg,
     require_feasible,
 )
@@ -64,6 +63,11 @@ class TestProjectNonneg:
     def test_matches_entrywise_oracle(self):
         M = np.random.default_rng(9).normal(size=(5, 7))
         np.testing.assert_array_equal(project_nonneg(M), clamp_oracle(M))
+
+
+def project_capped_simplex(v):
+    """One vector through the column projection."""
+    return project_H_columns(v[:, None])[:, 0]
 
 
 class TestProjectCappedSimplex:

@@ -239,6 +239,21 @@ class TestSqrtMinvol:
         np.testing.assert_array_equal(pair.H, init.H0)
         assert len(trace.rows) == 1
 
+    @pytest.mark.parametrize("max_outer", [1, 2, 3])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_last_row_is_the_public_formulas_bitwise(self, max_outer, with_truth):
+        truth, X = make_instance(InstanceSpec("paper-4x4", n=120, sigma=1e-3, seed=4))
+        cfg = SqrtConfig(lam=0.5, epsilon=1e-9, max_outer=max_outer)
+        gt = (truth.W_star, truth.X_star) if with_truth else None
+        pair, trace = sqrt_minvol(X, 4, cfg, ground_truth=gt)
+        W, H, last = pair.W, pair.H, trace.rows[-1]
+        assert last.k == max_outer
+        rk = residual_r(X, W, H, cfg.epsilon)
+        assert last.f_eps == f_eps(X, W, H, cfg.lam, cfg.delta, cfg.epsilon)
+        assert last.r_k == rk
+        assert last.lambda_k == lambda_k(rk, cfg.lam)
+        assert last.sigma_hat == sigma_hat(X, W, H, cfg.epsilon)
+
     def test_zero_weight_equals_replayed_inner_chain(self):
         rng = np.random.default_rng(5)
         X = separable_X(rng, n_extra=16)

@@ -76,9 +76,22 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameterError):
             tiny_spec(lambda_grid=(0.0,))
 
+    @pytest.mark.parametrize(
+        "grid, values",
+        [("sigma", (np.nan, 0.01)), ("sigma", (np.inf,)), ("lambda", (np.inf,))],
+    )
+    def test_rejects_non_finite_grid_values(self, grid, values):
+        # A non-finite value would fault its cells and still exit 0.
+        with pytest.raises(InvalidParameterError, match=f"{grid} grid values"):
+            tiny_spec(**{f"{grid}_grid": values})
+
     def test_rejects_bad_replicates(self):
         with pytest.raises(InvalidParameterError):
             tiny_spec(replicates=0)
+
+    def test_rejects_a_negative_base_seed(self):
+        with pytest.raises(InvalidParameterError, match="base_seed must be >= 0"):
+            tiny_spec(base_seed=-5)
 
     @pytest.mark.parametrize(
         "setting", [{"max_outer": 0}, {"inner_iters": 0}, {"tol": -1.0}, {"delta": 0.0}]
@@ -597,6 +610,36 @@ class TestConfigParsing:
         )
         with pytest.raises(InvalidInputError, match="sigmas"):
             parse_experiment_config(str(path))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("generator", "seed", "-1"),
+            ("generator", "sigma", "inf"),
+            ("generator", "alpha", "inf"),
+            ("sweep", "base_seed", "-5"),
+            ("sweep", "sigmas", "nan 0.01"),
+            ("sweep", "lambdas", "inf"),
+        ],
+    )
+    def test_negative_seed_or_non_finite_value_names_its_key(
+        self, tmp_path, section, key, value
+    ):
+        ini = {
+            "generator": dict(name="paper-4x4", n="50", sigma="0", seed="1"),
+            "sweep": dict(solver="sqrt-minvol", sigmas="0.1", lambdas="0.1", base_seed="1"),
+        }
+        ini[section][key] = value
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                for name, keys in ini.items()
+            )
+        )
+        parse = parse_generator_config if section == "generator" else parse_experiment_config
+        with pytest.raises(InvalidInputError, match=rf"\[{section}\] {key}\b"):
+            parse(str(path))
 
     def test_bad_generator_name_wrapped_with_path(self, tmp_path):
         path = tmp_path / "gen.ini"
