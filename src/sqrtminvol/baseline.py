@@ -9,8 +9,8 @@ Gram; by concavity this surrogate upper-bounds the true objective and
 touches it at the expansion point, which makes every sweep a descent
 step on the true objective.
 
-This solver doubles as the inner step of the square-root method, which
-calls it with a penalty weight refreshed from the current residual.
+The square-root method runs the same sweeps, :func:`block_sweeps`, at a
+weight refreshed from the residual, and stops by the same :func:`stop_reason`.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ __all__ = [
     "MinvolState",
     "objective_minvol",
     "update_W",
+    "block_sweeps",
     "minvol",
     "lambda_from_init",
 ]
@@ -66,23 +67,26 @@ class MinvolConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
+        # lam is None only while make_config waits to rescale lambda_tilde.
+        if self.lam is not None and not np.isfinite(self.lam):
+            raise InvalidParameterError(f"lam must be finite, got {self.lam}")
+        for name, v in {"delta": self.delta, "tol": self.tol}.items():
+            if not (0.0 < v < np.inf):
+                raise InvalidParameterError(f"{name} must be finite and > 0, got {v}")
         counts = {"max_outer": self.max_outer, "inner_iters": self.inner_iters}
         for name, count in counts.items():
             if count < 1:
                 raise InvalidParameterError(f"{name} must be >= 1, got {count}")
-        if not (self.tol > 0.0):
-            raise InvalidParameterError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass
 class MinvolState:
-    """Factor pair and objective history of a finished solve."""
+    """Factor pair, objective history and :func:`stop_reason` of a solve."""
 
     W: np.ndarray
     H: np.ndarray
     objective_history: list = field(default_factory=list)
+    stop: str = None
 
     def write_csv(self, fh):
         """Write the history as ``k,objective`` rows, ``k = 0`` the start."""
@@ -145,40 +149,57 @@ def update_W(X, W, H, A, lam_eff, iters, tol):
     return Wn
 
 
-def minvol(X, r, W_init, H_init, config):
-    """Block coordinate descent on the penalized objective.
+def stop_reason(prev, obj, tol, k, budget):
+    """Why a loop stops after step ``k`` of ``budget``, or None to go on.
 
-    Sweeps W then H, re-linearizing the logdet at the start of every
-    sweep, until the relative objective change drops below
-    ``config.tol`` or the ``config.max_outer`` sweeps run out.  The recorded
-    objective history is non-increasing up to rounding.
+    ``"stalled"`` if ``obj`` repeats ``prev`` (None at step 1) exactly, else
+    ``"converged"`` if it moved by at most ``tol`` relative, else ``"budget"``.
     """
-    Xm = as_matrix(X, "X")
-    require_feasible(W_init, H_init, "minvol initialization")
-    Wm = as_matrix(W_init, "W_init").copy()
-    # Feasible only to within the slack; every later H is an H-block
-    # output, itself a projection, so this is the one projection of H.
-    Hm = project_H_columns(as_matrix(H_init, "H_init"))
-    r = int(r)
-    if Wm.shape[1] != r:
-        raise InvalidInputError(f"W_init has {Wm.shape[1]} columns, expected r={r}")
-    if Wm.shape[0] != Xm.shape[0] or Hm.shape[1] != Xm.shape[1]:
-        raise InvalidInputError("factor shapes do not conform with X")
+    if prev is not None and obj == prev:
+        return "stalled"
+    if prev is not None and abs(obj - prev) <= tol * max(abs(prev), 1e-300):
+        return "converged"
+    return "budget" if k == budget else None
 
-    lam, delta = float(config.lam), float(config.delta)
+
+def check_start(Xm, r, W, H, name):
+    """``(W, H)`` as matrices, checked as a feasible rank-``r`` start for ``Xm``."""
+    W, H = as_matrix(W, f"{name} W"), as_matrix(H, f"{name} H")
+    (m, n), r = Xm.shape, int(r)
+    if W.shape != (m, r) or H.shape != (r, n):
+        raise InvalidInputError(
+            f"{name} has shapes {W.shape} and {H.shape}; "
+            f"X and r = {r} need {(m, r)} and {(r, n)}"
+        )
+    require_feasible(W, H, name)
+    return W, H
+
+
+def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
+    """``(W, H, history, stop)`` of at most ``count`` sweeps from a checked start."""
+    # The one projection of H: every later H is an H-block output, itself one.
+    H = project_H_columns(H)
     # One factor per iterate: its objective's log-det and the next linearization.
-    logdet, A = shifted_gram(Wm, delta)
-    history = [_objective_at(Xm, Wm, Hm, lam, logdet)]
-    for _ in range(config.max_outer):
-        Wm = update_W(Xm, Wm, Hm, A, lam, config.inner_iters, config.tol)
-        Hm = fit_coefficients(Wm, Xm, Hm, config.inner_iters, config.tol)
-        logdet, A = shifted_gram(Wm, delta)
-        obj = _objective_at(Xm, Wm, Hm, lam, logdet)
-        prev = history[-1]
-        history.append(obj)
-        if abs(obj - prev) <= config.tol * max(abs(prev), 1e-300):
-            break
-    return MinvolState(W=Wm, H=Hm, objective_history=history)
+    logdet, A = shifted_gram(W, delta)
+    history = [_objective_at(Xm, W, H, lam, logdet)]
+    stop = None
+    while stop is None:
+        W = update_W(Xm, W, H, A, lam, inner_iters, tol)
+        H = fit_coefficients(W, Xm, H, inner_iters, tol)
+        logdet, A = shifted_gram(W, delta)
+        history.append(_objective_at(Xm, W, H, lam, logdet))
+        stop = stop_reason(history[-2], history[-1], tol, len(history) - 1, count)
+    return W, H, history, stop
+
+
+def minvol(X, r, W_init, H_init, config):
+    """Check the start, then run at most ``config.max_outer`` sweeps at its ``lam``."""
+    Xm = as_matrix(X, "X")
+    W, H = check_start(Xm, r, W_init, H_init, "minvol start")
+    return MinvolState(*block_sweeps(
+        Xm, W, H, config.lam, config.delta,
+        config.max_outer, config.inner_iters, config.tol,
+    ))
 
 
 def lambda_from_init(X, W0, H0, lambda_tilde, delta):

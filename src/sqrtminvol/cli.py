@@ -128,8 +128,7 @@ def cmd_solve(args):
     write_matrix(out / "H.txt", H)
     with open(out / "trace.csv", "w") as fh:
         trace.write_csv(fh)
-    done = f"outer_iters={iters} final_obj={final_obj:.17g}"
-    print(done if baseline else f"{done} stop={trace.stop}")
+    print(f"outer_iters={iters} final_obj={final_obj:.17g} stop={trace.stop}")
     if X_star is not None:
         print(f"rel_rmse_X={rel_rmse_X(X_star, W, H):.17g}")
     if W_star is not None:

@@ -11,8 +11,8 @@ concave square root is bounded by its tangent line and the concave
 logdet by its linearization.  Up to constants the surrogate is the
 quadratic-loss penalized problem with an effective weight
 ``lambda_k = 2 * lam * sqrt(r_k)``, ``r_k`` the current squared
-residual plus ``eps``, so minimizing it is one warm-started run of the
-block coordinate descent solver.  Because ``sqrt(r_k)`` tracks the
+residual plus ``eps``, so improving it is one warm-started run of the
+baseline's block sweeps at that weight.  Because ``sqrt(r_k)`` tracks the
 residual, the penalty weight scales itself down as the fit improves.
 
 Note the effective weight multiplies the fixed user ``lam`` each time,
@@ -26,10 +26,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
+from .errors import InvalidParameterError, NumericalFaultError
 from .linalg import as_matrix, frobenius_norm, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, lambda_from_init, minvol
+from .baseline import MinvolConfig, block_sweeps, check_start, lambda_from_init
+from .baseline import minvol, stop_reason
 from .projections import require_feasible
 from .initialization import snpa
 
@@ -129,8 +130,10 @@ class SqrtConfig:
     def __post_init__(self):
         if self.lam < 0.0:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
-        if not (self.epsilon > 0.0):
-            raise InvalidParameterError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (0.0 < self.epsilon < np.inf):
+            raise InvalidParameterError(
+                f"epsilon must be finite and > 0, got {self.epsilon}"
+            )
         # The shared settings are checked where the baseline checks them.
         MinvolConfig(self.lam, self.delta, self.max_outer, self.inner_iters, self.tol)
 
@@ -162,11 +165,7 @@ class TraceRow:
 class SolveTrace:
     """Append-only trace of a solve; serializes to CSV.
 
-    ``stop`` says why the outer loop ended, tested in this order:
-    ``"stalled"`` when ``f_eps`` repeated its previous value exactly (the
-    inner solves made no progress at all), ``"converged"`` when it moved
-    by at most ``tol`` relative, and ``"budget"`` when ``max_outer``
-    iterations ran.  It is None while the solve runs or after a fault.
+    ``stop``: the :func:`~sqrtminvol.baseline.stop_reason` of ``f_eps``, or None.
     """
 
     rows: list = field(default_factory=list)
@@ -223,20 +222,11 @@ def _start_pair(Xm, r, start):
     if start is None:
         init = snpa(Xm, r)
         return init.W0, init.H0
-    W0, H0 = start
-    W0, H0 = as_matrix(W0, "start W"), as_matrix(H0, "start H")
-    (m, n), r = Xm.shape, int(r)
-    if W0.shape != (m, r) or H0.shape != (r, n):
-        raise InvalidInputError(
-            f"start has shapes {W0.shape} and {H0.shape}; "
-            f"X and r = {r} need {(m, r)} and {(r, n)}"
-        )
-    require_feasible(W0, H0, "start")
-    return W0, H0
+    return check_start(Xm, r, *start, "start")
 
 
 def sqrt_minvol(X, r, config, ground_truth=None, start=None):
-    """Run the full solver: greedy initialization plus the MM loop.
+    """Run the full solver: the SNPA start, then block sweeps at each ``lambda_k``.
 
     Parameters
     ----------
@@ -296,28 +286,15 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
             raise NumericalFaultError(
                 f"non-finite objective at outer iteration {k}", trace=trace
             )
-        if f_prev is not None and fk == f_prev:
-            trace.stop = "stalled"
-        elif f_prev is not None and abs(fk - f_prev) <= config.tol * max(
-            abs(f_prev), 1e-300
-        ):
-            trace.stop = "converged"
-        elif k == config.max_outer:
-            trace.stop = "budget"
+        trace.stop = stop_reason(f_prev, fk, config.tol, k, config.max_outer)
         if trace.stop is not None:
             break
         f_prev = fk
 
         t0 = time.perf_counter()
-        inner = MinvolConfig(
-            lam=lamk,
-            delta=config.delta,
-            max_outer=INNER_SWEEPS,
-            inner_iters=config.inner_iters,
-            tol=INNER_TOL,
+        W, H, _, _ = block_sweeps(
+            Xm, W, H, lamk, config.delta, INNER_SWEEPS, config.inner_iters, INNER_TOL
         )
-        state = minvol(Xm, r, W, H, inner)
-        W, H = state.W, state.H
         wall = time.perf_counter() - t0
 
     return FactorPair(W=W, H=H, rank=int(r)), trace
@@ -326,6 +303,8 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
 def make_config(solver, lam=None, lambda_tilde=None, **settings):
     """The config :func:`solve` runs ``solver`` with, checked as it checks it."""
     check_settings(solver, dict(settings, lam=lam, lambda_tilde=lambda_tilde))
+    if lambda_tilde is not None and not np.isfinite(lambda_tilde):
+        raise InvalidParameterError(f"lambda_tilde must be finite, got {lambda_tilde}")
     settings = {key: v for key, v in settings.items() if v is not None}
     config = SqrtConfig if solver == "sqrt-minvol" else MinvolConfig
     return config(lam=lam, **settings)
@@ -350,15 +329,15 @@ def solve(
     pair, replaces the SNPA start for both solvers, and the baseline's
     ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
-    An unknown solver, a setting of the other solver or a weight not
-    given exactly once raises :class:`InvalidParameterError`.
+    An unknown solver, a setting of the other solver, a weight not given
+    exactly once or a non-finite setting raises :class:`InvalidParameterError`.
 
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight
     used, rescaled from ``lambda_tilde`` for the baseline), the last
     objective value, the number of outer iterations, and the trace
     ``trace.csv`` is written from (a :class:`SolveTrace`, or the
-    baseline's ``MinvolState``).
+    baseline's ``MinvolState``); both say why the solve stopped.
     """
     cfg = make_config(solver, lam, lambda_tilde, **settings)
     if solver == "sqrt-minvol":

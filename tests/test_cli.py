@@ -291,6 +291,12 @@ class TestSolveBaseline:
         assert code == 0
         assert "from lambda_tilde" not in capsys.readouterr().out
 
+    def test_stop_is_printed(self, tmp_path, instance_dir, capsys):
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4"]
+        argv += ["--solver", "minvol-baseline", "--lambda", "0.05", "--max-outer", "2"]
+        assert main(argv + ["--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" stop=budget")
+
     def test_epsilon_is_rejected_for_baseline(self, tmp_path, instance_dir, capsys):
         out = tmp_path / "bl3"
         code = main(
@@ -366,6 +372,32 @@ class TestSolveBaseline:
         assert code == 0
         assert "warning:" in capsys.readouterr().err
 
+
+
+class TestSolveNonFiniteSettings:
+    """A non-finite setting exits 2 naming it, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--lambda", "0.1", "--delta", "inf"], "delta"),
+            (["--lambda", "0.1", "--epsilon", "inf"], "epsilon"),
+            (["--lambda", "inf"], "lam"),
+            (["--lambda", "nan"], "lam"),
+            (["--lambda", "0.1", "--tol", "inf"], "tol"),
+            (["--solver", "minvol-baseline", "--lambda", "inf"], "lam"),
+            (["--solver", "minvol-baseline", "--lambda-tilde", "inf"], "lambda_tilde"),
+            (["--solver", "minvol-baseline", "--lambda", "0.05", "--delta", "inf"], "delta"),
+        ],
+        ids=["sqrt-delta", "sqrt-epsilon", "sqrt-lambda-inf", "sqrt-lambda-nan", "sqrt-tol",
+             "baseline-lambda", "baseline-lambda-tilde", "baseline-delta"],
+    )
+    def test_exits_2_naming_it(self, tmp_path, instance_dir, capsys, flags, name):
+        out = tmp_path / "s"
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+        assert not out.exists()
 
 
 class TestSolveFlagChecks:
@@ -447,6 +479,24 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", ini, "--out", str(out), *flags]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "solver, line",
+        [
+            ("sqrt-minvol", "delta = inf"),
+            ("sqrt-minvol", "epsilon = inf"),
+            ("sqrt-minvol", "tol = inf"),
+            ("minvol-baseline", "delta = inf"),
+            ("minvol-baseline", "tol = nan"),
+        ],
+    )
+    def test_non_finite_solver_setting_exits_2(self, tmp_path, capsys, solver, line):
+        text = SWEEP_INI.replace("sqrt-minvol", solver) + line + "\n"
+        out = tmp_path / "out"
+        assert main(["sweep", write_ini(tmp_path, text, "sweep.ini"), "--out", str(out)]) == 2
+        key = line.split()[0]
+        assert f"[solver] {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_output_directory_exits_2(self, tmp_path, capsys):

@@ -417,6 +417,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             MinvolConfig(lam=0.1, tol=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["lam", "delta", "tol"])
+    def test_non_finite_setting_is_named(self, name, value):
+        settings = {"lam": 0.1, name: value}
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite"):
+            MinvolConfig(**settings)
+
     def test_negative_weight_is_accepted(self):
         cfg = MinvolConfig(lam=-0.2)
         assert cfg.lam == -0.2

@@ -12,7 +12,8 @@ from sqrtminvol.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
-from sqrtminvol.baseline import MinvolConfig, minvol
+import sqrtminvol.solver as solver_mod
+from sqrtminvol.baseline import MinvolConfig, block_sweeps, minvol
 from sqrtminvol.initialization import snpa
 from sqrtminvol.solver import (
     INNER_SWEEPS,
@@ -254,27 +255,32 @@ class TestSqrtMinvol:
         assert last.lambda_k == lambda_k(rk, cfg.lam)
         assert last.sigma_hat == sigma_hat(X, W, H, cfg.epsilon)
 
-    def test_zero_weight_equals_replayed_inner_chain(self):
+    @staticmethod
+    def replay_minvol_chain(lam):
+        """``sqrt_minvol`` against the design it replaced, one ``minvol`` per step.
+
+        Returns the factors and trace rows (less the metric and wall-time
+        columns) of both.
+        """
         rng = np.random.default_rng(5)
         X = separable_X(rng, n_extra=16)
-        cfg = SqrtConfig(lam=0.0, max_outer=6)
+        cfg = SqrtConfig(lam=lam, max_outer=6)
         pair, trace = sqrt_minvol(X, 4, cfg)
+        got = [(r.k, r.f_eps, r.r_k, r.lambda_k, r.sigma_hat) for r in trace.rows]
 
         init = snpa(X, 4)
         W, H = init.W0, init.H0
-        f_prev = None
+        rows = []
         for k in range(1, cfg.max_outer + 1):
             rk = residual_r(X, W, H, cfg.epsilon)
-            fk = float(np.sqrt(rk))
-            if f_prev is not None and abs(fk - f_prev) <= cfg.tol * max(
-                abs(f_prev), 1e-300
-            ):
+            fk = f_eps(X, W, H, lam, cfg.delta, cfg.epsilon)
+            rows.append((k, fk, rk, lambda_k(rk, lam), sigma_hat(X, W, H, cfg.epsilon)))
+            if k > 1 and abs(fk - rows[-2][1]) <= cfg.tol * max(abs(rows[-2][1]), 1e-300):
                 break
-            f_prev = fk
             if k == cfg.max_outer:
                 break
             inner = MinvolConfig(
-                lam=0.0,
+                lam=lambda_k(rk, lam),
                 delta=cfg.delta,
                 max_outer=INNER_SWEEPS,
                 inner_iters=cfg.inner_iters,
@@ -282,8 +288,38 @@ class TestSqrtMinvol:
             )
             state = minvol(X, 4, W, H, inner)
             W, H = state.W, state.H
-        np.testing.assert_array_equal(pair.W, W)
-        np.testing.assert_array_equal(pair.H, H)
+        return (pair.W, pair.H, got), (W, H, rows)
+
+    def test_zero_weight_equals_replayed_inner_chain(self):
+        (W, H, rows), (W_ref, H_ref, rows_ref) = self.replay_minvol_chain(0.0)
+        np.testing.assert_array_equal(W, W_ref)
+        np.testing.assert_array_equal(H, H_ref)
+        assert rows == rows_ref
+
+    def test_weighted_equals_replayed_inner_chain(self):
+        # At lam > 0 every step's sweep weight 2 lam sqrt(r_k) differs.
+        (W, H, rows), (W_ref, H_ref, rows_ref) = self.replay_minvol_chain(0.5)
+        assert len(rows) >= 3 and len({row[3] for row in rows}) == len(rows)
+        np.testing.assert_array_equal(W, W_ref)
+        np.testing.assert_array_equal(H, H_ref)
+        assert rows == rows_ref
+
+    def test_every_inner_sweep_history_descends(self, monkeypatch):
+        histories = []
+
+        def recording(*args):
+            out = block_sweeps(*args)
+            histories.append(out[2])
+            return out
+
+        monkeypatch.setattr(solver_mod, "block_sweeps", recording)
+        _, X = make_instance(InstanceSpec("paper-4x4", n=120, sigma=1e-3, seed=4))
+        _, trace = sqrt_minvol(X, 4, SqrtConfig(lam=0.5, epsilon=1e-9, max_outer=8))
+        assert len(histories) == len(trace.rows) - 1 >= 2
+        for history in histories:
+            assert 2 <= len(history) <= INNER_SWEEPS + 1
+            for a, b in zip(history, history[1:]):
+                assert b <= a + 1e-9 * abs(a)
 
     def test_huge_weight_stays_finite(self):
         rng = np.random.default_rng(6)
@@ -347,6 +383,27 @@ class TestStopReason:
         assert (iters, trace.stop) == (3, "budget")
         assert self.run(max_outer=1)[1].stop == "budget"
 
+    @pytest.mark.parametrize(
+        "settings, stop",
+        [({"tol": 1e-300, "max_outer": 200}, "stalled"), ({}, "converged"),
+         ({"max_outer": 3}, "budget")],
+        ids=["stalled", "converged", "budget"],
+    )
+    def test_baseline_stops_by_the_same_rule(self, settings, stop):
+        _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
+        init = snpa(X, 4)
+        state = minvol(X, 4, init.W0, init.H0, MinvolConfig(lam=1.0, **settings))
+        *_, iters, trace = solve(X, 4, "minvol-baseline", lam=1.0, **settings)
+        assert trace.stop == state.stop == stop
+        assert trace.objective_history == state.objective_history
+        a, b = state.objective_history[-2:]
+        if stop == "stalled":
+            assert a == b and iters < settings["max_outer"]
+        elif stop == "converged":
+            assert a != b and abs(b - a) <= MinvolConfig.tol * abs(a)
+        else:
+            assert iters == settings["max_outer"]
+
 
 def test_too_small_delta_is_named_in_the_error():
     _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=1e-4, seed=0))
@@ -371,6 +428,13 @@ class TestSqrtConfig:
         with pytest.raises(InvalidParameterError):
             SqrtConfig(lam=0.1, tol=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["lam", "delta", "epsilon", "tol"])
+    def test_non_finite_setting_is_named(self, name, value):
+        settings = {"lam": 0.1, name: value}
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite"):
+            SqrtConfig(**settings)
+
 
 class TestSolveSettings:
     """``solve`` takes the weight exactly once and no setting of the other solver."""
@@ -394,6 +458,11 @@ class TestSolveSettings:
     def test_rejected(self, X, solver, weights, message):
         with pytest.raises(InvalidParameterError, match=message):
             solve(X, 4, solver, max_outer=2, **weights)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lambda_tilde(self, X, value):
+        with pytest.raises(InvalidParameterError, match="^lambda_tilde must be finite"):
+            solve(X, 4, "minvol-baseline", lambda_tilde=value, max_outer=2)
 
     def test_unknown_solver(self, X):
         with pytest.raises(InvalidParameterError, match="unknown solver 'mu'"):
