@@ -15,12 +15,11 @@ basis and recovery error can track the noise floor.
 
 from sqrtminvol import (
     InstanceSpec,
-    MinvolConfig,
     SqrtConfig,
     make_instance,
-    minvol,
     rel_rmse_W,
     snpa,
+    solve,
     sqrt_minvol,
 )
 
@@ -40,7 +39,8 @@ for sigma in sigmas:
     print(f"{sigma:>8g} {last.rel_rmse_W:>12.2e} {last.lambda_k:>15.2e}")
 
 # Same instances through the baseline with a fixed raw weight.  Each
-# column of the table is one choice of lam held constant across sigma.
+# column of the table is one choice of lam held constant across sigma;
+# all three start from one SNPA start per instance.
 lams = (1.0, 1e-2, 1e-4)
 print("\nbaseline solver, rel_rmse_W per (sigma, fixed lam):")
 print(f"{'sigma':>8} " + " ".join(f"{f'lam={l:g}':>12}" for l in lams))
@@ -51,9 +51,9 @@ for sigma in sigmas:
     init = snpa(X, rank)
     errs = []
     for lam in lams:
-        config = MinvolConfig(lam=lam, max_outer=150)
-        state = minvol(X, rank, init.W0, init.H0, config)
-        errs.append(rel_rmse_W(truth.W_star, state.W))
+        W, *_ = solve(X, rank, "minvol-baseline", lam=lam,
+                      start=(init.W0, init.H0), max_outer=150)
+        errs.append(rel_rmse_W(truth.W_star, W))
     marks = [
         f"{e:>12.2e}" + ("*" if e == min(errs) else " ") for e in errs
     ]

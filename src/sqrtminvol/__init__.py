@@ -37,7 +37,6 @@ _EXPORTS = {
     "MinvolConfig": "baseline",
     "MinvolState": "baseline",
     "objective_minvol": "baseline",
-    "minvol": "baseline",
     "lambda_from_init": "baseline",
     # square-root solver
     "SqrtConfig": "solver",

@@ -9,17 +9,21 @@ Gram; by concavity this surrogate upper-bounds the true objective and
 touches it at the expansion point, which makes every sweep a descent
 step on the true objective.
 
-The square-root method runs the same sweeps, :func:`block_sweeps`, at a
-weight refreshed from the residual, and stops by the same :func:`stop_reason`.
+``solve(X, r, "minvol-baseline", ...)`` runs the baseline as one call of
+:func:`block_sweeps`; the square-root method runs them at a weight refreshed
+from the residual and stops by the same :func:`stop_reason`.  A non-finite
+Lipschitz constant or sweep objective, or a sweep that raises the objective
+by more than rounding, raises ``NumericalFaultError``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, InvalidInputError, InvalidParameterError
+from .errors import DegenerateDenominatorError, InvalidParameterError
+from .errors import NumericalFaultError
 from .fgm import minimize_fgm
-from .linalg import as_matrix, frobenius_norm, shifted_gram, spectral_norm
+from .linalg import as_matrix, check_finite, frobenius_norm, shifted_gram, spectral_norm
 from .projections import project_H_columns, project_nonneg, require_feasible
 from .initialization import fit_coefficients
 
@@ -29,7 +33,6 @@ __all__ = [
     "objective_minvol",
     "update_W",
     "block_sweeps",
-    "minvol",
     "lambda_from_init",
 ]
 
@@ -116,7 +119,8 @@ def update_W(X, W, H, A, lam_eff, iters, tol):
     Precondition, not checked here: ``A`` is symmetric positive definite.
     The solvers pass the inverse shifted Gram of the anchor W, which is
     SPD by construction.  L is the exact gradient Lipschitz constant, so
-    every step of length 1/L is a descent step.
+    every step of length 1/L is a descent step; an L that overflows
+    raises ``NumericalFaultError``.
     """
     Xm = as_matrix(X, "X")
     Hm = as_matrix(H, "H")
@@ -125,6 +129,7 @@ def update_W(X, W, H, A, lam_eff, iters, tol):
 
     lam_eff = float(lam_eff)
     L = 2.0 * (spectral_norm(Hm) ** 2 + abs(lam_eff) * spectral_norm(Am))
+    check_finite(L, "W-block Lipschitz constant")
     if L <= 0.0:
         return W0
     M = Hm @ Hm.T + lam_eff * Am
@@ -162,44 +167,33 @@ def stop_reason(prev, obj, tol, k, budget):
     return "budget" if k == budget else None
 
 
-def check_start(Xm, r, W, H, name):
-    """``(W, H)`` as matrices, checked as a feasible rank-``r`` start for ``Xm``."""
-    W, H = as_matrix(W, f"{name} W"), as_matrix(H, f"{name} H")
-    (m, n), r = Xm.shape, int(r)
-    if W.shape != (m, r) or H.shape != (r, n):
-        raise InvalidInputError(
-            f"{name} has shapes {W.shape} and {H.shape}; "
-            f"X and r = {r} need {(m, r)} and {(r, n)}"
-        )
-    require_feasible(W, H, name)
-    return W, H
-
-
 def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
-    """``(W, H, history, stop)`` of at most ``count`` sweeps from a checked start."""
+    """``(W, H, history, stop)`` of at most ``count`` sweeps from a checked start.
+
+    At ``lam >= 0`` only rounding can raise the objective.  A rise past 1e-9
+    relative (at an exact fit, say) is undone, so the sweeps stall, if it is
+    within 1e-12 of ``|X|^2 + |lam logdet|``; else it raises a fault.
+    """
     # The one projection of H: every later H is an H-block output, itself one.
     H = project_H_columns(H)
     # One factor per iterate: its objective's log-det and the next linearization.
     logdet, A = shifted_gram(W, delta)
-    history = [_objective_at(Xm, W, H, lam, logdet)]
+    history = [check_finite(_objective_at(Xm, W, H, lam, logdet), "sweep objective")]
     stop = None
     while stop is None:
-        W = update_W(Xm, W, H, A, lam, inner_iters, tol)
-        H = fit_coefficients(W, Xm, H, inner_iters, tol)
-        logdet, A = shifted_gram(W, delta)
-        history.append(_objective_at(Xm, W, H, lam, logdet))
+        W1 = update_W(Xm, W, H, A, lam, inner_iters, tol)
+        H1 = fit_coefficients(W1, Xm, H, inner_iters, tol)
+        logdet, A1 = shifted_gram(W1, delta)
+        obj = check_finite(_objective_at(Xm, W1, H1, lam, logdet), "sweep objective")
+        prev = history[-1]
+        if lam >= 0.0 and obj - prev > 1e-9 * abs(prev):
+            if obj - prev > 1e-12 * (np.sum(Xm * Xm) + abs(lam * logdet)):
+                raise NumericalFaultError(f"sweep objective rose from {prev} to {obj}")
+            W1, H1, A1, obj = W, H, A, prev
+        W, H, A = W1, H1, A1
+        history.append(obj)
         stop = stop_reason(history[-2], history[-1], tol, len(history) - 1, count)
     return W, H, history, stop
-
-
-def minvol(X, r, W_init, H_init, config):
-    """Check the start, then run at most ``config.max_outer`` sweeps at its ``lam``."""
-    Xm = as_matrix(X, "X")
-    W, H = check_start(Xm, r, W_init, H_init, "minvol start")
-    return MinvolState(*block_sweeps(
-        Xm, W, H, config.lam, config.delta,
-        config.max_outer, config.inner_iters, config.tol,
-    ))
 
 
 def lambda_from_init(X, W0, H0, lambda_tilde, delta):

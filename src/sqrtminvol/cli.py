@@ -145,6 +145,8 @@ def cmd_sweep(args):
         write_sweep_csv,
     )
 
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     spec = parse_experiment_config(args.config)
     if args.seed is not None:
         spec = _with_seed(spec, "sweep", base_seed=args.seed)

@@ -40,13 +40,11 @@ _W4 = np.array(
 )
 
 
-def _rng(seed, path=()):
-    """Generator on a counter-based stream; ``path`` selects a substream."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+def _rng(seed):
+    """Generator on a counter-based stream from an int or a ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(entropy=int(seed))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)

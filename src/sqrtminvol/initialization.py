@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
 from .fgm import minimize_fgm
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix, check_finite, spectral_norm
 from .projections import project_H_columns
 
 __all__ = ["SnpaResult", "nnls_capped_simplex", "snpa"]
@@ -56,6 +56,7 @@ def fit_coefficients(Wm, Xm, H0, iters, tol):
     cross-products, so the big matrices are touched only once.
     """
     L = 2.0 * spectral_norm(Wm) ** 2
+    check_finite(L, "H-block Lipschitz constant")
     if L <= 0.0:
         return H0
     G = Wm.T @ Wm

@@ -13,6 +13,7 @@ covers it, so the package depends on numpy alone.
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NotPositiveDefiniteError
+from .errors import NumericalFaultError
 
 __all__ = [
     "as_matrix",
@@ -22,31 +23,27 @@ __all__ = [
 ]
 
 
-def as_matrix(M, name="matrix", require_finite=True):
-    """Coerce ``M`` to a 2-D float64 array, optionally checking finiteness.
+def as_matrix(M, name="matrix"):
+    """``M`` as a non-empty, finite, C-contiguous 2-D float64 array.
 
-    Parameters
-    ----------
-    M : array_like
-        Input data interpreted as a dense matrix.
-    name : str
-        Label used in error messages.
-    require_finite : bool
-        When True, any NaN or Inf entry raises ``InvalidInputError``.
-
-    Returns
-    -------
-    numpy.ndarray
-        C-contiguous float64 view or copy of the input.
+    It is a view of ``M`` when ``M`` already is one, else a copy.  A bad
+    shape or a NaN or Inf entry raises ``InvalidInputError`` naming ``name``.
     """
     A = np.ascontiguousarray(M, dtype=np.float64)
     if A.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={A.ndim}")
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"{name} must be non-empty, got shape {A.shape}")
-    if require_finite and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return A
+
+
+def check_finite(value, name):
+    """``value`` if it is finite, else ``NumericalFaultError`` naming ``name``."""
+    if not np.isfinite(value):
+        raise NumericalFaultError(f"non-finite {name} ({value})")
+    return value
 
 
 def frobenius_norm(M):

@@ -19,6 +19,8 @@ Note the effective weight multiplies the fixed user ``lam`` each time,
 rather than recursively rescaling the previous weight; the recursive
 form would compound the factor geometrically and is not what the
 majorization yields.
+
+:func:`solve` runs either solver; the baseline is one run of the sweeps.
 """
 
 import time
@@ -26,11 +28,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalFaultError
-from .linalg import as_matrix, frobenius_norm, shifted_gram
+from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
+from .linalg import as_matrix, check_finite, frobenius_norm, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, block_sweeps, check_start, lambda_from_init
-from .baseline import minvol, stop_reason
+from .baseline import MinvolConfig, MinvolState, block_sweeps, lambda_from_init
+from .baseline import stop_reason
 from .projections import require_feasible
 from .initialization import snpa
 
@@ -222,7 +224,15 @@ def _start_pair(Xm, r, start):
     if start is None:
         init = snpa(Xm, r)
         return init.W0, init.H0
-    return check_start(Xm, r, *start, "start")
+    W, H = (as_matrix(M, f"start {name}") for M, name in zip(start, "WH"))
+    (m, n), r = Xm.shape, int(r)
+    if W.shape != (m, r) or H.shape != (r, n):
+        raise InvalidInputError(
+            f"start has shapes {W.shape} and {H.shape}; "
+            f"X and r = {r} need {(m, r)} and {(r, n)}"
+        )
+    require_feasible(W, H, "start")
+    return W, H
 
 
 def sqrt_minvol(X, r, config, ground_truth=None, start=None):
@@ -250,8 +260,9 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     Raises
     ------
     NumericalFaultError
-        If the objective turns non-finite; the partial trace rides on
-        the exception so callers can flush it.
+        If ``r_k``, ``lambda_k`` or ``f_eps`` turns non-finite, or the sweeps
+        fault (see :func:`~sqrtminvol.baseline.block_sweeps`); the partial
+        trace rides on the exception so callers can flush it.
     """
     Xm = as_matrix(X, "X")
     W_star = X_star = None
@@ -264,38 +275,39 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     wall = time.perf_counter() - t0
 
     f_prev = None
-    for k in range(1, config.max_outer + 1):
-        fk = f_eps(Xm, W, H, config.lam, config.delta, config.epsilon)
-        rk = residual_r(Xm, W, H, config.epsilon)
-        lamk = lambda_k(rk, config.lam)
-        row = TraceRow(
-            k=k,
-            f_eps=fk,
-            r_k=rk,
-            lambda_k=lamk,
-            sigma_hat=sigma_hat(Xm, W, H, config.epsilon),
-            wall_ms=wall * 1000.0,
-        )
-        if X_star is not None:
-            row.rel_rmse_X = rel_rmse_X(X_star, W, H)
-        if W_star is not None:
-            row.rel_rmse_W = rel_rmse_W(W_star, W)
-        trace.rows.append(row)
-
-        if not np.isfinite(fk):
-            raise NumericalFaultError(
-                f"non-finite objective at outer iteration {k}", trace=trace
+    try:
+        for k in range(1, config.max_outer + 1):
+            fk = f_eps(Xm, W, H, config.lam, config.delta, config.epsilon)
+            rk = residual_r(Xm, W, H, config.epsilon)
+            lamk = lambda_k(rk, config.lam)
+            row = TraceRow(
+                k=k,
+                f_eps=fk,
+                r_k=rk,
+                lambda_k=lamk,
+                sigma_hat=sigma_hat(Xm, W, H, config.epsilon),
+                wall_ms=wall * 1000.0,
             )
-        trace.stop = stop_reason(f_prev, fk, config.tol, k, config.max_outer)
-        if trace.stop is not None:
-            break
-        f_prev = fk
+            if X_star is not None:
+                row.rel_rmse_X = rel_rmse_X(X_star, W, H)
+            if W_star is not None:
+                row.rel_rmse_W = rel_rmse_W(W_star, W)
+            trace.rows.append(row)
 
-        t0 = time.perf_counter()
-        W, H, _, _ = block_sweeps(
-            Xm, W, H, lamk, config.delta, INNER_SWEEPS, config.inner_iters, INNER_TOL
-        )
-        wall = time.perf_counter() - t0
+            for name, value in (("r_k", rk), ("lambda_k", lamk), ("f_eps", fk)):
+                check_finite(value, name)
+            trace.stop = stop_reason(f_prev, fk, config.tol, k, config.max_outer)
+            if trace.stop is not None:
+                break
+            f_prev = fk
+
+            t0 = time.perf_counter()
+            W, H, _, _ = block_sweeps(
+                Xm, W, H, lamk, config.delta, INNER_SWEEPS, config.inner_iters, INNER_TOL
+            )
+            wall = time.perf_counter() - t0
+    except NumericalFaultError as err:
+        raise NumericalFaultError(f"{err} at outer iteration {k}", trace=trace) from err
 
     return FactorPair(W=W, H=H, rank=int(r)), trace
 
@@ -313,7 +325,7 @@ def make_config(solver, lam=None, lambda_tilde=None, **settings):
 def solve(
     X, r, solver, lam=None, lambda_tilde=None, ground_truth=None, start=None, **settings
 ):
-    """Factor ``X`` from the SNPA start; the one solve path of CLI and sweeps.
+    """Factor ``X``: the one way to run either solver, used by the CLI and sweeps.
 
     ``solver`` is ``"sqrt-minvol"`` or ``"minvol-baseline"``.  The weight
     is ``lam``, used as given, or for the baseline only ``lambda_tilde``,
@@ -330,7 +342,8 @@ def solve(
     ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
     An unknown solver, a setting of the other solver, a weight not given
-    exactly once or a non-finite setting raises :class:`InvalidParameterError`.
+    exactly once or a non-finite setting raises :class:`InvalidParameterError`;
+    a numerical fault raises :class:`NumericalFaultError` (see :func:`sqrt_minvol`).
 
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight
@@ -343,10 +356,11 @@ def solve(
     if solver == "sqrt-minvol":
         pair, trace = sqrt_minvol(X, r, cfg, ground_truth=ground_truth, start=start)
         return pair.W, pair.H, cfg, trace.rows[-1].f_eps, trace.rows[-1].k, trace
-    W0, H0 = _start_pair(as_matrix(X, "X"), r, start)
+    Xm = as_matrix(X, "X")
+    W0, H0 = _start_pair(Xm, r, start)
     if lambda_tilde is not None:
-        lam = lambda_from_init(X, W0, H0, lambda_tilde, cfg.delta)
-        cfg = replace(cfg, lam=lam)
-    state = minvol(X, r, W0, H0, cfg)
-    history = state.objective_history
-    return state.W, state.H, cfg, history[-1], len(history) - 1, state
+        cfg = replace(cfg, lam=lambda_from_init(Xm, W0, H0, lambda_tilde, cfg.delta))
+    W, H, history, stop = block_sweeps(
+        Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
+    )
+    return W, H, cfg, history[-1], len(history) - 1, MinvolState(W, H, history, stop)

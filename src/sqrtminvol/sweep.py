@@ -216,7 +216,7 @@ def _tasks(spec, jobs):
         (si, rep) for si in range(len(spec.sigma_grid)) for rep in range(spec.replicates)
     ]
     n = len(spec.lambda_grid)
-    chunks = min(n, -(-max(int(jobs), 1) // len(rows)))
+    chunks = min(n, -(-int(jobs) // len(rows)))
     return [
         (si, rep, range(c * n // chunks, (c + 1) * n // chunks))
         for si, rep in rows
@@ -238,14 +238,16 @@ def run_sweep(spec, jobs=1):
     """Run every cell; output order is the grid order (sigma, replicate, lambda).
 
     The tasks are rows, or chunks of rows (:func:`_tasks`), each sharing
-    one instance and SNPA start; with ``jobs`` above 1 they run on a
-    process pool of that many workers.
+    one instance and SNPA start; with ``jobs`` above 1 they run on a pool
+    of ``min(jobs, tasks)`` processes.  ``jobs`` below 1 raises.
     """
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
     tasks = [(spec, *task) for task in _tasks(spec, jobs)]
-    if jobs <= 1:
+    if jobs == 1:
         done = [_run_task(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+        with ProcessPoolExecutor(max_workers=min(int(jobs), len(tasks))) as pool:
             done = list(pool.map(_run_task_packed, tasks, chunksize=1))
     return [rec for records in done for rec in records]
 

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -400,6 +401,57 @@ class TestSolveNonFiniteSettings:
         assert not out.exists()
 
 
+class TestSolveNumericalFaults:
+    """A weight that overflows inside the sweeps exits 3 naming the quantity."""
+
+    @pytest.fixture()
+    def noisy_dir(self, tmp_path):
+        text = "[generator]\nname = paper-4x4\nn = 60\nsigma = 1e-2\nseed = 0\n"
+        ini = write_ini(tmp_path, text, "noisy.ini")
+        out = tmp_path / "noisy"
+        assert main(["generate", ini, "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            ("sqrt-minvol", "non-finite lambda_k (inf) at outer iteration 1"),
+            ("minvol-baseline", "non-finite W-block Lipschitz constant (inf)"),
+        ],
+    )
+    def test_lambda_1e308_exits_3(self, tmp_path, noisy_dir, capsys, solver, message):
+        out = tmp_path / "s"
+        argv = ["solve", str(noisy_dir / "X.txt"), "--rank", "4", "--solver", solver,
+                "--lambda", "1e308", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        if solver == "minvol-baseline":
+            assert not out.exists()  # the baseline keeps no trace
+            return
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        assert header.startswith("k,f_eps,r_k,lambda_k,")
+        assert len(rows) == 1
+        k, f, r_k, lambda_k = rows[0].split(",")[:4]
+        assert (k, lambda_k) == ("1", "inf")
+        assert math.isfinite(float(f)) and math.isfinite(float(r_k))
+        assert not (out / "W.txt").exists()
+
+    def test_lambda_1e306_keeps_the_rows_before_the_fault(self, tmp_path, noisy_dir, capsys):
+        # This solve used to end "stalled" at f_eps = -9.2e306.
+        out = tmp_path / "s"
+        argv = ["solve", str(noisy_dir / "X.txt"), "--rank", "4", "--lambda", "1e306",
+                "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite W-block Lipschitz constant (inf) at outer iteration 2\n"
+        )
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:5])
+
+
 class TestSolveFlagChecks:
     """The solve flags are checked before any data is read, with fixed messages."""
 
@@ -497,6 +549,15 @@ class TestSweep:
         assert main(["sweep", write_ini(tmp_path, text, "sweep.ini"), "--out", str(out)]) == 2
         key = line.split()[0]
         assert f"[solver] {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys, jobs):
+        # These used to run the sweep serially and exit 0.
+        ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")
+        out = tmp_path / "out"
+        assert main(["sweep", ini, "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
     def test_no_output_directory_exits_2(self, tmp_path, capsys):

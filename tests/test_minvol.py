@@ -17,17 +17,18 @@ from sqrtminvol.errors import (
     InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalFaultError,
 )
 from sqrtminvol.linalg import frobenius_norm, shifted_gram
 from sqrtminvol.baseline import (
     MinvolConfig,
     lambda_from_init,
-    minvol,
     objective_minvol,
     update_W,
 )
 from sqrtminvol.projections import project_H_columns
 from sqrtminvol.initialization import fit_coefficients, nnls_capped_simplex, snpa
+from sqrtminvol.solver import solve
 
 W4 = np.array(
     [
@@ -255,15 +256,30 @@ class TestEngineStep:
         W_out = update_W(X, W, np.zeros_like(H), A, 0.0, iters=50, tol=1e-7)
         np.testing.assert_array_equal(W_out, W)
 
+    def test_overflowing_lipschitz_constant_is_a_fault(self):
+        # A step bound of inf would make every step zero, or NaN.  Here
+        # s_max(W)^2 = 1e308 is finite and twice it is not.
+        X, W, H, A = self.instance(4, 75)
+        with pytest.raises(NumericalFaultError, match=r"^non-finite H-block Lipschitz"):
+            fit_coefficients(np.eye(4) * 1e154, X, H, 50, 1e-7)
+        with pytest.raises(NumericalFaultError, match=r"^non-finite W-block Lipschitz"):
+            update_W(X, W, H, A, 1e308, iters=50, tol=1e-7)
+
+
+def minvol(X, r, W0, H0, lam, **settings):
+    """The baseline's trace (a ``MinvolState``) from the start ``(W0, H0)``."""
+    return solve(X, r, "minvol-baseline", lam=lam, start=(W0, H0), **settings)[-1]
+
 
 class TestMinvol:
+    """The baseline, run through ``solve`` from a given start."""
+
     def test_separable_unpenalized_fit(self):
         rng = np.random.default_rng(5)
         D = rng.dirichlet(np.ones(4), size=30).T * 0.9
         X = np.hstack([W4, W4 @ D])
         init = snpa(X, 4)
-        cfg = MinvolConfig(lam=0.0, max_outer=200, tol=1e-13)
-        state = minvol(X, 4, init.W0, init.H0, cfg)
+        state = minvol(X, 4, init.W0, init.H0, 0.0, max_outer=200, tol=1e-13)
         rel = frobenius_norm(X - state.W @ state.H) / frobenius_norm(X)
         assert rel <= 1e-8
 
@@ -273,7 +289,7 @@ class TestMinvol:
         X = W4 @ H_star + 0.01 * rng.random((4, 150))
         init = snpa(X, 4)
         lam = lambda_from_init(X, init.W0, init.H0, 1e-2, 0.1)
-        state = minvol(X, 4, init.W0, init.H0, MinvolConfig(lam=lam))
+        state = minvol(X, 4, init.W0, init.H0, lam)
         rel = frobenius_norm(X - state.W @ state.H) / frobenius_norm(X)
         assert rel <= 0.1
 
@@ -283,13 +299,12 @@ class TestMinvol:
         W_star = rng.random((6, 3)) + 0.1
         X = W_star @ H_star
         init = snpa(X, 3)
-        cfg = MinvolConfig(lam=0.05, max_outer=40)
-        state = minvol(X, 3, init.W0, init.H0, cfg)
+        state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=40)
         hist = state.objective_history
         assert hist[0] == pytest.approx(
             objective_minvol(X, init.W0, init.H0, 0.05, 0.1), rel=1e-12
         )
-        assert 2 <= len(hist) <= cfg.max_outer + 1
+        assert 2 <= len(hist) <= 40 + 1
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-9 * abs(a)
 
@@ -299,11 +314,11 @@ class TestMinvol:
         W = np.array([[1.0, 1.0], [0.0, 0.0]])
         H = np.full((2, 3), 0.25)
         with pytest.raises(NotPositiveDefiniteError):
-            minvol(W @ H, 2, W, H, MinvolConfig(lam=1.0, delta=1e-300))
+            minvol(W @ H, 2, W, H, 1.0, delta=1e-300)
 
     def test_projects_H_once(self, monkeypatch):
         # Every H after the start is an H-block output, so only the start
-        # is projected by minvol itself; the H-block projects inside FGM.
+        # is projected by the sweeps themselves; the H-block projects inside FGM.
         calls = []
 
         def counting(H):
@@ -314,8 +329,7 @@ class TestMinvol:
         rng = np.random.default_rng(27)
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         init = snpa(X, 3)
-        cfg = MinvolConfig(lam=0.05, max_outer=5, tol=1e-300)
-        state = minvol(X, 3, init.W0, init.H0, cfg)
+        state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
         assert len(state.objective_history) == 6
         assert calls == [(3, 60)]
 
@@ -332,19 +346,27 @@ class TestMinvol:
         rng = np.random.default_rng(27)
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         init = snpa(X, 3)
-        cfg = MinvolConfig(lam=0.05, max_outer=5, tol=1e-300)
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        state = minvol(X, 3, init.W0, init.H0, cfg)
+        state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
         sweeps = len(state.objective_history) - 1
         assert sweeps == 5
         assert calls == [(3, 3)] * (1 + sweeps)
 
+    def test_rounding_rise_is_undone(self):
+        # The start fits exactly, so the objective is 0.  The first sweep
+        # ends at 8.6e-32 by rounding; it is undone, and the sweeps stall.
+        X = np.ones((1, 7))
+        W, H, _, final_obj, sweeps, state = solve(X, 1, "minvol-baseline", lam=0.0)
+        assert (state.objective_history, state.stop) == ([0.0, 0.0], "stalled")
+        assert (final_obj, sweeps) == (0.0, 1)
+        np.testing.assert_array_equal(W @ H, X)
+
     def test_rejects_nonconforming_shapes(self):
         X = np.ones((3, 4))
         with pytest.raises(InvalidInputError):
-            minvol(X, 2, np.ones((3, 3)), np.ones((3, 4)) * 0.1, MinvolConfig(lam=0.0))
+            minvol(X, 2, np.ones((3, 3)), np.ones((3, 4)) * 0.1, 0.0)
         with pytest.raises(InvalidInputError):
-            minvol(X, 2, np.ones((4, 2)), np.ones((2, 4)) * 0.1, MinvolConfig(lam=0.0))
+            minvol(X, 2, np.ones((4, 2)), np.ones((2, 4)) * 0.1, 0.0)
 
 
 class TestLambdaFromInit:

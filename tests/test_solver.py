@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import f_eps_grad, fd_grad, frob_oracle, jacobi_eigenvalues, surrogate_g
 from sqrtminvol.datagen import InstanceSpec, make_instance
@@ -11,9 +14,11 @@ from sqrtminvol.errors import (
     InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalFaultError,
 )
+import sqrtminvol.baseline as baseline_mod
 import sqrtminvol.solver as solver_mod
-from sqrtminvol.baseline import MinvolConfig, block_sweeps, minvol
+from sqrtminvol.baseline import MinvolConfig, block_sweeps
 from sqrtminvol.initialization import snpa
 from sqrtminvol.solver import (
     INNER_SWEEPS,
@@ -257,7 +262,7 @@ class TestSqrtMinvol:
 
     @staticmethod
     def replay_minvol_chain(lam):
-        """``sqrt_minvol`` against the design it replaced, one ``minvol`` per step.
+        """``sqrt_minvol`` against the design it replaced, one baseline solve per step.
 
         Returns the factors and trace rows (less the metric and wall-time
         columns) of both.
@@ -279,15 +284,15 @@ class TestSqrtMinvol:
                 break
             if k == cfg.max_outer:
                 break
-            inner = MinvolConfig(
+            W, H, *_ = solve(
+                X, 4, "minvol-baseline",
                 lam=lambda_k(rk, lam),
+                start=(W, H),
                 delta=cfg.delta,
                 max_outer=INNER_SWEEPS,
                 inner_iters=cfg.inner_iters,
                 tol=INNER_TOL,
             )
-            state = minvol(X, 4, W, H, inner)
-            W, H = state.W, state.H
         return (pair.W, pair.H, got), (W, H, rows)
 
     def test_zero_weight_equals_replayed_inner_chain(self):
@@ -392,7 +397,9 @@ class TestStopReason:
     def test_baseline_stops_by_the_same_rule(self, settings, stop):
         _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
         init = snpa(X, 4)
-        state = minvol(X, 4, init.W0, init.H0, MinvolConfig(lam=1.0, **settings))
+        state = solve(
+            X, 4, "minvol-baseline", lam=1.0, start=(init.W0, init.H0), **settings
+        )[-1]
         *_, iters, trace = solve(X, 4, "minvol-baseline", lam=1.0, **settings)
         assert trace.stop == state.stop == stop
         assert trace.objective_history == state.objective_history
@@ -403,6 +410,86 @@ class TestStopReason:
             assert a != b and abs(b - a) <= MinvolConfig.tol * abs(a)
         else:
             assert iters == settings["max_outer"]
+
+
+class TestNumericalFaults:
+    """A quantity that overflows in a solve is a fault that names it.
+
+    The data are a paper-4x4 draw (n = 60, sigma = 1e-2, seed 0).  Before
+    these checks, ``lam = 1e308`` failed as bad input naming an internal
+    matrix, and ``lam = 1e306`` ended as a stalled square-root solve at
+    f_eps = -9.2e306, its W steps zero under an infinite step bound.
+    """
+
+    @staticmethod
+    def data():
+        return make_instance(InstanceSpec("paper-4x4", n=60, sigma=1e-2, seed=0))[1]
+
+    @pytest.mark.parametrize(
+        "scale, settings, message, rows",
+        [
+            (1.0, {"lam": 1e308}, "lambda_k (inf) at outer iteration 1", 1),
+            (1.0, {"lam": 1e306},
+             "W-block Lipschitz constant (inf) at outer iteration 2", 2),
+            (1e-3, {"lam": 8e307, "epsilon": 1e-12}, "f_eps (-inf) at outer iteration 1", 1),
+            (1e160, {"lam": 1.0, "start": True}, "r_k (inf) at outer iteration 1", 1),
+        ],
+        ids=["lambda_k", "lipschitz", "f_eps", "r_k"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_square_root_solve_names_it_and_keeps_its_trace(
+        self, scale, settings, message, rows
+    ):
+        X = self.data()
+        if settings.pop("start", False):
+            init = snpa(X, 4)
+            settings["start"] = (init.W0, init.H0)
+        with pytest.raises(NumericalFaultError) as info:
+            solve(X * scale, 4, "sqrt-minvol", max_outer=5, **settings)
+        assert str(info.value) == f"non-finite {message}"
+        trace = info.value.trace
+        assert [row.k for row in trace.rows] == list(range(1, rows + 1))
+        # Every row before the faulting one is finite.
+        for row in trace.rows[:-1]:
+            assert all(np.isfinite([row.f_eps, row.r_k, row.lambda_k]))
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"lam": 1e308}, "W-block Lipschitz constant (inf)"),
+            ({"lam": 1e307, "delta": 1e4}, "sweep objective (inf)"),
+        ],
+        ids=["lipschitz", "objective"],
+    )
+    def test_baseline_names_it(self, settings, message):
+        with pytest.raises(NumericalFaultError) as info:
+            solve(self.data(), 4, "minvol-baseline", max_outer=5, **settings)
+        assert str(info.value) == f"non-finite {message}"
+        assert info.value.trace is None
+
+    @staticmethod
+    def ascending_update_W(monkeypatch):
+        # A broken W block: its step moves every entry up by one.
+        update_W = baseline_mod.update_W
+        monkeypatch.setattr(
+            baseline_mod, "update_W", lambda *args: update_W(*args) + 1.0
+        )
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_an_ascent_is_a_fault_not_a_stall(self, monkeypatch, solver):
+        self.ascending_update_W(monkeypatch)
+        with pytest.raises(NumericalFaultError, match="^sweep objective rose from ") as info:
+            solve(self.data(), 4, solver, lam=0.5, max_outer=5)
+        if solver == "sqrt-minvol":
+            assert str(info.value).endswith(" at outer iteration 1")
+            assert len(info.value.trace.rows) == 1
+
+    def test_an_ascent_at_a_negative_weight_is_kept(self, monkeypatch):
+        # Descent only holds for lam >= 0, so the rise is recorded as it is.
+        self.ascending_update_W(monkeypatch)
+        *_, state = solve(self.data(), 4, "minvol-baseline", lam=-0.05, max_outer=3)
+        history = state.objective_history
+        assert len(history) == 4 and history[1] > history[0]
 
 
 def test_too_small_delta_is_named_in_the_error():
@@ -548,3 +635,47 @@ class TestSolveStart:
         weight = {"lam": 0.5} if solver == "sqrt-minvol" else {"lambda_tilde": 0.01}
         with pytest.raises(InvalidInputError, match="start"):
             solve(X, 4, solver, start=(W0, H0), max_outer=2, **weight)
+
+
+@st.composite
+def small_problems(draw):
+    """A positive X of at most 10 x 10 and a rank 1 <= r <= min(m, n)."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    r = draw(st.integers(1, min(m, n)))
+    X = draw(arrays(np.float64, (m, n), elements=st.floats(1e-3, 1e2, width=64)))
+    return X, r
+
+
+class TestRandomInstances:
+    """On random small positive data both solvers stay feasible and never ascend."""
+
+    @staticmethod
+    def assert_feasible(W, H):
+        assert W.min() >= 0.0 and H.min() >= 0.0
+        assert H.sum(axis=0).max() <= 1.0 + 1e-12
+
+    @staticmethod
+    def assert_descends(values):
+        # The slack of the benchmark and test_every_inner_sweep_history_descends.
+        for a, b in zip(values, values[1:]):
+            assert b <= a + 1e-9 * abs(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems(), st.sampled_from([0.0, 0.01, 1.0]))
+    def test_sqrt_minvol(self, problem, lam):
+        X, r = problem
+        W, H, *_, trace = solve(X, r, "sqrt-minvol", lam=lam, max_outer=4, inner_iters=10)
+        self.assert_feasible(W, H)
+        self.assert_descends([row.f_eps for row in trace.rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems(), st.sampled_from([0.0, 0.01, 1.0]))
+    # An exact fit, where the first sweep's objective rose from 0 by rounding.
+    @example((np.ones((1, 7)), 1), 0.0)
+    def test_baseline(self, problem, lam):
+        X, r = problem
+        W, H, *_, state = solve(
+            X, r, "minvol-baseline", lam=lam, max_outer=6, inner_iters=10
+        )
+        self.assert_feasible(W, H)
+        self.assert_descends(state.objective_history)

@@ -228,6 +228,63 @@ class TestRunSweep:
         assert strip_wall(serial) == strip_wall(parallel)
 
 
+class InProcessPool:
+    """Stands in for the process pool: records its size, runs the tasks here."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestPoolSize:
+    """A sweep starts at most one worker per task, and jobs below 1 is refused."""
+
+    @pytest.mark.parametrize(
+        "grid, jobs, workers",
+        [
+            # One cell: one task, where the pool used to start all 4 workers.
+            ({"sigma_grid": (0.01,), "lambda_grid": (0.1,), "replicates": 1}, 4, 1),
+            # 4 rows of 2 cells split into 8 one-cell tasks.
+            ({}, 64, 8),
+            # The benchmark's sweep shape: 8 rows on 2 workers keeps 2.
+            ({"sigma_grid": (0.1, 0.01, 0.001, 0.0001)}, 2, 2),
+        ],
+        ids=["one-cell", "more-jobs-than-cells", "fewer-jobs-than-rows"],
+    )
+    def test_workers_are_capped_by_tasks(self, monkeypatch, grid, jobs, workers):
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        spec = tiny_spec(max_outer=2, inner_iters=5, **grid)
+        records = run_sweep(spec, jobs=jobs)
+        assert InProcessPool.sizes == [workers]
+        serial = run_sweep(spec, jobs=1)
+        assert InProcessPool.sizes == [workers]  # jobs = 1 runs without a pool
+
+        def fields(rec):
+            values = dataclasses.asdict(rec)
+            del values["wall_ms"]
+            return values
+
+        assert [fields(r) for r in records] == [fields(r) for r in serial]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused(self, monkeypatch, jobs):
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(sweep_mod, "run_cell", None)  # nothing may run
+        with pytest.raises(InvalidParameterError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            run_sweep(tiny_spec(), jobs=jobs)
+
+
 class TestRowSharing:
     """A (sigma, replicate) row builds its instance and SNPA start once."""
 
