@@ -44,11 +44,9 @@ class MinvolConfig:
     Attributes
     ----------
     lam : float
-        Weight of the volume penalty.  Negative values are accepted
-        (the CLI warns about a negative ``--lambda``) but then the
-        penalty rewards volume, and the descent guarantee only holds
-        for lam >= 0.  ``lambda_from_init`` never returns one for a
-        nonnegative ``lambda_tilde``.
+        Weight of the volume penalty, finite and >= 0 (zero drops the
+        penalty), the one weight rule of both solvers: a negative weight
+        would reward volume and void the descent guarantee.
     delta : float
         Positive diagonal shift inside the logdet, default 0.1; the
         square-root solver, sweeps and the CLI take their default from
@@ -70,9 +68,8 @@ class MinvolConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        # lam is None only while make_config waits to rescale lambda_tilde.
-        if self.lam is not None and not np.isfinite(self.lam):
-            raise InvalidParameterError(f"lam must be finite, got {self.lam}")
+        if not (0.0 <= self.lam < np.inf):
+            raise InvalidParameterError(f"lam must be finite and >= 0, got {self.lam}")
         for name, v in {"delta": self.delta, "tol": self.tol}.items():
             if not (0.0 < v < np.inf):
                 raise InvalidParameterError(f"{name} must be finite and > 0, got {v}")
@@ -109,31 +106,25 @@ def objective_minvol(X, W, H, lam, delta):
     return _objective_at(as_matrix(X, "X"), W, H, lam, shifted_gram(W, delta)[0])
 
 
-def update_W(X, W, H, A, lam_eff, iters, tol):
+def update_W(Xm, W, H, A, lam, iters, tol):
     """One accelerated projected-gradient pass on the W block.
 
-    Minimizes ``|X - W H|_F^2 + lam_eff * tr(A W^T W)`` over ``W >= 0``
-    with step 1/L, ``L = 2 (s_max(H H^T) + lam_eff * s_max(A))``, for at
-    most ``iters`` steps or until it moves by at most ``tol`` relative.
+    Minimizes ``|X - W H|_F^2 + lam * tr(A W^T W)`` over ``W >= 0`` with
+    step 1/L, ``L = 2 (s_max(H H^T) + lam * s_max(A))``, for at most
+    ``iters`` steps or until it moves by at most ``tol`` relative.
 
-    Precondition, not checked here: ``A`` is symmetric positive definite.
-    The solvers pass the inverse shifted Gram of the anchor W, which is
-    SPD by construction.  L is the exact gradient Lipschitz constant, so
-    every step of length 1/L is a descent step; an L that overflows
-    raises ``NumericalFaultError``.
+    Like the H block (``fit_coefficients``) it trusts its inputs: checked
+    arrays, a feasible ``W`` (returned as is when L = 0), ``lam >= 0`` and
+    an SPD ``A``, here the inverse shifted Gram of the anchor W.  L is the
+    exact gradient Lipschitz constant, so every step of length 1/L is a
+    descent step; an L that overflows raises ``NumericalFaultError``.
     """
-    Xm = as_matrix(X, "X")
-    Hm = as_matrix(H, "H")
-    W0 = project_nonneg(as_matrix(W, "W"))
-    Am = as_matrix(A, "A")
-
-    lam_eff = float(lam_eff)
-    L = 2.0 * (spectral_norm(Hm) ** 2 + abs(lam_eff) * spectral_norm(Am))
+    L = 2.0 * (spectral_norm(H) ** 2 + lam * spectral_norm(A))
     check_finite(L, "W-block Lipschitz constant")
     if L <= 0.0:
-        return W0
-    M = Hm @ Hm.T + lam_eff * Am
-    XHt2 = 2.0 * (Xm @ Hm.T)
+        return W
+    M = H @ H.T + lam * A
+    XHt2 = 2.0 * (Xm @ H.T)
     xsq = float(np.sum(Xm * Xm))
     # The gradient is 2 W M - 2 X H^T, so W - grad / L = W P + c.
     P = np.eye(M.shape[0]) - (2.0 / L) * M
@@ -150,7 +141,7 @@ def update_W(X, W, H, A, lam_eff, iters, tol):
         Z += c
         return Z
 
-    Wn, _ = minimize_fgm(W0, objective, forward, project_nonneg, iters, tol)
+    Wn, _ = minimize_fgm(W, objective, forward, project_nonneg, iters, tol)
     return Wn
 
 
@@ -170,11 +161,12 @@ def stop_reason(prev, obj, tol, k, budget):
 def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
     """``(W, H, history, stop)`` of at most ``count`` sweeps from a checked start.
 
-    At ``lam >= 0`` only rounding can raise the objective.  A rise past 1e-9
-    relative (at an exact fit, say) is undone, so the sweeps stall, if it is
-    within 1e-12 of ``|X|^2 + |lam logdet|``; else it raises a fault.
+    The blocks trust the checked ``Xm``, ``(W, H)`` and ``lam >= 0``, so only
+    rounding can raise the objective: a rise past 1e-9 relative is undone (the
+    sweeps stall) if within 1e-12 of ``|X|^2 + |lam logdet|``, else a fault.
     """
-    # The one projection of H: every later H is an H-block output, itself one.
+    # One copy of W and one projection of H; every later W and H is a block output.
+    W = W.copy()
     H = project_H_columns(H)
     # One factor per iterate: its objective's log-det and the next linearization.
     logdet, A = shifted_gram(W, delta)
@@ -186,7 +178,7 @@ def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
         logdet, A1 = shifted_gram(W1, delta)
         obj = check_finite(_objective_at(Xm, W1, H1, lam, logdet), "sweep objective")
         prev = history[-1]
-        if lam >= 0.0 and obj - prev > 1e-9 * abs(prev):
+        if obj - prev > 1e-9 * abs(prev):
             if obj - prev > 1e-12 * (np.sum(Xm * Xm) + abs(lam * logdet)):
                 raise NumericalFaultError(f"sweep objective rose from {prev} to {obj}")
             W1, H1, A1, obj = W, H, A, prev
@@ -202,14 +194,14 @@ def lambda_from_init(X, W0, H0, lambda_tilde, delta):
     Returns ``lambda_tilde * |X - W0 H0|_F^2 / |logdet(W0^T W0 + delta I)|``,
     the init-scaled weight of Leplat et al. (2019).  The log-determinant
     is negative when the init columns are small next to ``delta``; its
-    absolute value keeps the weight's sign that of ``lambda_tilde``, so
-    the penalty still shrinks the volume.  A denominator within 1e-300
-    of zero is degenerate and raises.
+    absolute value makes the weight >= 0 for any ``lambda_tilde >= 0``, the
+    one weight rule of both solvers.  A denominator within 1e-300 of zero
+    is degenerate and raises.
     """
     Xm = as_matrix(X, "X")
     res = frobenius_norm(Xm - np.asarray(W0) @ np.asarray(H0))
     denom = abs(shifted_gram(W0, delta)[0])
-    if abs(denom) < 1e-300:
+    if denom < 1e-300:
         raise DegenerateDenominatorError(
             "logdet of the initial Gram is numerically zero; "
             "the init-scaled weight is undefined"

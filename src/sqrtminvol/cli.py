@@ -112,12 +112,6 @@ def cmd_solve(args):
             with open(out / "trace.csv", "w") as fh:
                 err.trace.write_csv(fh)
         raise
-    if baseline and cfg.lam <= 0.0:
-        print(
-            f"warning: effective lambda = {cfg.lam:.17g} <= 0; "
-            "the volume term will push outward",
-            file=sys.stderr,
-        )
     echo = f"solver={args.solver} rank={args.rank} lambda={cfg.lam:.17g}"
     if args.lambda_tilde is not None:
         echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"

@@ -18,8 +18,9 @@ from .projections import project_H_columns
 
 __all__ = ["SnpaResult", "nnls_capped_simplex", "snpa"]
 
-# Refit budget per selection step.  The subproblems are tiny and warm
-# started, so this is generous.
+# Refit budget per selection step.  It binds: on perfbench's uniform-r20
+# draws (25 x 200, r = 20) 8-11 of the 20 refits, all the late ones, end on
+# it, and SNPA is 81-84% of the solve (1 BLAS thread, 2-core x86-64 VM).
 NNLS_ITERS = 500
 NNLS_TOL = 1e-10
 
@@ -97,8 +98,7 @@ def nnls_capped_simplex(W, X, H_init=None, iters=NNLS_ITERS, tol=NNLS_TOL):
         raise InvalidInputError(
             f"W has {Wm.shape[0]} rows but X has {Xm.shape[0]}"
         )
-    colnorm = np.sqrt(np.sum(Wm * Wm, axis=0))
-    if np.any(colnorm == 0.0):
+    if not Wm.any(axis=0).all():
         raise InvalidInputError("W has an all-zero column")
     if H_init is None:
         H0 = np.zeros((Wm.shape[1], Xm.shape[1]))
@@ -189,22 +189,24 @@ def snpa(X, r):
     # refit, so they are excluded from selection alongside prior picks.
     blocked = scores == 0.0
     result = SnpaResult()
-    H = None
+    H = np.zeros((0, n))
     for _ in range(r):
         scores[blocked] = -1.0
         j = int(np.argmax(scores))
         if scores[j] < 0.0:
+            # The columns left have zero squared norms: a nonzero one underflows.
+            if np.any(np.delete(Xm, result.selected_indices, axis=1)):
+                raise NumericalFaultError(
+                    "the squared norm of a nonzero column of X underflows "
+                    f"(largest entry {np.max(Xm):.3g}); rescale X"
+                )
             raise InvalidInputError(
                 "rank exceeds the number of selectable nonzero columns"
             )
         result.selected_indices.append(j)
         blocked[j] = True
         W0 = Xm[:, result.selected_indices]
-        if H is None:
-            H_init = np.zeros((1, n))
-        else:
-            H_init = np.vstack([H, np.zeros((1, n))])
-        H = nnls_capped_simplex(W0, Xm, H_init)
+        H = nnls_capped_simplex(W0, Xm, np.vstack([H, np.zeros((1, n))]))
         R = Xm - W0 @ H
         R *= R  # squared residual entries: the next scores and the norm
         scores = np.sum(R, axis=0)

@@ -96,8 +96,15 @@ def spectral_norm(M):
     so the exact spectrum is cheap, and a step of 1/L built from it is a
     descent step.
 
-    A zero matrix returns 0; this is not an error.
+    A zero matrix returns 0; this is not an error.  A finite ``M`` whose Gram
+    overflows has no finite top eigenvalue (or none ``eigvalsh`` can find):
+    that raises ``NumericalFaultError``.
     """
     A = as_matrix(M, "M")
     B = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return float(np.sqrt(max(np.linalg.eigvalsh(B)[-1], 0.0)))
+    try:
+        top = np.linalg.eigvalsh(B)[-1]
+    except np.linalg.LinAlgError:
+        top = np.inf
+    check_finite(top, "top eigenvalue of an overflowing Gram")
+    return float(np.sqrt(max(top, 0.0)))

@@ -130,13 +130,11 @@ class SqrtConfig:
     inner_iters: int = MinvolConfig.inner_iters
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
         if not (0.0 < self.epsilon < np.inf):
             raise InvalidParameterError(
                 f"epsilon must be finite and > 0, got {self.epsilon}"
             )
-        # The shared settings are checked where the baseline checks them.
+        # The shared settings (lam >= 0 among them) are checked as the baseline's.
         MinvolConfig(self.lam, self.delta, self.max_outer, self.inner_iters, self.tol)
 
 
@@ -313,13 +311,18 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
 
 
 def make_config(solver, lam=None, lambda_tilde=None, **settings):
-    """The config :func:`solve` runs ``solver`` with, checked as it checks it."""
+    """The config :func:`solve` runs ``solver`` with, checked as it checks it.
+
+    It holds ``lam = 0`` until :func:`solve` rescales a given ``lambda_tilde``.
+    """
     check_settings(solver, dict(settings, lam=lam, lambda_tilde=lambda_tilde))
-    if lambda_tilde is not None and not np.isfinite(lambda_tilde):
-        raise InvalidParameterError(f"lambda_tilde must be finite, got {lambda_tilde}")
+    if lambda_tilde is not None and not (0.0 <= lambda_tilde < np.inf):
+        raise InvalidParameterError(
+            f"lambda_tilde must be finite and >= 0, got {lambda_tilde}"
+        )
     settings = {key: v for key, v in settings.items() if v is not None}
     config = SqrtConfig if solver == "sqrt-minvol" else MinvolConfig
-    return config(lam=lam, **settings)
+    return config(lam=0.0 if lam is None else lam, **settings)
 
 
 def solve(
@@ -342,8 +345,9 @@ def solve(
     ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
     An unknown solver, a setting of the other solver, a weight not given
-    exactly once or a non-finite setting raises :class:`InvalidParameterError`;
-    a numerical fault raises :class:`NumericalFaultError` (see :func:`sqrt_minvol`).
+    exactly once, a negative weight or a non-finite setting raises
+    :class:`InvalidParameterError`; a numerical fault raises
+    :class:`NumericalFaultError` (see :func:`sqrt_minvol`).
 
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight

@@ -350,28 +350,33 @@ class TestSolveBaseline:
         )
         assert code == 2
 
-    def test_negative_weight_warns_but_succeeds(self, tmp_path, instance_dir, capsys):
-        # The baseline tolerates a nonpositive effective weight (it can
-        # come out of the init rescaling); it warns and keeps going.
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--lambda", "-0.05", "lam"), ("--lambda-tilde", "-0.01", "lambda_tilde")],
+        ids=["lambda", "lambda-tilde"],
+    )
+    def test_negative_weight_exits_2_and_writes_nothing(
+        self, tmp_path, instance_dir, capsys, flag, value, name
+    ):
+        # lam >= 0 is the one weight rule; a negative one would reward volume.
         out = tmp_path / "bl3"
-        code = main(
-            [
-                "solve",
-                str(instance_dir / "X.txt"),
-                "--rank",
-                "4",
-                "--solver",
-                "minvol-baseline",
-                "--lambda",
-                "-0.05",
-                "--max-outer",
-                "5",
-                "--out",
-                str(out),
-            ]
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4",
+                "--solver", "minvol-baseline", flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name} must be finite and >= 0, got {value}\n"
         )
-        assert code == 0
-        assert "warning:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_weight_runs_without_warning(self, tmp_path, instance_dir, capsys):
+        # lam = 0 drops the volume term; there is nothing to warn about.
+        out = tmp_path / "bl0"
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4",
+                "--solver", "minvol-baseline", "--lambda", "0", "--max-outer", "5",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "W.txt").exists()
 
 
 
@@ -402,7 +407,8 @@ class TestSolveNonFiniteSettings:
 
 
 class TestSolveNumericalFaults:
-    """A weight that overflows inside the sweeps exits 3 naming the quantity."""
+    """A weight that overflows inside the sweeps, or data whose squared norms
+    underflow, exits 3 naming the quantity."""
 
     @pytest.fixture()
     def noisy_dir(self, tmp_path):
@@ -436,6 +442,20 @@ class TestSolveNumericalFaults:
         assert (k, lambda_k) == ("1", "inf")
         assert math.isfinite(float(f)) and math.isfinite(float(r_k))
         assert not (out / "W.txt").exists()
+
+    def test_underflowing_data_exits_3(self, tmp_path, noisy_dir, capsys):
+        # Every squared column norm of X x 1e-200 underflows to 0; this used
+        # to exit 2 with "rank exceeds the number of selectable nonzero columns".
+        write_matrix(tmp_path / "tiny.txt", read_matrix(noisy_dir / "X.txt") * 1e-200)
+        out = tmp_path / "s"
+        argv = ["solve", str(tmp_path / "tiny.txt"), "--rank", "4", "--lambda", "0.1",
+                "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the squared norm of a nonzero column of X underflows")
+        assert err.endswith("; rescale X\n")
+        assert not out.exists()
 
     def test_lambda_1e306_keeps_the_rows_before_the_fault(self, tmp_path, noisy_dir, capsys):
         # This solve used to end "stalled" at f_eps = -9.2e306.

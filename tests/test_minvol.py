@@ -22,6 +22,7 @@ from sqrtminvol.errors import (
 from sqrtminvol.linalg import frobenius_norm, shifted_gram
 from sqrtminvol.baseline import (
     MinvolConfig,
+    block_sweeps,
     lambda_from_init,
     objective_minvol,
     update_W,
@@ -265,6 +266,15 @@ class TestEngineStep:
         with pytest.raises(NumericalFaultError, match=r"^non-finite W-block Lipschitz"):
             update_W(X, W, H, A, 1e308, iters=50, tol=1e-7)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gram_is_a_fault(self):
+        # W^T W overflows to inf, where eigvalsh fails to converge; the
+        # spectral norm names the overflow instead of letting LinAlgError out.
+        W = np.random.default_rng(76).random((4, 4)) * 1e155
+        message = r"^non-finite top eigenvalue of an overflowing Gram \(inf\)$"
+        with pytest.raises(NumericalFaultError, match=message):
+            nnls_capped_simplex(W, np.ones((4, 5)))
+
 
 def minvol(X, r, W0, H0, lam, **settings):
     """The baseline's trace (a ``MinvolState``) from the start ``(W0, H0)``."""
@@ -332,6 +342,24 @@ class TestMinvol:
         state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
         assert len(state.objective_history) == 6
         assert calls == [(3, 60)]
+
+    @pytest.mark.parametrize("lam, count", [(0.05, 5), (0.0, 1)], ids=["sweeps", "W-no-op"])
+    def test_sweeps_read_their_inputs_and_return_fresh_arrays(self, lam, count):
+        # From H = 0 at lam = 0 the W block's Lipschitz constant is 0, so it
+        # returns the W it was given; the loop's own copy keeps that W apart
+        # from the caller's.
+        rng = np.random.default_rng(27)
+        X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
+        init = snpa(X, 3)
+        W0, H0 = init.W0, (init.H0 if lam > 0.0 else np.zeros_like(init.H0))
+        for M in (X, W0, H0):
+            M.flags.writeable = False
+        W, H, history, _ = block_sweeps(X, W0, H0, lam, 0.1, count, 50, 1e-300)
+        assert len(history) == count + 1
+        for out in (W, H):
+            assert not any(np.shares_memory(out, M) for M in (X, W0, H0))
+        if lam == 0.0:
+            np.testing.assert_array_equal(W, W0)
 
     def test_factors_each_iterate_once(self, monkeypatch):
         # The factor that gives an iterate's objective also gives the next
@@ -446,6 +474,8 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite"):
             MinvolConfig(**settings)
 
-    def test_negative_weight_is_accepted(self):
-        cfg = MinvolConfig(lam=-0.2)
-        assert cfg.lam == -0.2
+    def test_negative_weight_is_refused(self):
+        # A negative weight would reward volume; both solvers refuse it.
+        message = r"^lam must be finite and >= 0, got -0\.2$"
+        with pytest.raises(InvalidParameterError, match=message):
+            MinvolConfig(lam=-0.2)

@@ -118,3 +118,18 @@ class TestSnpa:
         X = W4 @ rng.dirichlet(np.ones(4), size=30).T * scale
         with pytest.raises(NumericalFaultError, match="squared norm of X overflows"):
             snpa(X, 4)
+
+    def test_underflowing_columns_are_a_numerical_fault(self):
+        # Each column's squared norm underflows to 0, so no column is
+        # selectable; the error names the underflow, not a missing column.
+        rng = np.random.default_rng(4)
+        X = W4 @ rng.dirichlet(np.ones(4), size=30).T * 1e-200
+        with pytest.raises(NumericalFaultError, match="column of X underflows"):
+            snpa(X, 4)
+
+    def test_an_underflowing_column_is_skipped_when_enough_are_left(self):
+        # The check runs on the failure path only: a usable X is not refused.
+        X = np.hstack([np.diag([1.0, 2.0, 3.0]), np.full((3, 1), 1e-200)])
+        assert sorted(snpa(X, 3).selected_indices) == [0, 1, 2]
+        with pytest.raises(InvalidInputError, match="^rank exceeds"):
+            snpa(np.hstack([X[:, :2], np.zeros((3, 2))]), 3)

@@ -467,29 +467,28 @@ class TestNumericalFaults:
         assert str(info.value) == f"non-finite {message}"
         assert info.value.trace is None
 
-    @staticmethod
-    def ascending_update_W(monkeypatch):
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_underflowing_data_is_named(self, solver):
+        # Every squared column norm of X x 1e-200 underflows to 0.  SNPA used
+        # to report it as bad input: "rank exceeds the number of selectable
+        # nonzero columns".
+        message = "^the squared norm of a nonzero column of X underflows"
+        with pytest.raises(NumericalFaultError, match=message) as info:
+            solve(self.data() * 1e-200, 4, solver, lam=0.1)
+        assert info.value.trace is None
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_an_ascent_is_a_fault_not_a_stall(self, monkeypatch, solver):
         # A broken W block: its step moves every entry up by one.
         update_W = baseline_mod.update_W
         monkeypatch.setattr(
             baseline_mod, "update_W", lambda *args: update_W(*args) + 1.0
         )
-
-    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
-    def test_an_ascent_is_a_fault_not_a_stall(self, monkeypatch, solver):
-        self.ascending_update_W(monkeypatch)
         with pytest.raises(NumericalFaultError, match="^sweep objective rose from ") as info:
             solve(self.data(), 4, solver, lam=0.5, max_outer=5)
         if solver == "sqrt-minvol":
             assert str(info.value).endswith(" at outer iteration 1")
             assert len(info.value.trace.rows) == 1
-
-    def test_an_ascent_at_a_negative_weight_is_kept(self, monkeypatch):
-        # Descent only holds for lam >= 0, so the rise is recorded as it is.
-        self.ascending_update_W(monkeypatch)
-        *_, state = solve(self.data(), 4, "minvol-baseline", lam=-0.05, max_outer=3)
-        history = state.objective_history
-        assert len(history) == 4 and history[1] > history[0]
 
 
 def test_too_small_delta_is_named_in_the_error():
@@ -500,7 +499,7 @@ def test_too_small_delta_is_named_in_the_error():
 
 class TestSqrtConfig:
     def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^lam must be finite and >= 0"):
             SqrtConfig(lam=-0.1)
 
     def test_rejects_bad_smoothing(self):
@@ -543,6 +542,22 @@ class TestSolveSettings:
              "both-baseline"],
     )
     def test_rejected(self, X, solver, weights, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            solve(X, 4, solver, max_outer=2, **weights)
+
+    @pytest.mark.parametrize(
+        "solver, weights",
+        [
+            ("minvol-baseline", {"lam": -0.05}),
+            ("minvol-baseline", {"lambda_tilde": -0.01}),
+            ("sqrt-minvol", {"lam": -0.05}),
+        ],
+        ids=["baseline-lam", "baseline-lambda-tilde", "sqrt-lam"],
+    )
+    def test_negative_weight_is_refused(self, X, solver, weights):
+        # lam >= 0 is the one weight rule of both solvers.
+        [(name, value)] = weights.items()
+        message = rf"^{name} must be finite and >= 0, got {value}$"
         with pytest.raises(InvalidParameterError, match=message):
             solve(X, 4, solver, max_outer=2, **weights)
 
