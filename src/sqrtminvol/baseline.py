@@ -111,7 +111,9 @@ def update_W(Xm, W, H, A, lam, iters, tol):
 
     Minimizes ``|X - W H|_F^2 + lam * tr(A W^T W)`` over ``W >= 0`` with
     step 1/L, ``L = 2 (s_max(H H^T) + lam * s_max(A))``, for at most
-    ``iters`` steps or until it moves by at most ``tol`` relative.
+    ``iters`` steps or until it moves by at most ``tol`` relative.  This
+    is the H block's problem on ``W^T``, with Gram ``H H^T + lam A`` and
+    linear term ``2 H X^T``; the W it returns is C-contiguous.
 
     Like the H block (``fit_coefficients``) it trusts its inputs: checked
     arrays, a feasible ``W`` (returned as is when L = 0), ``lam >= 0`` and
@@ -121,28 +123,10 @@ def update_W(Xm, W, H, A, lam, iters, tol):
     """
     L = 2.0 * (spectral_norm(H) ** 2 + lam * spectral_norm(A))
     check_finite(L, "W-block Lipschitz constant")
-    if L <= 0.0:
-        return W
-    M = H @ H.T + lam * A
-    XHt2 = 2.0 * (Xm @ H.T)
+    B2 = 2.0 * (H @ Xm.T)
     xsq = float(np.sum(Xm * Xm))
-    # The gradient is 2 W M - 2 X H^T, so W - grad / L = W P + c.
-    P = np.eye(M.shape[0]) - (2.0 / L) * M
-    c = XHt2 / L
-
-    # The surrogate is |X|^2 + <W, W M - 2 X H^T>: one m x r by r x r product.
-    def objective(Wv):
-        WM = Wv @ M
-        WM -= XHt2
-        return xsq + float(np.vdot(Wv, WM))
-
-    def forward(Wv):
-        Z = Wv @ P
-        Z += c
-        return Z
-
-    Wn, _ = minimize_fgm(W, objective, forward, project_nonneg, iters, tol)
-    return Wn
+    Wt = minimize_fgm(W.T, H @ H.T + lam * A, B2, xsq, L, project_nonneg, iters, tol)
+    return np.ascontiguousarray(Wt.T)
 
 
 def stop_reason(prev, obj, tol, k, budget):

@@ -92,6 +92,12 @@ def cmd_solve(args):
     X = read_matrix(args.x_path)
     W_star = read_matrix(args.w_star) if args.w_star else None
     X_star = read_matrix(args.x_star) if args.x_star else None
+    for flag, M, shape in (
+        ("--w-star", W_star, (X.shape[0], args.rank)),
+        ("--x-star", X_star, X.shape),
+    ):
+        if M is not None and M.shape != shape:
+            raise InvalidInputError(f"{flag} has shape {M.shape}, expected {shape}")
     out = Path(args.out)
     try:
         W, H, cfg, final_obj, iters, trace = solve(

@@ -1,12 +1,12 @@
 """Accelerated projected gradient descent with monotone restarts.
 
-One engine serves every block subproblem in the package (H given W,
-W given H, and the coefficient refits inside the initializer).  The
-caller supplies the gradient step as one map, ``forward(y) = y -
-grad f(y) / L`` with ``L`` the gradient Lipschitz constant; every block
-objective here is quadratic, so that map is affine and costs one matmul
-(``P @ y + c`` or ``y @ P + c``).  A caller whose ``L`` is not positive
-has a zero gradient and returns its start without calling the engine.
+One engine solves every block subproblem in the package, each posed as
+the quadratic ``xsq + <x, G x - B2>`` over the set a projection encodes.
+The H block (also the initializer's coefficient refits) has ``x = H``,
+``G = W^T W`` and ``B2 = 2 W^T X``; the W block is the same problem on
+``x = W^T``, with ``G = H H^T + lam A`` and ``B2 = 2 H X^T``.  With ``L``
+the gradient Lipschitz constant, the step ``x - grad / L`` is the affine
+map ``P x + c`` with ``P = I - (2/L) G`` and ``c = B2 / L``.
 
 The momentum sequence is the usual fast-gradient one; whenever an
 extrapolated step would increase the objective the momentum is dropped
@@ -19,33 +19,42 @@ across iterations.
 
 import math
 
+import numpy as np
+
+from .errors import NumericalFaultError
+
 __all__ = ["minimize_fgm"]
 
 
-def minimize_fgm(x0, objective, forward, project, iters, tol):
-    """Minimize ``objective`` over the set encoded by ``project``.
+def minimize_fgm(x0, G, B2, xsq, L, project, iters, tol):
+    """Minimize ``xsq + <x, G x - B2>`` over the set encoded by ``project``.
 
-    Parameters
-    ----------
-    x0 : ndarray
-        Feasible starting point; it is never written to.
-    objective : callable
-        Smooth objective, taking one array.
-    forward : callable
-        Gradient step ``y - grad f(y) / L``, returning a new array.
-    project : callable
-        Euclidean projection onto the feasible set.
-    iters : int
-        Iteration budget.
-    tol : float
-        Stop once the per-iteration relative objective decrease falls
-        below this.
-
-    Returns
-    -------
-    (x, fx) : ndarray, float
-        Final iterate and objective value, with fx <= objective(x0).
+    ``x0`` is a feasible start, never written to; ``G`` is the block's
+    symmetric PSD r x r Gram, ``B2`` is shaped like ``x0`` and ``L`` bounds
+    ``2 s_max(G)``.  Runs at most ``iters`` steps, and stops once a step
+    lowers the objective by at most ``tol`` relative.  Returns the final
+    iterate, no worse than ``x0``, or ``x0`` itself when ``L <= 0`` (a zero
+    gradient).  A step ``2 / L`` that is not finite, as at a subnormal
+    ``L``, raises ``NumericalFaultError``.
     """
+    if L <= 0.0:
+        return x0
+    step = 2.0 / L
+    if not math.isfinite(step):
+        raise NumericalFaultError(f"the gradient step 2/L is not finite (L = {L:.3g})")
+    P = np.eye(G.shape[0]) - step * G
+    c = B2 / L
+
+    def objective(x):
+        Gx = G @ x
+        Gx -= B2
+        return xsq + float(np.vdot(x, Gx))
+
+    def forward(y):
+        Z = P @ y
+        Z += c
+        return Z
+
     fx = objective(x0)
     x = x0
     y = x0
@@ -58,7 +67,7 @@ def minimize_fgm(x0, objective, forward, project, iters, tol):
             xn = project(forward(x))
             fn = objective(xn)
             if fn > fx:
-                return x, fx
+                return x
             t = 1.0
         done = (fx - fn) <= tol * max(abs(fx), 1e-300)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -69,4 +78,4 @@ def minimize_fgm(x0, objective, forward, project, iters, tol):
         x, fx, t = xn, fn, t_next
         if done:
             break
-    return x, fx
+    return x

@@ -51,35 +51,16 @@ class SnpaResult:
 def fit_coefficients(Wm, Xm, H0, iters, tol):
     """Run the accelerated projected-gradient refit of ``H``.
 
-    Shared engine behind :func:`nnls_capped_simplex` and the H-block of
-    the solvers.  Inputs are assumed validated and ``H0`` feasible.
-    Everything the iteration needs is expressible through the small
-    cross-products, so the big matrices are touched only once.
+    The one H-block update, behind :func:`nnls_capped_simplex` and the
+    solvers.  Inputs are assumed validated and ``H0`` feasible.
+    ``|X - W H|^2 = |X|^2 + <H, G H - 2 W^T X>`` with ``G = W^T W``, so the
+    big matrices are touched only once.
     """
     L = 2.0 * spectral_norm(Wm) ** 2
     check_finite(L, "H-block Lipschitz constant")
-    if L <= 0.0:
-        return H0
-    G = Wm.T @ Wm
     B2 = 2.0 * (Wm.T @ Xm)
     xsq = float(np.sum(Xm * Xm))
-    # The gradient is 2 G H - B2, so H - grad / L = P H + c.
-    P = np.eye(G.shape[0]) - (2.0 / L) * G
-    c = B2 / L
-
-    # |X - W H|^2 = |X|^2 + <H, G H - 2 W^T X>: one r x r by r x n product.
-    def objective(H):
-        GH = G @ H
-        GH -= B2
-        return xsq + float(np.vdot(H, GH))
-
-    def forward(H):
-        Z = P @ H
-        Z += c
-        return Z
-
-    H, _ = minimize_fgm(H0, objective, forward, project_H_columns, iters, tol)
-    return H
+    return minimize_fgm(H0, Wm.T @ Wm, B2, xsq, L, project_H_columns, iters, tol)
 
 
 def nnls_capped_simplex(W, X, H_init=None, iters=NNLS_ITERS, tol=NNLS_TOL):

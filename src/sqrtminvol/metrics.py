@@ -26,10 +26,13 @@ __all__ = [
 def rel_rmse_X(X_star, W, H):
     """Relative reconstruction error ``|X* - W H|_F / |X*|_F``."""
     Xs = as_matrix(X_star, "X_star")
+    WH = np.asarray(W) @ np.asarray(H)
+    if Xs.shape != WH.shape:
+        raise InvalidInputError(f"X_star has shape {Xs.shape} but W H has {WH.shape}")
     denom = frobenius_norm(Xs)
     if denom == 0.0:
         raise UndefinedMetricError("rel_rmse_X undefined for a zero reference matrix")
-    return frobenius_norm(Xs - np.asarray(W) @ np.asarray(H)) / denom
+    return frobenius_norm(Xs - WH) / denom
 
 
 @dataclass(frozen=True)

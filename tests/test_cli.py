@@ -380,6 +380,34 @@ class TestSolveBaseline:
 
 
 
+class TestSolveGroundTruthShapes:
+    """A ground-truth file of the wrong shape exits 2 before the solve, writing
+    nothing.  A wrong --x-star used to die in numpy with exit 1, after the
+    baseline had written its outputs; a wrong --w-star let the baseline solve
+    and write everything before it exited 2."""
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    @pytest.mark.parametrize(
+        "flag, name, message",
+        [
+            ("--x-star", "W_star.txt", "--x-star has shape (4, 4), expected (4, 60)"),
+            ("--w-star", "X_star.txt", "--w-star has shape (4, 60), expected (4, 4)"),
+        ],
+        ids=["x-star", "w-star"],
+    )
+    def test_wrong_shape_exits_2_and_writes_nothing(
+        self, tmp_path, instance_dir, capsys, solver, flag, name, message
+    ):
+        out = tmp_path / "s"
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4", "--solver", solver,
+                "--lambda", "0.05", "--max-outer", "3", flag, str(instance_dir / name),
+                "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestSolveNonFiniteSettings:
     """A non-finite setting exits 2 naming it, and nothing is written."""
 
@@ -455,6 +483,25 @@ class TestSolveNumericalFaults:
         err = capsys.readouterr().err
         assert err.startswith("error: the squared norm of a nonzero column of X underflows")
         assert err.endswith("; rescale X\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambda", "0.1"], ["--solver", "minvol-baseline", "--lambda-tilde", "0.01"]],
+        ids=["sqrt-minvol", "minvol-baseline"],
+    )
+    def test_subnormal_lipschitz_constant_exits_3(self, tmp_path, noisy_dir, capsys, flags):
+        # At X x 1e-160 the step 2/L of the SNPA refit overflows; this used to
+        # exit 2 with "H_init contains non-finite entries".
+        write_matrix(tmp_path / "tiny.txt", read_matrix(noisy_dir / "X.txt") * 1e-160)
+        out = tmp_path / "s"
+        argv = ["solve", str(tmp_path / "tiny.txt"), "--rank", "4", *flags,
+                "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: the gradient step 2/L is not finite (L = 3.37e-320)\n"
+        )
         assert not out.exists()
 
     def test_lambda_1e306_keeps_the_rows_before_the_fault(self, tmp_path, noisy_dir, capsys):

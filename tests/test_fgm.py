@@ -1,24 +1,27 @@
 import numpy as np
+import pytest
 
+from sqrtminvol.errors import NumericalFaultError
 from sqrtminvol.fgm import minimize_fgm
 
 
 def quad_problem(A, b):
-    """0.5 x^T A x - b^T x with exact gradient and Lipschitz constant."""
+    """0.5 x^T A x - b^T x as the engine's ``(G, B2, xsq)`` with its objective and L.
+
+    ``xsq + <x, G x - B2>`` with ``G = A / 2`` and ``B2 = b`` is the same
+    quadratic, and its gradient ``A x - b`` has Lipschitz constant
+    ``s_max(A) = 2 s_max(G)``.
+    """
 
     def objective(x):
         return 0.5 * float(x @ A @ x) - float(b @ x)
 
-    def gradient(x):
-        return A @ x - b
-
     L = float(np.max(np.linalg.eigvalsh(A)))
-    return objective, gradient, L
+    return (A / 2.0, b, 0.0), objective, L
 
 
-def step(gradient, L):
-    """The engine's forward map ``x - gradient(x) / L``."""
-    return lambda x: x - gradient(x) / L
+def identity(v):
+    return v
 
 
 class TestMinimizeFgm:
@@ -27,23 +30,16 @@ class TestMinimizeFgm:
         M = rng.normal(size=(5, 5))
         A = M @ M.T + np.eye(5)
         b = rng.normal(size=5)
-        objective, gradient, L = quad_problem(A, b)
-        x, fx = minimize_fgm(
-            np.zeros(5), objective, step(gradient, L), lambda v: v, 500, 1e-16
-        )
+        quad, _, L = quad_problem(A, b)
+        x = minimize_fgm(np.zeros(5), *quad, L, identity, 500, 1e-16)
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
     def test_nonnegative_constraint_is_respected(self):
         A = np.eye(2)
         b = np.array([-1.0, 2.0])  # unconstrained optimum (-1, 2)
-        objective, gradient, L = quad_problem(A, b)
-        x, _ = minimize_fgm(
-            np.zeros(2),
-            objective,
-            step(gradient, L),
-            lambda v: np.maximum(v, 0.0),
-            200,
-            1e-16,
+        quad, _, L = quad_problem(A, b)
+        x = minimize_fgm(
+            np.zeros(2), *quad, L, lambda v: np.maximum(v, 0.0), 200, 1e-16
         )
         np.testing.assert_allclose(x, [0.0, 2.0], atol=1e-10)
 
@@ -52,55 +48,46 @@ class TestMinimizeFgm:
         M = rng.normal(size=(6, 6))
         A = M @ M.T + 0.1 * np.eye(6)
         b = rng.normal(size=6)
-        objective, gradient, L = quad_problem(A, b)
-        seen = []
-
-        def recording_objective(x):
-            val = objective(x)
-            return val
-
-        x0 = rng.random(6)
-        last = objective(x0)
-        x = x0
+        quad, objective, L = quad_problem(A, b)
+        x = rng.random(6)
+        first = last = objective(x)
         # Drive the engine one iteration at a time to observe the value path.
         for _ in range(50):
-            x, fx = minimize_fgm(
-                x, recording_objective, step(gradient, L), lambda v: v, 1, 1e-300
-            )
+            x = minimize_fgm(x, *quad, L, identity, 1, 1e-300)
+            fx = objective(x)
             assert fx <= last + 1e-12 * abs(last)
-            seen.append(fx)
             last = fx
-        assert seen[-1] <= seen[0]
+        assert last < first
 
     def test_underestimated_lipschitz_still_descends(self):
         rng = np.random.default_rng(2)
         M = rng.normal(size=(4, 4))
         A = M @ M.T + np.eye(4)
         b = rng.normal(size=4)
-        objective, gradient, L = quad_problem(A, b)
+        quad, objective, L = quad_problem(A, b)
         x0 = rng.random(4)
-        f0 = objective(x0)
         # Feed a Lipschitz constant 100x too small: the steps are far too
         # long, and the engine must stop rather than ascend.
-        x, fx = minimize_fgm(
-            x0, objective, step(gradient, L / 100.0), lambda v: v, 100, 1e-16
-        )
-        assert fx <= f0
+        x = minimize_fgm(x0, *quad, L / 100.0, identity, 100, 1e-16)
+        assert objective(x) <= objective(x0)
 
     def test_nonpositive_lipschitz_returns_start(self):
-        # L <= 0 means a zero gradient: the forward step is the identity.
-        # (The block updates return their start before calling the engine.)
+        # L <= 0 means a zero gradient: the start itself comes back.
         x0 = np.array([1.0, 2.0])
-        x, fx = minimize_fgm(
-            x0, lambda v: 0.0, lambda v: v + np.zeros(2), lambda v: v, 10, 1e-9
-        )
-        np.testing.assert_array_equal(x, x0)
-        assert fx == 0.0
+        for L in (0.0, -1.0):
+            x = minimize_fgm(x0, np.zeros((2, 2)), np.zeros(2), 0.0, L, identity, 10, 1e-9)
+            assert x is x0
+
+    def test_subnormal_lipschitz_is_a_fault(self):
+        # 2 / 1e-320 overflows: the step is named instead of turning x non-finite.
+        message = r"^the gradient step 2/L is not finite \(L = 1e-320\)$"
+        with pytest.raises(NumericalFaultError, match=message):
+            minimize_fgm(np.zeros(2), np.eye(2), np.ones(2), 0.0, 1e-320, identity, 10, 1e-9)
 
     def test_start_at_optimum_stays_there(self):
         A = np.diag([1.0, 4.0])
         b = np.array([1.0, 8.0])
-        objective, gradient, L = quad_problem(A, b)
+        quad, _, L = quad_problem(A, b)
         star = np.array([1.0, 2.0])
-        x, fx = minimize_fgm(star, objective, step(gradient, L), lambda v: v, 25, 1e-16)
+        x = minimize_fgm(star, *quad, L, identity, 25, 1e-16)
         np.testing.assert_allclose(x, star, atol=1e-12)

@@ -70,6 +70,12 @@ class TestRelRmseX:
         with pytest.raises(UndefinedMetricError):
             rel_rmse_X(np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2)))
 
+    def test_shape_mismatch_raises(self):
+        # W H is 2 x 3; numpy used to fail broadcasting it against X* with ValueError.
+        message = r"^X_star has shape \(2, 2\) but W H has \(2, 3\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            rel_rmse_X(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 3)))
+
 
 class TestAlignment:
     def test_identity_match(self):

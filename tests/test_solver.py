@@ -478,6 +478,16 @@ class TestNumericalFaults:
         assert info.value.trace is None
 
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_a_subnormal_lipschitz_constant_is_named(self, solver):
+        # At X x 1e-160 the SNPA refit's L = 2 s_max(W)^2 is subnormal and the
+        # step 2/L overflows; H used to turn non-finite and be reported as bad
+        # input: "H_init contains non-finite entries".
+        message = r"^the gradient step 2/L is not finite \(L = 3.37e-320\)$"
+        with pytest.raises(NumericalFaultError, match=message) as info:
+            solve(self.data() * 1e-160, 4, solver, lam=0.1)
+        assert info.value.trace is None
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_an_ascent_is_a_fault_not_a_stall(self, monkeypatch, solver):
         # A broken W block: its step moves every entry up by one.
         update_W = baseline_mod.update_W
