@@ -13,8 +13,8 @@ import io
 import tempfile
 from pathlib import Path
 
-from sqrtminvol import ExperimentSpec, InstanceSpec, run_sweep, summarize
-from sqrtminvol.sweep import write_summary_csv, write_sweep_csv
+from sqrtminvol import ExperimentSpec, InstanceSpec, run_sweep, summarize, write_table
+from sqrtminvol.sweep import SummaryRow, SweepRecord
 
 spec = ExperimentSpec(
     generator=InstanceSpec("paper-4x4", n=200, sigma=0.0, seed=0, alpha=0.05),
@@ -45,16 +45,16 @@ for row in rows:
           f"{row.argmin_lambda_W:g} "
           f"(mean rel_rmse_W {row.min_rel_rmse_W:.3e})")
 
-# The CSV writers are plain functions over the in-memory records, so a
+# The one CSV writer is a plain function over the in-memory records, so a
 # string buffer works as well as a file.
 buf = io.StringIO()
-write_sweep_csv(buf, records)
+write_table(buf, SweepRecord, records)
 print(f"\nsweep CSV is {len(buf.getvalue().splitlines())} lines "
       f"(1 header + {len(records)} records)")
 
 out = Path(tempfile.mkdtemp(prefix="sweep_demo_"))
 with open(out / "records.csv", "w") as fh:
-    write_sweep_csv(fh, records)
+    write_table(fh, SweepRecord, records)
 with open(out / "summary.csv", "w") as fh:
-    write_summary_csv(fh, rows)
+    write_table(fh, SummaryRow, rows)
 print(f"wrote {out / 'records.csv'} and {out / 'summary.csv'}")

@@ -29,13 +29,13 @@ _EXPORTS = {
     # matrix text files
     "read_matrix": "matrixio",
     "write_matrix": "matrixio",
+    "write_table": "matrixio",
     # initialization
     "SnpaResult": "initialization",
     "snpa": "initialization",
     "nnls_capped_simplex": "initialization",
     # baseline solver
     "MinvolConfig": "baseline",
-    "MinvolState": "baseline",
     "objective_minvol": "baseline",
     "lambda_from_init": "baseline",
     # square-root solver

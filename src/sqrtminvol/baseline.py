@@ -16,20 +16,20 @@ Lipschitz constant or sweep objective, or a sweep that raises the objective
 by more than rounding, raises ``NumericalFaultError``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidParameterError
 from .errors import NumericalFaultError
 from .fgm import minimize_fgm
-from .linalg import as_matrix, check_finite, frobenius_norm, shifted_gram, spectral_norm
+from .linalg import as_matrix, check_finite, frobenius_norm, residual, shifted_gram
+from .linalg import spectral_norm
 from .projections import project_H_columns, project_nonneg, require_feasible
 from .initialization import fit_coefficients
 
 __all__ = [
     "MinvolConfig",
-    "MinvolState",
     "objective_minvol",
     "update_W",
     "block_sweeps",
@@ -79,25 +79,9 @@ class MinvolConfig:
                 raise InvalidParameterError(f"{name} must be >= 1, got {count}")
 
 
-@dataclass
-class MinvolState:
-    """Factor pair, objective history and :func:`stop_reason` of a solve."""
-
-    W: np.ndarray
-    H: np.ndarray
-    objective_history: list = field(default_factory=list)
-    stop: str = None
-
-    def write_csv(self, fh):
-        """Write the history as ``k,objective`` rows, ``k = 0`` the start."""
-        fh.write("k,objective\n")
-        for k, obj in enumerate(self.objective_history):
-            fh.write(f"{k},{obj:.17g}\n")
-
-
 def _objective_at(Xm, W, H, lam, logdet):
     require_feasible(W, H, "objective_minvol")
-    res = frobenius_norm(Xm - np.asarray(W) @ np.asarray(H))
+    res = frobenius_norm(residual(Xm, W, H))
     return res * res + float(lam) * logdet
 
 
@@ -117,9 +101,10 @@ def update_W(Xm, W, H, A, lam, iters, tol):
 
     Like the H block (``fit_coefficients``) it trusts its inputs: checked
     arrays, a feasible ``W`` (returned as is when L = 0), ``lam >= 0`` and
-    an SPD ``A``, here the inverse shifted Gram of the anchor W.  L is the
-    exact gradient Lipschitz constant, so every step of length 1/L is a
-    descent step; an L that overflows raises ``NumericalFaultError``.
+    an SPD ``A``, here the inverse shifted Gram of the anchor W.  L bounds
+    ``2 s_max(H H^T + lam A)``, the Lipschitz constant of the gradient
+    ``2 (W (H H^T + lam A) - X H^T)``, from above, so every step of length
+    1/L is a descent step; an L that overflows raises ``NumericalFaultError``.
     """
     L = 2.0 * (spectral_norm(H) ** 2 + lam * spectral_norm(A))
     check_finite(L, "W-block Lipschitz constant")
@@ -182,8 +167,7 @@ def lambda_from_init(X, W0, H0, lambda_tilde, delta):
     one weight rule of both solvers.  A denominator within 1e-300 of zero
     is degenerate and raises.
     """
-    Xm = as_matrix(X, "X")
-    res = frobenius_norm(Xm - np.asarray(W0) @ np.asarray(H0))
+    res = frobenius_norm(residual(as_matrix(X, "X"), W0, H0))
     denom = abs(shifted_gram(W0, delta)[0])
     if denom < 1e-300:
         raise DegenerateDenominatorError(

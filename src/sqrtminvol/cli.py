@@ -30,18 +30,6 @@ from .errors import (
 )
 
 
-def _manifest_text(spec):
-    lines = ["[generator]", f"name = {spec.name}", f"n = {spec.n}"]
-    if spec.m is not None:
-        lines.append(f"m = {spec.m}")
-    if spec.r is not None:
-        lines.append(f"r = {spec.r}")
-    lines.append(f"alpha = {spec.alpha:.17g}")
-    lines.append(f"sigma = {spec.sigma:.17g}")
-    lines.append(f"seed = {spec.seed}")
-    return "\n".join(lines) + "\n"
-
-
 def _with_seed(spec, section, **seed):
     """``spec`` with its seed set from ``--seed``, refused as the INI key would be."""
     try:
@@ -52,8 +40,8 @@ def _with_seed(spec, section, **seed):
 
 def cmd_generate(args):
     from .datagen import make_instance
-    from .matrixio import write_matrix
-    from .sweep import parse_generator_config
+    from .matrixio import format_value, write_matrix
+    from .sweep import INI_KEYS, parse_generator_config
 
     spec = parse_generator_config(args.config)
     if args.seed is not None:
@@ -70,8 +58,11 @@ def cmd_generate(args):
         path = out / f"{name}.txt"
         write_matrix(path, M)
         print(path)
+    # The [generator] keys in INI order, so the manifest parses back to spec.
+    values = {key: getattr(spec, key) for key in INI_KEYS["generator"]}
+    lines = [f"{k} = {format_value(k, v)}" for k, v in values.items() if v is not None]
     manifest = out / "manifest.ini"
-    manifest.write_text(_manifest_text(spec))
+    manifest.write_text("\n".join(["[generator]", *lines]) + "\n")
     print(manifest)
     return 0
 
@@ -81,12 +72,21 @@ def _flag(name):
     return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
 
 
+def _write_trace(out, row_type, trace):
+    from .matrixio import write_table
+
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trace.csv", "w") as fh:
+        write_table(fh, row_type, trace.rows)
+
+
 def cmd_solve(args):
     from .matrixio import read_matrix, write_matrix
     from .metrics import rel_rmse_W, rel_rmse_X
-    from .solver import check_settings, solve
+    from .solver import ObjectiveRow, TraceRow, check_settings, solve
 
     baseline = args.solver == "minvol-baseline"
+    row_type = ObjectiveRow if baseline else TraceRow
     settings = dict(lam=args.lam, lambda_tilde=args.lambda_tilde, epsilon=args.epsilon)
     check_settings(args.solver, settings, spell=_flag)
     X = read_matrix(args.x_path)
@@ -114,20 +114,16 @@ def cmd_solve(args):
         )
     except NumericalFaultError as err:
         if err.trace is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            with open(out / "trace.csv", "w") as fh:
-                err.trace.write_csv(fh)
+            _write_trace(out, row_type, err.trace)
         raise
     echo = f"solver={args.solver} rank={args.rank} lambda={cfg.lam:.17g}"
     if args.lambda_tilde is not None:
         echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"
     echo += f" delta={cfg.delta:.17g}"
     print(echo if baseline else f"{echo} epsilon={cfg.epsilon:.17g}")
-    out.mkdir(parents=True, exist_ok=True)
+    _write_trace(out, row_type, trace)
     write_matrix(out / "W.txt", W)
     write_matrix(out / "H.txt", H)
-    with open(out / "trace.csv", "w") as fh:
-        trace.write_csv(fh)
     print(f"outer_iters={iters} final_obj={final_obj:.17g} stop={trace.stop}")
     if X_star is not None:
         print(f"rel_rmse_X={rel_rmse_X(X_star, W, H):.17g}")
@@ -137,13 +133,9 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    from .sweep import (
-        parse_experiment_config,
-        run_sweep,
-        summarize,
-        write_summary_csv,
-        write_sweep_csv,
-    )
+    from .matrixio import write_table
+    from .sweep import SummaryRow, SweepRecord, parse_experiment_config, run_sweep
+    from .sweep import summarize
 
     if args.jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
@@ -157,10 +149,10 @@ def cmd_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     records = run_sweep(spec, jobs=args.jobs)
     with open(out / "sweep.csv", "w") as fh:
-        write_sweep_csv(fh, records)
+        write_table(fh, SweepRecord, records)
     rows = summarize(records, spec.sigma_grid, spec.lambda_grid)
     with open(out / "summary.csv", "w") as fh:
-        write_summary_csv(fh, rows)
+        write_table(fh, SummaryRow, rows)
     print(out / "sweep.csv")
     print(out / "summary.csv")
     return 0

@@ -68,7 +68,7 @@ def nnls_capped_simplex(W, X, H_init=None, iters=NNLS_ITERS, tol=NNLS_TOL):
 
     Accelerated projected gradient with step 1/L, L twice the largest
     eigenvalue of ``W^T W``.  The objective is non-increasing from
-    ``H_init`` and the result is feasible.
+    ``H_init``, an ``(r, n)`` start, and the result is feasible.
 
     ``W`` must have no all-zero column; such a column makes the column
     scaling of the problem degenerate.
@@ -81,11 +81,11 @@ def nnls_capped_simplex(W, X, H_init=None, iters=NNLS_ITERS, tol=NNLS_TOL):
         )
     if not Wm.any(axis=0).all():
         raise InvalidInputError("W has an all-zero column")
-    if H_init is None:
-        H0 = np.zeros((Wm.shape[1], Xm.shape[1]))
-    else:
-        H0 = project_H_columns(as_matrix(H_init, "H_init"))
-    return fit_coefficients(Wm, Xm, H0, iters, tol)
+    shape = (Wm.shape[1], Xm.shape[1])
+    H0 = np.zeros(shape) if H_init is None else as_matrix(H_init, "H_init")
+    if H0.shape != shape:
+        raise InvalidInputError(f"H_init has shape {H0.shape}, expected {shape}")
+    return fit_coefficients(Wm, Xm, project_H_columns(H0), iters, tol)
 
 
 def _polish_columns(W0, X, H):

@@ -18,6 +18,7 @@ from .errors import NumericalFaultError
 __all__ = [
     "as_matrix",
     "frobenius_norm",
+    "residual",
     "shifted_gram",
     "spectral_norm",
 ]
@@ -54,6 +55,22 @@ def frobenius_norm(M):
     """
     A = as_matrix(M, "M")
     return float(np.sqrt(np.sum(A * A)))
+
+
+def residual(Xm, W, H, name="X"):
+    """``Xm - W H`` for an ``Xm`` that :func:`as_matrix` has checked.
+
+    Factors that do not chain, or whose product is not shaped like ``Xm``,
+    raise ``InvalidInputError`` naming ``name``.
+    """
+    W, H = np.asarray(W), np.asarray(H)
+    if W.ndim != 2 or H.ndim != 2 or W.shape[1] != H.shape[0]:
+        raise InvalidInputError(f"W has shape {W.shape} but H has {H.shape}")
+    if (W.shape[0], H.shape[1]) != Xm.shape:
+        raise InvalidInputError(
+            f"{name} has shape {Xm.shape} but W H has {(W.shape[0], H.shape[1])}"
+        )
+    return Xm - W @ H
 
 
 def shifted_gram(W, delta):

@@ -1,16 +1,18 @@
-"""Plain-text matrix files shared by the command-line tools.
+"""Plain-text matrix files and CSV tables shared by the command-line tools.
 
-Format: first line ``rows cols``, then one whitespace-separated row per
-line, written with 17 significant digits so a write/read round trip is
-exact in double precision.
+Matrix format: first line ``rows cols``, then one whitespace-separated
+row per line, written with 17 significant digits so a write/read round
+trip is exact in double precision.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import as_matrix
 
-__all__ = ["write_matrix", "read_matrix"]
+__all__ = ["write_matrix", "read_matrix", "format_value", "write_table"]
 
 
 def write_matrix(path, M):
@@ -21,6 +23,28 @@ def write_matrix(path, M):
         for row in A:
             fh.write(" ".join(f"{x:.17g}" for x in row))
             fh.write("\n")
+
+
+def format_value(name, value):
+    """The text of a table value: empty for None, 17 significant digits for a
+    float (3 decimals for ``wall_ms``), ``str`` for anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.3f}" if name == "wall_ms" else f"{value:.17g}"
+    return str(value)
+
+
+def write_table(fh, row_type, rows):
+    """Write ``rows`` of the dataclass ``row_type`` as CSV: every table's writer.
+
+    The header is the field names, or a field's ``column`` metadata where
+    it has one; each value is written by :func:`format_value`.
+    """
+    names = [(f.name, f.metadata.get("column", f.name)) for f in fields(row_type)]
+    fh.write(",".join(column for _, column in names) + "\n")
+    for row in rows:
+        fh.write(",".join(format_value(n, getattr(row, n)) for n, _ in names) + "\n")
 
 
 def read_matrix(path):

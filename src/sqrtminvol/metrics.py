@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
-from .linalg import as_matrix, frobenius_norm
+from .linalg import as_matrix, frobenius_norm, residual
 
 __all__ = [
     "rel_rmse_X",
@@ -26,13 +26,11 @@ __all__ = [
 def rel_rmse_X(X_star, W, H):
     """Relative reconstruction error ``|X* - W H|_F / |X*|_F``."""
     Xs = as_matrix(X_star, "X_star")
-    WH = np.asarray(W) @ np.asarray(H)
-    if Xs.shape != WH.shape:
-        raise InvalidInputError(f"X_star has shape {Xs.shape} but W H has {WH.shape}")
+    R = residual(Xs, W, H, "X_star")
     denom = frobenius_norm(Xs)
     if denom == 0.0:
         raise UndefinedMetricError("rel_rmse_X undefined for a zero reference matrix")
-    return frobenius_norm(Xs - WH) / denom
+    return frobenius_norm(R) / denom
 
 
 @dataclass(frozen=True)

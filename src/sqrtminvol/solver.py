@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
-from .linalg import as_matrix, check_finite, frobenius_norm, shifted_gram
+from .linalg import as_matrix, check_finite, frobenius_norm, residual, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, MinvolState, block_sweeps, lambda_from_init
+from .baseline import MinvolConfig, block_sweeps, lambda_from_init
 from .baseline import stop_reason
 from .projections import require_feasible
 from .initialization import snpa
@@ -42,6 +42,7 @@ __all__ = [
     "SqrtConfig",
     "FactorPair",
     "TraceRow",
+    "ObjectiveRow",
     "SolveTrace",
     "check_settings",
     "make_config",
@@ -63,8 +64,6 @@ SOLVER_ONLY = {"epsilon": "sqrt-minvol", "lambda_tilde": "minvol-baseline"}
 # tiny tolerance keeps late sweeps from quitting before the budget.
 INNER_SWEEPS = 20
 INNER_TOL = 1e-13
-
-TRACE_HEADER = "k,f_eps,r_k,lambda_k,sigma_hat,rel_rmse_X,rel_rmse_W,wall_ms"
 
 
 def check_settings(solver, settings, spell=str):
@@ -162,36 +161,31 @@ class TraceRow:
 
 
 @dataclass
-class SolveTrace:
-    """Append-only trace of a solve; serializes to CSV.
+class ObjectiveRow:
+    """One sweep of the baseline: ``k = 0`` is the start."""
 
-    ``stop``: the :func:`~sqrtminvol.baseline.stop_reason` of ``f_eps``, or None.
+    k: int
+    objective: float
+
+
+@dataclass
+class SolveTrace:
+    """Append-only trace of a solve, either solver's.
+
+    ``rows``: :class:`TraceRow` records of the square-root solver's outer
+    iterations, or :class:`ObjectiveRow` records of the baseline's sweeps.
+    ``stop``: the :func:`~sqrtminvol.baseline.stop_reason` that ended it, or None.
     """
 
     rows: list = field(default_factory=list)
     stop: str = None
-
-    def write_csv(self, fh):
-        """Write the trace to an open text file handle."""
-
-        def fmt(x):
-            return "" if x is None else f"{x:.17g}"
-
-        fh.write(TRACE_HEADER + "\n")
-        for row in self.rows:
-            fh.write(
-                f"{row.k},{fmt(row.f_eps)},{fmt(row.r_k)},{fmt(row.lambda_k)},"
-                f"{fmt(row.sigma_hat)},{fmt(row.rel_rmse_X)},{fmt(row.rel_rmse_W)},"
-                f"{row.wall_ms:.3f}\n"
-            )
 
 
 def residual_r(X, W, H, epsilon):
     """Squared Frobenius residual plus the smoothing constant."""
     if not (float(epsilon) > 0.0):
         raise InvalidParameterError(f"epsilon must be > 0, got {epsilon}")
-    Xm = as_matrix(X, "X")
-    res = frobenius_norm(Xm - np.asarray(W) @ np.asarray(H))
+    res = frobenius_norm(residual(as_matrix(X, "X"), W, H))
     return res * res + float(epsilon)
 
 
@@ -206,8 +200,7 @@ def lambda_k(r_k, lam):
 def sigma_hat(X, W, H, epsilon):
     """Residual-based noise-scale estimate ``sqrt(r) / (m n)``."""
     Xm = as_matrix(X, "X")
-    m, n = Xm.shape
-    return float(np.sqrt(residual_r(Xm, W, H, epsilon)) / (m * n))
+    return float(np.sqrt(residual_r(Xm, W, H, epsilon)) / Xm.size)
 
 
 def f_eps(X, W, H, lam, delta, epsilon):
@@ -275,17 +268,12 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     f_prev = None
     try:
         for k in range(1, config.max_outer + 1):
-            fk = f_eps(Xm, W, H, config.lam, config.delta, config.epsilon)
+            # One residual per row: f_eps and sigma_hat are formed from r_k.
             rk = residual_r(Xm, W, H, config.epsilon)
+            fit = float(np.sqrt(rk))
+            fk = fit + float(config.lam) * shifted_gram(W, config.delta)[0]
             lamk = lambda_k(rk, config.lam)
-            row = TraceRow(
-                k=k,
-                f_eps=fk,
-                r_k=rk,
-                lambda_k=lamk,
-                sigma_hat=sigma_hat(Xm, W, H, config.epsilon),
-                wall_ms=wall * 1000.0,
-            )
+            row = TraceRow(k, fk, rk, lamk, fit / Xm.size, wall_ms=wall * 1000.0)
             if X_star is not None:
                 row.rel_rmse_X = rel_rmse_X(X_star, W, H)
             if W_star is not None:
@@ -352,9 +340,11 @@ def solve(
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight
     used, rescaled from ``lambda_tilde`` for the baseline), the last
-    objective value, the number of outer iterations, and the trace
-    ``trace.csv`` is written from (a :class:`SolveTrace`, or the
-    baseline's ``MinvolState``); both say why the solve stopped.
+    objective value, the number of outer iterations, and the
+    :class:`SolveTrace` ``trace.csv`` is written from.  Its ``stop`` says
+    why the solve stopped; its rows are the square-root solver's
+    :class:`TraceRow` records, or the baseline's :class:`ObjectiveRow`
+    records, one per sweep from ``k = 0``, the start.
     """
     cfg = make_config(solver, lam, lambda_tilde, **settings)
     if solver == "sqrt-minvol":
@@ -367,4 +357,5 @@ def solve(
     W, H, history, stop = block_sweeps(
         Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
     )
-    return W, H, cfg, history[-1], len(history) - 1, MinvolState(W, H, history, stop)
+    trace = SolveTrace([ObjectiveRow(k, obj) for k, obj in enumerate(history)], stop)
+    return W, H, cfg, history[-1], len(history) - 1, trace

@@ -27,8 +27,6 @@ from .metrics import rel_rmse_W, rel_rmse_X
 from .solver import make_config, solve
 
 __all__ = [
-    "SWEEP_HEADER",
-    "SUMMARY_HEADER",
     "ExperimentSpec",
     "SweepRecord",
     "SummaryRow",
@@ -36,18 +34,9 @@ __all__ = [
     "run_cell",
     "run_sweep",
     "summarize",
-    "write_sweep_csv",
-    "write_summary_csv",
     "parse_generator_config",
     "parse_experiment_config",
 ]
-
-SWEEP_HEADER = (
-    "solver,sigma,lambda,replicate,seed,rel_rmse_X,rel_rmse_W,"
-    "final_obj,outer_iters,status,wall_ms"
-)
-SUMMARY_HEADER = "sigma,min_rel_rmse_X,argmin_lambda_X,min_rel_rmse_W,argmin_lambda_W"
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -114,14 +103,16 @@ class ExperimentSpec:
 class SweepRecord:
     """One grid cell result; ``lam`` holds the grid value for the cell.
 
-    ``wall_ms`` is the cell's own time, except that the first cell of a
-    row (or of a row's chunk, see :func:`run_sweep`) also carries the
-    instance and SNPA start that the row's other cells reuse.
+    ``stop`` is the solve's :func:`~sqrtminvol.baseline.stop_reason`, None
+    for a faulted cell.  ``wall_ms`` is the cell's own time, except that
+    the first cell of a row (or of a row's chunk, see :func:`run_sweep`)
+    also carries the instance and SNPA start that the row's other cells
+    reuse.  ``sweep.csv`` is these records, ``lam`` headed ``lambda``.
     """
 
     solver: str
     sigma: float
-    lam: float
+    lam: float = field(metadata={"column": "lambda"})
     replicate: int
     seed: int
     rel_rmse_X: float = None
@@ -129,6 +120,7 @@ class SweepRecord:
     final_obj: float = None
     outer_iters: int = 0
     status: str = "ok"
+    stop: str = None
     wall_ms: float = 0.0
 
 
@@ -172,11 +164,12 @@ def _row_start(spec, sigma, seed, row):
 
 
 def _solve_cell(spec, X, gt, lam, start):
-    """Run the configured solver; returns (relX, relW, final_obj, iters)."""
-    W, H, _, final_obj, iters, _ = solve(
+    """Run the configured solver; returns (relX, relW, final_obj, iters, stop)."""
+    W, H, _, final_obj, iters, trace = solve(
         X, spec.generator.rank, spec.solver, start=start, **spec.solve_settings(lam)
     )
-    return rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W), final_obj, iters
+    relX, relW = rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W)
+    return relX, relW, final_obj, iters, trace.stop
 
 
 def run_cell(spec, sigma_index, replicate, lambda_index, row=None):
@@ -196,8 +189,8 @@ def run_cell(spec, sigma_index, replicate, lambda_index, row=None):
     t0 = time.perf_counter()
     try:
         gt, X, start = _row_start(spec, sigma, seed, {} if row is None else row)
-        rec.rel_rmse_X, rec.rel_rmse_W, rec.final_obj, rec.outer_iters = _solve_cell(
-            spec, X, gt, lam, start
+        rec.rel_rmse_X, rec.rel_rmse_W, rec.final_obj, rec.outer_iters, rec.stop = (
+            _solve_cell(spec, X, gt, lam, start)
         )
     except SqrtMinvolError as err:
         rec.status = f"fault:{type(err).__name__}"
@@ -252,20 +245,6 @@ def run_sweep(spec, jobs=1):
     return [rec for records in done for rec in records]
 
 
-def _fmt(x):
-    return "" if x is None else f"{x:.17g}"
-
-
-def write_sweep_csv(fh, records):
-    fh.write(SWEEP_HEADER + "\n")
-    for r in records:
-        fh.write(
-            f"{r.solver},{r.sigma:.17g},{r.lam:.17g},{r.replicate},{r.seed},"
-            f"{_fmt(r.rel_rmse_X)},{_fmt(r.rel_rmse_W)},{_fmt(r.final_obj)},"
-            f"{r.outer_iters},{r.status},{r.wall_ms:.3f}\n"
-        )
-
-
 def summarize(records, sigma_grid, lambda_grid):
     """Per-sigma minima of replicate-averaged errors, with their lambdas.
 
@@ -302,15 +281,6 @@ def summarize(records, sigma_grid, lambda_grid):
             )
         )
     return rows
-
-
-def write_summary_csv(fh, rows):
-    fh.write(SUMMARY_HEADER + "\n")
-    for r in rows:
-        fh.write(
-            f"{r.sigma:.17g},{_fmt(r.min_rel_rmse_X)},{_fmt(r.argmin_lambda_X)},"
-            f"{_fmt(r.min_rel_rmse_W)},{_fmt(r.argmin_lambda_W)}\n"
-        )
 
 
 def _config_error(path, section, message):

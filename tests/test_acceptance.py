@@ -43,6 +43,7 @@ from oracles import (
 )
 from sqrtminvol.datagen import InstanceSpec, make_instance
 from sqrtminvol.linalg import frobenius_norm, shifted_gram
+from sqrtminvol.matrixio import write_table
 from sqrtminvol.metrics import align_columns
 from sqrtminvol.baseline import objective_minvol
 from sqrtminvol.projections import project_H_columns
@@ -50,11 +51,11 @@ from sqrtminvol.initialization import snpa
 from sqrtminvol.solver import SqrtConfig, f_eps, sqrt_minvol
 from sqrtminvol.sweep import (
     ExperimentSpec,
+    SummaryRow,
+    SweepRecord,
     cell_seed,
     run_sweep,
     summarize,
-    write_summary_csv,
-    write_sweep_csv,
 )
 
 BASE_SEED = 7
@@ -485,8 +486,9 @@ def test_sweep_is_deterministic_across_jobs():
         for jobs in (1, JOBS):
             records = run_sweep(spec, jobs=jobs)
             sweep_buf, summary_buf = io.StringIO(), io.StringIO()
-            write_sweep_csv(sweep_buf, records)
-            write_summary_csv(summary_buf, summarize(records, spec.sigma_grid, spec.lambda_grid))
+            write_table(sweep_buf, SweepRecord, records)
+            rows = summarize(records, spec.sigma_grid, spec.lambda_grid)
+            write_table(summary_buf, SummaryRow, rows)
             outputs.append(
                 (strip_wall_column(sweep_buf.getvalue()), summary_buf.getvalue())
             )

@@ -18,7 +18,11 @@ from sqrtminvol.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
-from sqrtminvol.linalg import as_matrix, frobenius_norm, shifted_gram, spectral_norm
+from sqrtminvol.baseline import lambda_from_init, objective_minvol
+from sqrtminvol.initialization import nnls_capped_simplex
+from sqrtminvol.linalg import as_matrix, frobenius_norm, residual, shifted_gram
+from sqrtminvol.linalg import spectral_norm
+from sqrtminvol.solver import f_eps, residual_r, sigma_hat
 
 W4 = np.array(
     [
@@ -258,3 +262,37 @@ class TestAsMatrix:
     def test_rejects_vector(self):
         with pytest.raises(InvalidInputError):
             as_matrix(np.zeros(3), "M")
+
+
+class TestResidual:
+    """``X - W H`` is formed in one place, which names a shape mismatch."""
+
+    def test_value(self):
+        X, W, H = np.ones((2, 3)), np.full((2, 1), 0.5), np.ones((1, 3))
+        np.testing.assert_array_equal(residual(X, W, H), np.full((2, 3), 0.5))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # H has 6 columns for the 5 of X.
+            lambda: f_eps(np.ones((4, 5)), np.ones((4, 2)), np.full((2, 6), 0.25),
+                          1.0, 0.1, 0.1),
+            lambda: residual_r(np.ones((4, 5)), np.ones((4, 2)), np.full((2, 6), 0.25), 0.1),
+            lambda: sigma_hat(np.ones((4, 5)), np.ones((4, 2)), np.full((2, 6), 0.25), 0.1),
+            # W has 3 rows for the 4 of X.
+            lambda: objective_minvol(np.ones((4, 5)), np.ones((3, 2)),
+                                     np.full((2, 5), 0.25), 1.0, 0.1),
+            # H0 has 3 rows for the 2 columns of W0.
+            lambda: lambda_from_init(np.ones((4, 5)), np.ones((4, 2)),
+                                     np.full((3, 5), 0.25), 0.1, 0.1),
+            # H_init has 3 rows for the 2 columns of W.
+            lambda: nnls_capped_simplex(np.ones((4, 2)), np.ones((4, 5)),
+                                        np.full((3, 5), 0.25)),
+        ],
+        ids=["f_eps", "residual_r", "sigma_hat", "objective_minvol",
+             "lambda_from_init", "nnls_capped_simplex"],
+    )
+    def test_mismatched_shapes_raise_invalid_input(self, call):
+        # Each of these let numpy's ValueError (a broadcast or matmul error) out.
+        with pytest.raises(InvalidInputError, match="shape"):
+            call()

@@ -277,8 +277,10 @@ class TestEngineStep:
 
 
 def minvol(X, r, W0, H0, lam, **settings):
-    """The baseline's trace (a ``MinvolState``) from the start ``(W0, H0)``."""
-    return solve(X, r, "minvol-baseline", lam=lam, start=(W0, H0), **settings)[-1]
+    """The baseline's ``(W, H, objectives)`` from ``(W0, H0)``, the objectives
+    one per sweep from the start's."""
+    W, H, *_, trace = solve(X, r, "minvol-baseline", lam=lam, start=(W0, H0), **settings)
+    return W, H, [row.objective for row in trace.rows]
 
 
 class TestMinvol:
@@ -289,8 +291,8 @@ class TestMinvol:
         D = rng.dirichlet(np.ones(4), size=30).T * 0.9
         X = np.hstack([W4, W4 @ D])
         init = snpa(X, 4)
-        state = minvol(X, 4, init.W0, init.H0, 0.0, max_outer=200, tol=1e-13)
-        rel = frobenius_norm(X - state.W @ state.H) / frobenius_norm(X)
+        W, H, _ = minvol(X, 4, init.W0, init.H0, 0.0, max_outer=200, tol=1e-13)
+        rel = frobenius_norm(X - W @ H) / frobenius_norm(X)
         assert rel <= 1e-8
 
     def test_noisy_initscaled_weight_keeps_fit(self):
@@ -299,8 +301,8 @@ class TestMinvol:
         X = W4 @ H_star + 0.01 * rng.random((4, 150))
         init = snpa(X, 4)
         lam = lambda_from_init(X, init.W0, init.H0, 1e-2, 0.1)
-        state = minvol(X, 4, init.W0, init.H0, lam)
-        rel = frobenius_norm(X - state.W @ state.H) / frobenius_norm(X)
+        W, H, _ = minvol(X, 4, init.W0, init.H0, lam)
+        rel = frobenius_norm(X - W @ H) / frobenius_norm(X)
         assert rel <= 0.1
 
     def test_history_starts_at_init_and_decreases(self):
@@ -309,8 +311,7 @@ class TestMinvol:
         W_star = rng.random((6, 3)) + 0.1
         X = W_star @ H_star
         init = snpa(X, 3)
-        state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=40)
-        hist = state.objective_history
+        _, _, hist = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=40)
         assert hist[0] == pytest.approx(
             objective_minvol(X, init.W0, init.H0, 0.05, 0.1), rel=1e-12
         )
@@ -339,8 +340,8 @@ class TestMinvol:
         rng = np.random.default_rng(27)
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         init = snpa(X, 3)
-        state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
-        assert len(state.objective_history) == 6
+        _, _, hist = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
+        assert len(hist) == 6
         assert calls == [(3, 60)]
 
     @pytest.mark.parametrize("lam, count", [(0.05, 5), (0.0, 1)], ids=["sweeps", "W-no-op"])
@@ -375,8 +376,8 @@ class TestMinvol:
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         init = snpa(X, 3)
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        state = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
-        sweeps = len(state.objective_history) - 1
+        _, _, hist = minvol(X, 3, init.W0, init.H0, 0.05, max_outer=5, tol=1e-300)
+        sweeps = len(hist) - 1
         assert sweeps == 5
         assert calls == [(3, 3)] * (1 + sweeps)
 
@@ -384,8 +385,8 @@ class TestMinvol:
         # The start fits exactly, so the objective is 0.  The first sweep
         # ends at 8.6e-32 by rounding; it is undone, and the sweeps stall.
         X = np.ones((1, 7))
-        W, H, _, final_obj, sweeps, state = solve(X, 1, "minvol-baseline", lam=0.0)
-        assert (state.objective_history, state.stop) == ([0.0, 0.0], "stalled")
+        W, H, _, final_obj, sweeps, trace = solve(X, 1, "minvol-baseline", lam=0.0)
+        assert ([row.objective for row in trace.rows], trace.stop) == ([0.0, 0.0], "stalled")
         assert (final_obj, sweeps) == (0.0, 1)
         np.testing.assert_array_equal(W @ H, X)
 

@@ -20,11 +20,12 @@ import sqrtminvol.baseline as baseline_mod
 import sqrtminvol.solver as solver_mod
 from sqrtminvol.baseline import MinvolConfig, block_sweeps
 from sqrtminvol.initialization import snpa
+from sqrtminvol.matrixio import write_table
 from sqrtminvol.solver import (
     INNER_SWEEPS,
     INNER_TOL,
-    SolveTrace,
     SqrtConfig,
+    TraceRow,
     f_eps,
     lambda_k,
     residual_r,
@@ -339,7 +340,7 @@ class TestSqrtMinvol:
         X = separable_X(rng)
         _, trace = sqrt_minvol(X, 4, SqrtConfig(lam=0.2, max_outer=4))
         buf = io.StringIO()
-        trace.write_csv(buf)
+        write_table(buf, TraceRow, trace.rows)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "k,f_eps,r_k,lambda_k,sigma_hat,rel_rmse_X,rel_rmse_W,wall_ms"
         reader = csv.DictReader(io.StringIO(buf.getvalue()))
@@ -397,13 +398,13 @@ class TestStopReason:
     def test_baseline_stops_by_the_same_rule(self, settings, stop):
         _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
         init = snpa(X, 4)
-        state = solve(
+        started = solve(
             X, 4, "minvol-baseline", lam=1.0, start=(init.W0, init.H0), **settings
         )[-1]
         *_, iters, trace = solve(X, 4, "minvol-baseline", lam=1.0, **settings)
-        assert trace.stop == state.stop == stop
-        assert trace.objective_history == state.objective_history
-        a, b = state.objective_history[-2:]
+        assert trace.stop == started.stop == stop
+        assert trace.rows == started.rows
+        a, b = (row.objective for row in started.rows[-2:])
         if stop == "stalled":
             assert a == b and iters < settings["max_outer"]
         elif stop == "converged":
@@ -604,12 +605,8 @@ class TestSolveStart:
     @staticmethod
     def answer(result):
         W, H, cfg, final_obj, iters, trace = result
-        if isinstance(trace, SolveTrace):
-            rows = [(r.k, r.f_eps, r.r_k, r.lambda_k, r.sigma_hat, r.rel_rmse_X,
-                     r.rel_rmse_W) for r in trace.rows]
-            trace = (rows, trace.stop)
-        else:
-            trace = trace.objective_history
+        rows = [{k: v for k, v in vars(r).items() if k != "wall_ms"} for r in trace.rows]
+        trace = (rows, trace.stop)
         return W.tobytes(), H.tobytes(), cfg, final_obj, iters, trace
 
     @pytest.mark.parametrize(
@@ -699,8 +696,8 @@ class TestRandomInstances:
     @example((np.ones((1, 7)), 1), 0.0)
     def test_baseline(self, problem, lam):
         X, r = problem
-        W, H, *_, state = solve(
+        W, H, *_, trace = solve(
             X, r, "minvol-baseline", lam=lam, max_outer=6, inner_iters=10
         )
         self.assert_feasible(W, H)
-        self.assert_descends(state.objective_history)
+        self.assert_descends([row.objective for row in trace.rows])

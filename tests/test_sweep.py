@@ -11,8 +11,10 @@ import sqrtminvol.sweep as sweep_mod
 from sqrtminvol.cli import main
 from sqrtminvol.datagen import InstanceSpec
 from sqrtminvol.errors import InvalidInputError, InvalidParameterError, NumericalFaultError
+from sqrtminvol.matrixio import write_table
 from sqrtminvol.sweep import (
     ExperimentSpec,
+    SummaryRow,
     SweepRecord,
     cell_seed,
     parse_experiment_config,
@@ -20,8 +22,6 @@ from sqrtminvol.sweep import (
     run_cell,
     run_sweep,
     summarize,
-    write_summary_csv,
-    write_sweep_csv,
 )
 from sqrtminvol.solver import solve
 
@@ -210,9 +210,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "_solve_cell", sometimes)
         records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
-        by_lam = {lam: [r.status for r in records if r.lam == lam] for lam in (0.1, 0.01)}
-        assert all(s == "ok" for s in by_lam[0.1])
-        assert all(s == "fault:NumericalFaultError" for s in by_lam[0.01])
+        by_lam = {
+            lam: [(r.status, r.stop) for r in records if r.lam == lam] for lam in (0.1, 0.01)
+        }
+        # A solved cell records why its solve stopped; a faulted one has no stop.
+        assert all(s == ("ok", "budget") for s in by_lam[0.1])
+        assert all(s == ("fault:NumericalFaultError", None) for s in by_lam[0.01])
 
     def test_parallel_matches_serial_excluding_wall(self):
         spec = tiny_spec(max_outer=4, inner_iters=8)
@@ -221,7 +224,7 @@ class TestRunSweep:
 
         def strip_wall(records):
             buf = io.StringIO()
-            write_sweep_csv(buf, records)
+            write_table(buf, SweepRecord, records)
             lines = buf.getvalue().splitlines()
             return [",".join(line.split(",")[:-1]) for line in lines]
 
@@ -446,8 +449,9 @@ class TestSummarize:
 class TestCsvWriters:
     def test_sweep_csv_layout(self):
         buf = io.StringIO()
-        write_sweep_csv(
+        write_table(
             buf,
+            SweepRecord,
             [
                 SweepRecord(
                     solver="sqrt-minvol",
@@ -460,6 +464,7 @@ class TestCsvWriters:
                     final_obj=1.5,
                     outer_iters=7,
                     status="ok",
+                    stop="converged",
                     wall_ms=12.3456,
                 )
             ],
@@ -467,14 +472,14 @@ class TestCsvWriters:
         lines = buf.getvalue().splitlines()
         assert lines[0] == (
             "solver,sigma,lambda,replicate,seed,rel_rmse_X,rel_rmse_W,"
-            "final_obj,outer_iters,status,wall_ms"
+            "final_obj,outer_iters,status,stop,wall_ms"
         )
-        assert lines[1] == "sqrt-minvol,0.01,0.5,0,123,0.25,0.5,1.5,7,ok,12.346"
+        assert lines[1] == "sqrt-minvol,0.01,0.5,0,123,0.25,0.5,1.5,7,ok,converged,12.346"
 
     def test_summary_csv_handles_missing_cells(self):
         rows = summarize([], (0.3,), (1.0,))
         buf = io.StringIO()
-        write_summary_csv(buf, rows)
+        write_table(buf, SummaryRow, rows)
         lines = buf.getvalue().splitlines()
         assert lines[0] == (
             "sigma,min_rel_rmse_X,argmin_lambda_X,min_rel_rmse_W,argmin_lambda_W"
