@@ -22,7 +22,6 @@ _EXPORTS = {
     # linear algebra kernels
     "frobenius_norm": "linalg",
     "shifted_gram": "linalg",
-    "spectral_norm": "linalg",
     # projections
     "project_nonneg": "projections",
     "project_H_columns": "projections",

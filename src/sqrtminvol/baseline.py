@@ -22,16 +22,13 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidParameterError
 from .errors import NumericalFaultError
-from .fgm import minimize_fgm
+from .fgm import solve_block
 from .linalg import as_matrix, check_finite, frobenius_norm, residual, shifted_gram
-from .linalg import spectral_norm
 from .projections import project_H_columns, project_nonneg, require_feasible
-from .initialization import fit_coefficients
 
 __all__ = [
     "MinvolConfig",
     "objective_minvol",
-    "update_W",
     "block_sweeps",
     "lambda_from_init",
 ]
@@ -90,30 +87,6 @@ def objective_minvol(X, W, H, lam, delta):
     return _objective_at(as_matrix(X, "X"), W, H, lam, shifted_gram(W, delta)[0])
 
 
-def update_W(Xm, W, H, A, lam, iters, tol):
-    """One accelerated projected-gradient pass on the W block.
-
-    Minimizes ``|X - W H|_F^2 + lam * tr(A W^T W)`` over ``W >= 0`` with
-    step 1/L, ``L = 2 (s_max(H H^T) + lam * s_max(A))``, for at most
-    ``iters`` steps or until it moves by at most ``tol`` relative.  This
-    is the H block's problem on ``W^T``, with Gram ``H H^T + lam A`` and
-    linear term ``2 H X^T``; the W it returns is C-contiguous.
-
-    Like the H block (``fit_coefficients``) it trusts its inputs: checked
-    arrays, a feasible ``W`` (returned as is when L = 0), ``lam >= 0`` and
-    an SPD ``A``, here the inverse shifted Gram of the anchor W.  L bounds
-    ``2 s_max(H H^T + lam A)``, the Lipschitz constant of the gradient
-    ``2 (W (H H^T + lam A) - X H^T)``, from above, so every step of length
-    1/L is a descent step; an L that overflows raises ``NumericalFaultError``.
-    """
-    L = 2.0 * (spectral_norm(H) ** 2 + lam * spectral_norm(A))
-    check_finite(L, "W-block Lipschitz constant")
-    B2 = 2.0 * (H @ Xm.T)
-    xsq = float(np.sum(Xm * Xm))
-    Wt = minimize_fgm(W.T, H @ H.T + lam * A, B2, xsq, L, project_nonneg, iters, tol)
-    return np.ascontiguousarray(Wt.T)
-
-
 def stop_reason(prev, obj, tol, k, budget):
     """Why a loop stops after step ``k`` of ``budget``, or None to go on.
 
@@ -133,27 +106,38 @@ def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
     The blocks trust the checked ``Xm``, ``(W, H)`` and ``lam >= 0``, so only
     rounding can raise the objective: a rise past 1e-9 relative is undone (the
     sweeps stall) if within 1e-12 of ``|X|^2 + |lam logdet|``, else a fault.
+    A ``NumericalFaultError`` carries the objectives so far as its ``trace``.
     """
     # One copy of W and one projection of H; every later W and H is a block output.
     W = W.copy()
     H = project_H_columns(H)
     # One factor per iterate: its objective's log-det and the next linearization.
     logdet, A = shifted_gram(W, delta)
-    history = [check_finite(_objective_at(Xm, W, H, lam, logdet), "sweep objective")]
+    history = []
     stop = None
-    while stop is None:
-        W1 = update_W(Xm, W, H, A, lam, inner_iters, tol)
-        H1 = fit_coefficients(W1, Xm, H, inner_iters, tol)
-        logdet, A1 = shifted_gram(W1, delta)
-        obj = check_finite(_objective_at(Xm, W1, H1, lam, logdet), "sweep objective")
-        prev = history[-1]
-        if obj - prev > 1e-9 * abs(prev):
-            if obj - prev > 1e-12 * (np.sum(Xm * Xm) + abs(lam * logdet)):
-                raise NumericalFaultError(f"sweep objective rose from {prev} to {obj}")
-            W1, H1, A1, obj = W, H, A, prev
-        W, H, A = W1, H1, A1
+    try:
+        obj = check_finite(_objective_at(Xm, W, H, lam, logdet), "sweep objective")
         history.append(obj)
-        stop = stop_reason(history[-2], history[-1], tol, len(history) - 1, count)
+        while stop is None:
+            Wt = solve_block(
+                W.T, H.T, Xm.T, project_nonneg, inner_iters, tol, "W-block", lam, A
+            )
+            W1 = np.ascontiguousarray(Wt.T)
+            H1 = solve_block(H, W1, Xm, project_H_columns, inner_iters, tol, "H-block")
+            logdet, A1 = shifted_gram(W1, delta)
+            obj = check_finite(_objective_at(Xm, W1, H1, lam, logdet), "sweep objective")
+            prev = history[-1]
+            if obj - prev > 1e-9 * abs(prev):
+                if obj - prev > 1e-12 * (np.sum(Xm * Xm) + abs(lam * logdet)):
+                    raise NumericalFaultError(f"sweep objective rose from {prev} to {obj}")
+                W1, H1, A1, obj = W, H, A, prev
+            W, H, A = W1, H1, A1
+            history.append(obj)
+            stop = stop_reason(history[-2], history[-1], tol, len(history) - 1, count)
+    except NumericalFaultError as err:
+        # The objectives so far ride on the fault, so the caller can flush them.
+        err.trace = history
+        raise
     return W, H, history, stop
 
 

@@ -1,12 +1,14 @@
 """Accelerated projected gradient descent with monotone restarts.
 
-One engine solves every block subproblem in the package, each posed as
-the quadratic ``xsq + <x, G x - B2>`` over the set a projection encodes.
-The H block (also the initializer's coefficient refits) has ``x = H``,
-``G = W^T W`` and ``B2 = 2 W^T X``; the W block is the same problem on
-``x = W^T``, with ``G = H H^T + lam A`` and ``B2 = 2 H X^T``.  With ``L``
-the gradient Lipschitz constant, the step ``x - grad / L`` is the affine
-map ``P x + c`` with ``P = I - (2/L) G`` and ``c = B2 / L``.
+:func:`solve_block` is the one place a block subproblem is posed: it
+minimizes ``|Y - F x|_F^2 + lam <x, A x>`` over the set a projection
+encodes.  The H block (also the initializer's refits) has ``x = H``,
+``F = W`` and ``Y = X``; the W block has ``x = W^T``, ``F = H^T``,
+``Y = X^T`` and the penalty ``lam A``.  It forms ``G = F^T F + lam A`` and
+``B2 = 2 F^T Y`` once for :func:`minimize_fgm`, which minimizes
+``xsq + <x, G x - B2>``; with ``L`` the gradient Lipschitz constant, its
+step ``x - grad / L`` is the affine map ``P x + c`` with
+``P = I - (2/L) G`` and ``c = B2 / L``.
 
 The momentum sequence is the usual fast-gradient one; whenever an
 extrapolated step would increase the objective the momentum is dropped
@@ -22,8 +24,40 @@ import math
 import numpy as np
 
 from .errors import NumericalFaultError
+from .linalg import check_finite
 
-__all__ = ["minimize_fgm"]
+__all__ = ["minimize_fgm", "solve_block"]
+
+
+def _top_eigenvalue(S):
+    """Largest eigenvalue of the symmetric r x r ``S``; ``eigvalsh`` failing is a fault."""
+    try:
+        top = np.linalg.eigvalsh(S)[-1]
+    except np.linalg.LinAlgError:
+        # eigvalsh does not converge on a Gram whose entries overflowed to inf.
+        top = np.inf
+    return float(check_finite(top, "top eigenvalue of an overflowing Gram"))
+
+
+def solve_block(x0, F, Y, project, iters, tol, name, lam=0.0, A=None):
+    """Minimize ``|Y - F x|_F^2 + lam <x, A x>`` over the set ``project`` encodes.
+
+    ``x0`` is a feasible start, never written to; ``F`` and ``Y`` are checked
+    and have as many rows, ``lam >= 0`` and ``A`` is a symmetric PSD r x r
+    matrix or None.  ``L = 2 (s_max(F^T F) + lam s_max(A))``, from the one
+    Gram ``F^T F``, bounds the gradient's Lipschitz constant, so each step
+    1/L descends; an L that is not finite raises ``NumericalFaultError``
+    naming the ``name`` block.
+    """
+    G = F.T @ F
+    top = _top_eigenvalue(G)
+    if A is not None:
+        top += lam * _top_eigenvalue(A)
+    L = check_finite(2.0 * top, f"{name} Lipschitz constant")
+    if A is not None:
+        G += lam * A
+    xsq = float(np.sum(Y * Y))
+    return minimize_fgm(x0, G, 2.0 * (F.T @ Y), xsq, L, project, iters, tol)
 
 
 def minimize_fgm(x0, G, B2, xsq, L, project, iters, tol):

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
-from .fgm import minimize_fgm
-from .linalg import as_matrix, check_finite, spectral_norm
+from .fgm import solve_block
+from .linalg import as_matrix
 from .projections import project_H_columns
 
 __all__ = ["SnpaResult", "nnls_capped_simplex", "snpa"]
@@ -48,21 +48,6 @@ class SnpaResult:
     residual_norms: list = field(default_factory=list)
 
 
-def fit_coefficients(Wm, Xm, H0, iters, tol):
-    """Run the accelerated projected-gradient refit of ``H``.
-
-    The one H-block update, behind :func:`nnls_capped_simplex` and the
-    solvers.  Inputs are assumed validated and ``H0`` feasible.
-    ``|X - W H|^2 = |X|^2 + <H, G H - 2 W^T X>`` with ``G = W^T W``, so the
-    big matrices are touched only once.
-    """
-    L = 2.0 * spectral_norm(Wm) ** 2
-    check_finite(L, "H-block Lipschitz constant")
-    B2 = 2.0 * (Wm.T @ Xm)
-    xsq = float(np.sum(Xm * Xm))
-    return minimize_fgm(H0, Wm.T @ Wm, B2, xsq, L, project_H_columns, iters, tol)
-
-
 def nnls_capped_simplex(W, X, H_init=None, iters=NNLS_ITERS, tol=NNLS_TOL):
     """Approximately minimize ``|X - W H|_F^2`` over capped-simplex columns.
 
@@ -85,7 +70,8 @@ def nnls_capped_simplex(W, X, H_init=None, iters=NNLS_ITERS, tol=NNLS_TOL):
     H0 = np.zeros(shape) if H_init is None else as_matrix(H_init, "H_init")
     if H0.shape != shape:
         raise InvalidInputError(f"H_init has shape {H0.shape}, expected {shape}")
-    return fit_coefficients(Wm, Xm, project_H_columns(H0), iters, tol)
+    H0 = project_H_columns(H0)
+    return solve_block(H0, Wm, Xm, project_H_columns, iters, tol, "H-block")
 
 
 def _polish_columns(W0, X, H):
@@ -187,7 +173,9 @@ def snpa(X, r):
         result.selected_indices.append(j)
         blocked[j] = True
         W0 = Xm[:, result.selected_indices]
-        H = nnls_capped_simplex(W0, Xm, np.vstack([H, np.zeros((1, n))]))
+        # The warm start [H; 0] is feasible, so the refit needs no checks.
+        H0 = np.vstack([H, np.zeros((1, n))])
+        H = solve_block(H0, W0, Xm, project_H_columns, NNLS_ITERS, NNLS_TOL, "H-block")
         R = Xm - W0 @ H
         R *= R  # squared residual entries: the next scores and the norm
         scores = np.sum(R, axis=0)

@@ -20,7 +20,6 @@ __all__ = [
     "frobenius_norm",
     "residual",
     "shifted_gram",
-    "spectral_norm",
 ]
 
 
@@ -102,26 +101,3 @@ def shifted_gram(W, delta):
     logdet = float(2.0 * np.sum(np.log(np.diag(L))))
     Q_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(L.shape[0])))
     return logdet, 0.5 * (Q_inv + Q_inv.T)
-
-
-def spectral_norm(M):
-    """Largest singular value of ``M``.
-
-    The square root of the top eigenvalue (``numpy.linalg.eigvalsh``) of
-    whichever of ``M M^T`` / ``M^T M`` is smaller, clamped at 0 against
-    rounding.  For the factors the solvers pass in that Gram is r x r,
-    so the exact spectrum is cheap, and a step of 1/L built from it is a
-    descent step.
-
-    A zero matrix returns 0; this is not an error.  A finite ``M`` whose Gram
-    overflows has no finite top eigenvalue (or none ``eigvalsh`` can find):
-    that raises ``NumericalFaultError``.
-    """
-    A = as_matrix(M, "M")
-    B = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    try:
-        top = np.linalg.eigvalsh(B)[-1]
-    except np.linalg.LinAlgError:
-        top = np.inf
-    check_finite(top, "top eigenvalue of an overflowing Gram")
-    return float(np.sqrt(max(top, 0.0)))

@@ -247,13 +247,17 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     Returns
     -------
     (FactorPair, SolveTrace)
+        An outer step that raises ``f_eps`` by rounding (at most 1e-12 of
+        ``sqrt(r_k) + |lam logdet|``) is undone: its row repeats the one
+        before, and the solve stops ``"stalled"``.
 
     Raises
     ------
     NumericalFaultError
-        If ``r_k``, ``lambda_k`` or ``f_eps`` turns non-finite, or the sweeps
-        fault (see :func:`~sqrtminvol.baseline.block_sweeps`); the partial
-        trace rides on the exception so callers can flush it.
+        If ``r_k``, ``lambda_k`` or ``f_eps`` turns non-finite, ``f_eps``
+        rises past rounding, or the sweeps fault (see
+        :func:`~sqrtminvol.baseline.block_sweeps`); the partial trace rides
+        on the exception so callers can flush it.
     """
     Xm = as_matrix(X, "X")
     W_star = X_star = None
@@ -265,13 +269,14 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     W, H = _start_pair(Xm, r, start)
     wall = time.perf_counter() - t0
 
-    f_prev = None
+    f_prev = W_prev = H_prev = None
     try:
         for k in range(1, config.max_outer + 1):
             # One residual per row: f_eps and sigma_hat are formed from r_k.
             rk = residual_r(Xm, W, H, config.epsilon)
             fit = float(np.sqrt(rk))
-            fk = fit + float(config.lam) * shifted_gram(W, config.delta)[0]
+            volume = float(config.lam) * shifted_gram(W, config.delta)[0]
+            fk = fit + volume
             lamk = lambda_k(rk, config.lam)
             row = TraceRow(k, fk, rk, lamk, fit / Xm.size, wall_ms=wall * 1000.0)
             if X_star is not None:
@@ -282,10 +287,17 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
 
             for name, value in (("r_k", rk), ("lambda_k", lamk), ("f_eps", fk)):
                 check_finite(value, name)
+            if f_prev is not None and fk > f_prev:
+                # An MM step cannot raise f_eps: as in the sweeps, a rise past
+                # rounding is a fault, and a rounding rise is undone (a stall).
+                if fk - f_prev > 1e-12 * (fit + abs(volume)):
+                    raise NumericalFaultError(f"f_eps rose from {f_prev} to {fk}")
+                W, H, fk = W_prev, H_prev, f_prev
+                trace.rows[-1] = replace(trace.rows[-2], k=k, wall_ms=row.wall_ms)
             trace.stop = stop_reason(f_prev, fk, config.tol, k, config.max_outer)
             if trace.stop is not None:
                 break
-            f_prev = fk
+            f_prev, W_prev, H_prev = fk, W, H
 
             t0 = time.perf_counter()
             W, H, _, _ = block_sweeps(
@@ -335,7 +347,9 @@ def solve(
     An unknown solver, a setting of the other solver, a weight not given
     exactly once, a negative weight or a non-finite setting raises
     :class:`InvalidParameterError`; a numerical fault raises
-    :class:`NumericalFaultError` (see :func:`sqrt_minvol`).
+    :class:`NumericalFaultError` (see :func:`sqrt_minvol`).  A fault in the
+    baseline's sweeps names the sweep (``... at sweep k``) and carries the
+    :class:`SolveTrace` of the sweeps before it, ``k = 0`` the start.
 
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight
@@ -354,8 +368,12 @@ def solve(
     W0, H0 = _start_pair(Xm, r, start)
     if lambda_tilde is not None:
         cfg = replace(cfg, lam=lambda_from_init(Xm, W0, H0, lambda_tilde, cfg.delta))
-    W, H, history, stop = block_sweeps(
-        Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
-    )
+    try:
+        W, H, history, stop = block_sweeps(
+            Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
+        )
+    except NumericalFaultError as err:
+        trace = SolveTrace([ObjectiveRow(k, obj) for k, obj in enumerate(err.trace)])
+        raise NumericalFaultError(f"{err} at sweep {len(err.trace)}", trace=trace) from err
     trace = SolveTrace([ObjectiveRow(k, obj) for k, obj in enumerate(history)], stop)
     return W, H, cfg, history[-1], len(history) - 1, trace

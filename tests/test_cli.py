@@ -450,7 +450,7 @@ class TestSolveNumericalFaults:
         "solver, message",
         [
             ("sqrt-minvol", "non-finite lambda_k (inf) at outer iteration 1"),
-            ("minvol-baseline", "non-finite W-block Lipschitz constant (inf)"),
+            ("minvol-baseline", "non-finite W-block Lipschitz constant (inf) at sweep 1"),
         ],
     )
     def test_lambda_1e308_exits_3(self, tmp_path, noisy_dir, capsys, solver, message):
@@ -460,16 +460,20 @@ class TestSolveNumericalFaults:
         capsys.readouterr()
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
-        if solver == "minvol-baseline":
-            assert not out.exists()  # the baseline keeps no trace
-            return
+        assert not (out / "W.txt").exists()
         header, *rows = (out / "trace.csv").read_text().splitlines()
+        if solver == "minvol-baseline":
+            # The start's objective, the one row made before the fault.
+            assert header == "k,objective"
+            assert len(rows) == 1
+            k, objective = rows[0].split(",")
+            assert k == "0" and math.isfinite(float(objective))
+            return
         assert header.startswith("k,f_eps,r_k,lambda_k,")
         assert len(rows) == 1
         k, f, r_k, lambda_k = rows[0].split(",")[:4]
         assert (k, lambda_k) == ("1", "inf")
         assert math.isfinite(float(f)) and math.isfinite(float(r_k))
-        assert not (out / "W.txt").exists()
 
     def test_underflowing_data_exits_3(self, tmp_path, noisy_dir, capsys):
         # Every squared column norm of X x 1e-200 underflows to 0; this used

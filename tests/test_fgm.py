@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import jacobi_svd_values
+import sqrtminvol.fgm as fgm_mod
 from sqrtminvol.errors import NumericalFaultError
-from sqrtminvol.fgm import minimize_fgm
+from sqrtminvol.fgm import minimize_fgm, solve_block
 
 
 def quad_problem(A, b):
@@ -91,3 +93,39 @@ class TestMinimizeFgm:
         star = np.array([1.0, 2.0])
         x = minimize_fgm(star, *quad, L, identity, 25, 1e-16)
         np.testing.assert_allclose(x, star, atol=1e-12)
+
+
+class TestSolveBlock:
+    """The step bound ``solve_block`` hands the engine, from one Gram per block."""
+
+    FACTORS = {
+        "identity": np.eye(3),
+        "diagonal": np.diag([3.0, 1.0, 0.5]),
+        "zero": np.zeros((2, 4)),
+        # The top singular vector (1, -1) is orthogonal to the all-ones
+        # vector, an eigenvector of the smaller singular value 1.
+        "signed": np.array([[2.0, -1.0], [-1.0, 2.0]]),
+        "3x5": np.random.default_rng(4).random((3, 5)),
+        "6x4": np.random.default_rng(5).random((6, 4)),
+    }
+
+    @pytest.mark.parametrize("factor", list(FACTORS))
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_matches_jacobi_svd_oracle(self, monkeypatch, factor, lam):
+        # L = 2 (s_max(F)^2 + lam s_max(A)), F with fewer, as many and more
+        # rows than columns, and A symmetric positive definite.
+        F = self.FACTORS[factor]
+        m, r = F.shape
+        rng = np.random.default_rng(6)
+        M = rng.random((r, r))
+        A = M @ M.T + np.eye(r)
+        seen = []
+
+        def engine(x0, G, B2, xsq, L, project, iters, tol):
+            seen.append(L)
+            return x0
+
+        monkeypatch.setattr(fgm_mod, "minimize_fgm", engine)
+        solve_block(np.zeros((r, 2)), F, rng.random((m, 2)), identity, 10, 1e-9, "test", lam, A)
+        want = 2.0 * (jacobi_svd_values(F)[-1] ** 2 + lam * jacobi_svd_values(A)[-1])
+        assert seen == [pytest.approx(want, rel=1e-10)]

@@ -11,7 +11,6 @@ from oracles import (
     frob_oracle,
     gauss_solve,
     jacobi_eigenvalues,
-    jacobi_svd_values,
 )
 from sqrtminvol.errors import (
     InvalidInputError,
@@ -21,7 +20,6 @@ from sqrtminvol.errors import (
 from sqrtminvol.baseline import lambda_from_init, objective_minvol
 from sqrtminvol.initialization import nnls_capped_simplex
 from sqrtminvol.linalg import as_matrix, frobenius_norm, residual, shifted_gram
-from sqrtminvol.linalg import spectral_norm
 from sqrtminvol.solver import f_eps, residual_r, sigma_hat
 
 W4 = np.array(
@@ -209,44 +207,6 @@ class TestSolveSpd:
         np.testing.assert_allclose(
             shifted_gram(W, 1.0)[1], gauss_solve(Q, np.eye(4)), atol=1e-10
         )
-
-
-class TestSpectralNorm:
-    def test_identity(self):
-        assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 1.0, 0.5])) == pytest.approx(3.0, rel=1e-10)
-
-    def test_zero(self):
-        assert spectral_norm(np.zeros((2, 4))) == 0.0
-
-    def test_matches_jacobi_svd_oracle(self):
-        M = np.random.default_rng(5).random((6, 4))
-        expected = jacobi_svd_values(M)[-1]
-        assert spectral_norm(M) == pytest.approx(expected, rel=1e-8)
-
-    def test_top_direction_orthogonal_to_all_ones(self):
-        # The top singular vector (1, -1) is orthogonal to the all-ones
-        # vector, which is an eigenvector of the smaller value 1; a power
-        # iteration started from all-ones would never leave it.
-        assert spectral_norm(np.array([[2.0, -1.0], [-1.0, 2.0]])) == pytest.approx(
-            3.0, rel=1e-12
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        arrays(
-            np.float64,
-            (4, 3),
-            elements=st.floats(-5, 5, allow_nan=False, width=64),
-        )
-    )
-    def test_upper_bounds_column_norms(self, M):
-        # |M e_j| <= sigma_max for every canonical direction.
-        est = spectral_norm(M)
-        for j in range(M.shape[1]):
-            assert np.linalg.norm(M[:, j]) <= est * (1 + 1e-8) + 1e-12
 
 
 class TestAsMatrix:

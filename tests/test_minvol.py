@@ -25,10 +25,10 @@ from sqrtminvol.baseline import (
     block_sweeps,
     lambda_from_init,
     objective_minvol,
-    update_W,
 )
-from sqrtminvol.projections import project_H_columns
-from sqrtminvol.initialization import fit_coefficients, nnls_capped_simplex, snpa
+from sqrtminvol.fgm import solve_block
+from sqrtminvol.projections import project_H_columns, project_nonneg
+from sqrtminvol.initialization import nnls_capped_simplex, snpa
 from sqrtminvol.solver import solve
 
 W4 = np.array(
@@ -39,6 +39,11 @@ W4 = np.array(
         [1.0, 0.0, 0.0, 1.0],
     ]
 )
+
+
+def w_block(X, W, H, A, lam, iters, tol):
+    """The baseline's W block: ``solve_block`` on ``W^T``, as the sweeps pose it."""
+    return solve_block(W.T, H.T, X.T, project_nonneg, iters, tol, "W-block", lam, A).T
 
 
 def feasible_H(rng, r, n):
@@ -101,7 +106,7 @@ class TestUpdateW:
     def test_unpenalized_identity_coefficients_recover_data(self):
         rng = np.random.default_rng(40)
         X = rng.random((4, 4)) + 0.05
-        W = update_W(X, np.ones_like(X), X, np.eye(4), 0.0, iters=200, tol=1e-15)
+        W = w_block(X, np.ones_like(X), X, np.eye(4), 0.0, iters=200, tol=1e-15)
         # H = X here, so the block objective is |X - W X|_F^2; check by value.
         assert frobenius_norm(X - W @ X) <= 1e-6 * frobenius_norm(X)
 
@@ -109,7 +114,7 @@ class TestUpdateW:
         rng = np.random.default_rng(41)
         X = rng.random((5, 3)) + 0.1
         lam_eff = 0.7
-        W = update_W(
+        W = w_block(
             X, np.zeros_like(X), np.eye(3), np.eye(3), lam_eff, iters=400, tol=1e-15
         )
         np.testing.assert_allclose(W, X / (1.0 + lam_eff), atol=1e-9)
@@ -137,7 +142,7 @@ class TestUpdateW:
         X = rng.random((4, 4)) + 0.3
         lam_eff = 0.25
         W_star = X / (1.0 + lam_eff)
-        W = update_W(X, W_star, np.eye(4), np.eye(4), lam_eff, iters=5, tol=1e-15)
+        W = w_block(X, W_star, np.eye(4), np.eye(4), lam_eff, iters=5, tol=1e-15)
         np.testing.assert_allclose(W, W_star, atol=1e-10)
 
 
@@ -166,7 +171,7 @@ class TestBlockDescent:
         def surrogate(Wv):
             return frobenius_norm(X - Wv @ H) ** 2 + lam_eff * np.trace(A @ Wv.T @ Wv)
 
-        W1 = update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7)
+        W1 = w_block(X, W, H, A, lam_eff, iters=50, tol=1e-7)
         assert surrogate(W1) <= surrogate(W) * (1.0 + 1e-12)
         before = frobenius_norm(X - W1 @ H) ** 2
         H1 = nnls_capped_simplex(W1, X, H, iters=50, tol=1e-7)
@@ -245,16 +250,16 @@ class TestEngineStep:
             50,
             1e-7,
         )
-        got = update_W(X, W, H, A, lam_eff, iters=50, tol=1e-7)
+        got = w_block(X, W, H, A, lam_eff, iters=50, tol=1e-7)
         self.assert_same_value(surrogate, got, want)
 
     def test_zero_lipschitz_returns_start(self):
         # A zero gradient (W = 0 for H, H = 0 and no penalty for W) makes
         # L = 0; each block returns its (projected) start.
         X, W, H, A = self.instance(4, 74)
-        H_out = fit_coefficients(np.zeros_like(W), X, H, 50, 1e-7)
+        H_out = solve_block(H, np.zeros_like(W), X, project_H_columns, 50, 1e-7, "H-block")
         np.testing.assert_array_equal(H_out, H)
-        W_out = update_W(X, W, np.zeros_like(H), A, 0.0, iters=50, tol=1e-7)
+        W_out = w_block(X, W, np.zeros_like(H), A, 0.0, iters=50, tol=1e-7)
         np.testing.assert_array_equal(W_out, W)
 
     def test_overflowing_lipschitz_constant_is_a_fault(self):
@@ -262,14 +267,14 @@ class TestEngineStep:
         # s_max(W)^2 = 1e308 is finite and twice it is not.
         X, W, H, A = self.instance(4, 75)
         with pytest.raises(NumericalFaultError, match=r"^non-finite H-block Lipschitz"):
-            fit_coefficients(np.eye(4) * 1e154, X, H, 50, 1e-7)
+            solve_block(H, np.eye(4) * 1e154, X, project_H_columns, 50, 1e-7, "H-block")
         with pytest.raises(NumericalFaultError, match=r"^non-finite W-block Lipschitz"):
-            update_W(X, W, H, A, 1e308, iters=50, tol=1e-7)
+            w_block(X, W, H, A, 1e308, iters=50, tol=1e-7)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_gram_is_a_fault(self):
         # W^T W overflows to inf, where eigvalsh fails to converge; the
-        # spectral norm names the overflow instead of letting LinAlgError out.
+        # block names the overflow instead of letting LinAlgError out.
         W = np.random.default_rng(76).random((4, 4)) * 1e155
         message = r"^non-finite top eigenvalue of an overflowing Gram \(inf\)$"
         with pytest.raises(NumericalFaultError, match=message):
@@ -329,14 +334,20 @@ class TestMinvol:
 
     def test_projects_H_once(self, monkeypatch):
         # Every H after the start is an H-block output, so only the start
-        # is projected by the sweeps themselves; the H-block projects inside FGM.
+        # is projected by the sweeps themselves; the H-block projects inside
+        # FGM, so it is handed the real projection and is not counted.
         calls = []
 
         def counting(H):
             calls.append(H.shape)
             return project_H_columns(H)
 
+        def uncounted(x0, F, Y, project, *args):
+            project = project_H_columns if project is counting else project
+            return solve_block(x0, F, Y, project, *args)
+
         monkeypatch.setattr(baseline_mod, "project_H_columns", counting)
+        monkeypatch.setattr(baseline_mod, "solve_block", uncounted)
         rng = np.random.default_rng(27)
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         init = snpa(X, 3)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,6 +385,45 @@ class TestStopReason:
         a, b = trace.rows[-2].f_eps, trace.rows[-1].f_eps
         assert a != b and abs(b - a) <= 1e-9 * abs(a)
 
+    def test_a_rounding_rise_is_undone_and_stalls(self, monkeypatch):
+        # Sweeps that keep the pair and a residual 1e-13 larger after the
+        # start raise f_eps by rounding; the step is undone: its row repeats
+        # the start's (r_k too), and the solve returns the start.
+        residuals = []
+
+        def grown(Xm, W, H, epsilon):
+            residuals.append(residual_r(Xm, W, H, epsilon))
+            return residuals[-1] * (1.0 + (1e-13 if len(residuals) > 1 else 0.0))
+
+        monkeypatch.setattr(solver_mod, "residual_r", grown)
+        monkeypatch.setattr(
+            solver_mod, "block_sweeps", lambda Xm, W, H, *args: (W, H, None, None)
+        )
+        _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=1e-2, seed=4))
+        init = snpa(X, 4)
+        W, H, _, f, iters, trace = solve(X, 4, "sqrt-minvol", lam=1.0, max_outer=5)
+        assert (iters, trace.stop) == (2, "stalled")
+        first, second = trace.rows
+        assert second == replace(first, k=2, wall_ms=second.wall_ms)
+        assert f == first.f_eps
+        np.testing.assert_array_equal(W, init.W0)
+        np.testing.assert_array_equal(H, init.H0)
+
+    def test_a_rise_past_rounding_is_a_fault(self, monkeypatch):
+        # Sweeps that halve H raise f_eps far past rounding, as no MM step
+        # can: a fault that keeps both rows, not a stall.
+        monkeypatch.setattr(
+            solver_mod, "block_sweeps", lambda Xm, W, H, *args: (W, 0.5 * H, None, None)
+        )
+        _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
+        with pytest.raises(NumericalFaultError) as info:
+            solve(X, 4, "sqrt-minvol", lam=1.0, max_outer=5)
+        first, second = info.value.trace.rows
+        assert second.f_eps > first.f_eps
+        assert str(info.value) == (
+            f"f_eps rose from {first.f_eps} to {second.f_eps} at outer iteration 2"
+        )
+
     def test_budget(self):
         iters, trace = self.run(max_outer=3)
         assert (iters, trace.stop) == (3, "budget")
@@ -455,18 +495,23 @@ class TestNumericalFaults:
             assert all(np.isfinite([row.f_eps, row.r_k, row.lambda_k]))
 
     @pytest.mark.parametrize(
-        "settings, message",
+        "settings, message, rows",
         [
-            ({"lam": 1e308}, "W-block Lipschitz constant (inf)"),
-            ({"lam": 1e307, "delta": 1e4}, "sweep objective (inf)"),
+            ({"lam": 1e308}, "W-block Lipschitz constant (inf) at sweep 1", 1),
+            ({"lam": 1e307, "delta": 1e4}, "sweep objective (inf) at sweep 0", 0),
         ],
         ids=["lipschitz", "objective"],
     )
-    def test_baseline_names_it(self, settings, message):
+    def test_baseline_names_it(self, settings, message, rows):
+        # The trace holds the objectives before the faulting sweep, k = 0 the
+        # start: the W block overflows in sweep 1, the start's objective is inf.
         with pytest.raises(NumericalFaultError) as info:
             solve(self.data(), 4, "minvol-baseline", max_outer=5, **settings)
         assert str(info.value) == f"non-finite {message}"
-        assert info.value.trace is None
+        trace = info.value.trace
+        assert [row.k for row in trace.rows] == list(range(rows))
+        assert all(math.isfinite(row.objective) for row in trace.rows)
+        assert trace.stop is None
 
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_underflowing_data_is_named(self, solver):
@@ -491,15 +536,21 @@ class TestNumericalFaults:
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_an_ascent_is_a_fault_not_a_stall(self, monkeypatch, solver):
         # A broken W block: its step moves every entry up by one.
-        update_W = baseline_mod.update_W
-        monkeypatch.setattr(
-            baseline_mod, "update_W", lambda *args: update_W(*args) + 1.0
-        )
+        solve_block = baseline_mod.solve_block
+
+        def broken(*args):
+            x = solve_block(*args)
+            return x + 1.0 if args[6] == "W-block" else x
+
+        monkeypatch.setattr(baseline_mod, "solve_block", broken)
         with pytest.raises(NumericalFaultError, match="^sweep objective rose from ") as info:
             solve(self.data(), 4, solver, lam=0.5, max_outer=5)
         if solver == "sqrt-minvol":
             assert str(info.value).endswith(" at outer iteration 1")
             assert len(info.value.trace.rows) == 1
+        else:
+            assert str(info.value).endswith(" at sweep 1")
+            assert [row.k for row in info.value.trace.rows] == [0]
 
 
 def test_too_small_delta_is_named_in_the_error():
