@@ -11,12 +11,11 @@ step on the true objective.
 
 ``solve(X, r, "minvol-baseline", ...)`` runs the baseline as one call of
 :func:`block_sweeps`; the square-root method runs them at a weight refreshed
-from the residual and stops by the same :func:`stop_reason`.  A non-finite
-Lipschitz constant or sweep objective, or a sweep that raises the objective
-by more than rounding, raises ``NumericalFaultError``.
+from the residual.  Both loops are one :func:`_descend`, with one rise rule,
+stop rule and fault report.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,58 +86,96 @@ def objective_minvol(X, W, H, lam, delta):
     return _objective_at(as_matrix(X, "X"), W, H, lam, shifted_gram(W, delta)[0])
 
 
-def stop_reason(prev, obj, tol, k, budget):
-    """Why a loop stops after step ``k`` of ``budget``, or None to go on.
+@dataclass
+class ObjectiveRow:
+    """One sweep of the baseline: ``k = 0`` is the start."""
 
-    ``"stalled"`` if ``obj`` repeats ``prev`` (None at step 1) exactly, else
-    ``"converged"`` if it moved by at most ``tol`` relative, else ``"budget"``.
+    k: int
+    objective: float
+
+
+@dataclass
+class SolveTrace:
+    """Append-only trace of a solve, either solver's.
+
+    ``rows``: :class:`~sqrtminvol.solver.TraceRow` records of the square-root
+    solver's outer iterations, or :class:`ObjectiveRow` records of the
+    baseline's sweeps.  ``stop``: why :func:`_descend` ended it, or None.
     """
-    if prev is not None and obj == prev:
-        return "stalled"
-    if prev is not None and abs(obj - prev) <= tol * max(abs(prev), 1e-300):
-        return "converged"
-    return "budget" if k == budget else None
+
+    rows: list = field(default_factory=list)
+    stop: str = None
+
+
+def _descend(state, measure, step, tol, budget, where, first=0):
+    """The MM loop of both solvers: ``(state, trace)``, rows ``first`` to ``budget``.
+
+    ``measure(state, k)`` returns row ``k``, the values that must be finite
+    as ``(name, value)`` pairs, the objective last, and the scale of its
+    rounding; ``step(state, row)`` returns the next state.  No MM step
+    raises the objective, so a rise within 1e-12 of the scale is undone (the
+    row repeats the one before but for ``k`` and ``wall_ms``) and the loop
+    stalls.  A larger rise, or a ``NumericalFaultError`` while making row
+    ``k``, raises one ending ``at <where> k`` that carries the rows measured.
+    """
+    trace = SolveTrace()
+    k, prev, f_prev = first, None, None  # the state and objective of row k - 1
+    try:
+        while True:
+            row, named, scale = measure(state, k)
+            trace.rows.append(row)
+            for name, value in named:
+                check_finite(value, name)
+            what, obj = named[-1]
+            if f_prev is not None:
+                if obj > f_prev:
+                    if obj - f_prev > 1e-12 * scale:
+                        raise NumericalFaultError(f"{what} rose from {f_prev} to {obj}")
+                    own = {f: getattr(row, f) for f in ("k", "wall_ms") if hasattr(row, f)}
+                    trace.rows[-1] = replace(trace.rows[-2], **own)
+                    state, obj = prev, f_prev
+                if obj == f_prev:
+                    trace.stop = "stalled"
+                elif abs(obj - f_prev) <= tol * max(abs(f_prev), 1e-300):
+                    trace.stop = "converged"
+            if trace.stop is None and k == budget:
+                trace.stop = "budget"
+            if trace.stop is not None:
+                return state, trace
+            prev, f_prev, k = state, obj, k + 1
+            state = step(state, row)
+    except NumericalFaultError as err:
+        raise NumericalFaultError(f"{err} at {where} {k}", trace=trace) from err
 
 
 def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
-    """``(W, H, history, stop)`` of at most ``count`` sweeps from a checked start.
+    """``(W, H, trace)`` of at most ``count`` sweeps from a checked start.
 
     The blocks trust the checked ``Xm``, ``(W, H)`` and ``lam >= 0``, so only
-    rounding can raise the objective: a rise past 1e-9 relative is undone (the
-    sweeps stall) if within 1e-12 of ``|X|^2 + |lam logdet|``, else a fault.
-    A ``NumericalFaultError`` carries the objectives so far as its ``trace``.
+    rounding can raise the objective, judged against ``|X|^2 + |lam logdet|``.
+    The :class:`ObjectiveRow` records run from ``k = 0``, the start.
     """
+    xx = float(np.sum(Xm * Xm))
+
+    def measure(state, k):
+        W, H, logdet, _ = state
+        obj = _objective_at(Xm, W, H, lam, logdet)
+        return ObjectiveRow(k, obj), [("sweep objective", obj)], xx + abs(lam * logdet)
+
+    def sweep(state, row):
+        W, H, _, A = state
+        Wt = solve_block(
+            W.T, H.T, Xm.T, project_nonneg, inner_iters, tol, "W-block", lam, A
+        )
+        W = np.ascontiguousarray(Wt.T)
+        H = solve_block(H, W, Xm, project_H_columns, inner_iters, tol, "H-block")
+        # One factor per iterate: its objective's log-det and the next linearization.
+        return (W, H, *shifted_gram(W, delta))
+
     # One copy of W and one projection of H; every later W and H is a block output.
-    W = W.copy()
-    H = project_H_columns(H)
-    # One factor per iterate: its objective's log-det and the next linearization.
-    logdet, A = shifted_gram(W, delta)
-    history = []
-    stop = None
-    try:
-        obj = check_finite(_objective_at(Xm, W, H, lam, logdet), "sweep objective")
-        history.append(obj)
-        while stop is None:
-            Wt = solve_block(
-                W.T, H.T, Xm.T, project_nonneg, inner_iters, tol, "W-block", lam, A
-            )
-            W1 = np.ascontiguousarray(Wt.T)
-            H1 = solve_block(H, W1, Xm, project_H_columns, inner_iters, tol, "H-block")
-            logdet, A1 = shifted_gram(W1, delta)
-            obj = check_finite(_objective_at(Xm, W1, H1, lam, logdet), "sweep objective")
-            prev = history[-1]
-            if obj - prev > 1e-9 * abs(prev):
-                if obj - prev > 1e-12 * (np.sum(Xm * Xm) + abs(lam * logdet)):
-                    raise NumericalFaultError(f"sweep objective rose from {prev} to {obj}")
-                W1, H1, A1, obj = W, H, A, prev
-            W, H, A = W1, H1, A1
-            history.append(obj)
-            stop = stop_reason(history[-2], history[-1], tol, len(history) - 1, count)
-    except NumericalFaultError as err:
-        # The objectives so far ride on the fault, so the caller can flush them.
-        err.trace = history
-        raise
-    return W, H, history, stop
+    start = (W.copy(), project_H_columns(H), *shifted_gram(W, delta))
+    (W, H, _, _), trace = _descend(start, measure, sweep, tol, count, "sweep")
+    return W, H, trace
 
 
 def lambda_from_init(X, W0, H0, lambda_tilde, delta):

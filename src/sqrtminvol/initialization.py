@@ -104,12 +104,14 @@ def _polish_columns(W0, X, H):
         except np.linalg.LinAlgError:
             pass
         k = idx.size
+        # A border scaled by a power of two like Gs keeps 2^e X bitwise alike.
+        s = 2.0 ** np.frexp(np.trace(Gs) / k)[1]
         bordered = np.zeros((k + 1, k + 1))
         bordered[:k, :k] = Gs
-        bordered[:k, k] = 1.0
-        bordered[k, :k] = 1.0
+        bordered[:k, k] = s
+        bordered[k, :k] = s
         try:
-            candidates.append(np.linalg.solve(bordered, np.append(b, 1.0))[:k])
+            candidates.append(np.linalg.solve(bordered, np.append(b, s))[:k])
         except np.linalg.LinAlgError:
             pass
         for cand in candidates:

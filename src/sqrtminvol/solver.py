@@ -24,15 +24,15 @@ majorization yields.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
-from .linalg import as_matrix, check_finite, frobenius_norm, residual, shifted_gram
+from .errors import InvalidInputError, InvalidParameterError
+from .linalg import as_matrix, frobenius_norm, residual, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, block_sweeps, lambda_from_init
-from .baseline import stop_reason
+from .baseline import MinvolConfig, ObjectiveRow, SolveTrace, _descend
+from .baseline import block_sweeps, lambda_from_init
 from .projections import require_feasible
 from .initialization import snpa
 
@@ -160,27 +160,6 @@ class TraceRow:
     wall_ms: float = 0.0
 
 
-@dataclass
-class ObjectiveRow:
-    """One sweep of the baseline: ``k = 0`` is the start."""
-
-    k: int
-    objective: float
-
-
-@dataclass
-class SolveTrace:
-    """Append-only trace of a solve, either solver's.
-
-    ``rows``: :class:`TraceRow` records of the square-root solver's outer
-    iterations, or :class:`ObjectiveRow` records of the baseline's sweeps.
-    ``stop``: the :func:`~sqrtminvol.baseline.stop_reason` that ended it, or None.
-    """
-
-    rows: list = field(default_factory=list)
-    stop: str = None
-
-
 def residual_r(X, W, H, epsilon):
     """Squared Frobenius residual plus the smoothing constant."""
     if not (float(epsilon) > 0.0):
@@ -255,58 +234,45 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     ------
     NumericalFaultError
         If ``r_k``, ``lambda_k`` or ``f_eps`` turns non-finite, ``f_eps``
-        rises past rounding, or the sweeps fault (see
-        :func:`~sqrtminvol.baseline.block_sweeps`); the partial trace rides
-        on the exception so callers can flush it.
+        rises past rounding, or the sweeps fault (``... at sweep j at outer
+        iteration k``); it carries the rows measured so callers can flush them.
     """
     Xm = as_matrix(X, "X")
     W_star = X_star = None
     if ground_truth is not None:
         W_star, X_star = ground_truth
 
-    trace = SolveTrace()
+    def measure(state, k):
+        W, H, wall = state
+        # One residual per row: f_eps and sigma_hat are formed from r_k.
+        rk = residual_r(Xm, W, H, config.epsilon)
+        fit = float(np.sqrt(rk))
+        volume = float(config.lam) * shifted_gram(W, config.delta)[0]
+        fk = fit + volume
+        lamk = lambda_k(rk, config.lam)
+        row = TraceRow(k, fk, rk, lamk, fit / Xm.size, wall_ms=wall * 1000.0)
+        if X_star is not None:
+            row.rel_rmse_X = rel_rmse_X(X_star, W, H)
+        if W_star is not None:
+            row.rel_rmse_W = rel_rmse_W(W_star, W)
+        named = [("r_k", rk), ("lambda_k", lamk), ("f_eps", fk)]
+        return row, named, fit + abs(volume)
+
+    def step(state, row):
+        W, H, _ = state
+        t0 = time.perf_counter()
+        W, H, _ = block_sweeps(
+            Xm, W, H, row.lambda_k, config.delta, INNER_SWEEPS, config.inner_iters,
+            INNER_TOL,
+        )
+        return W, H, time.perf_counter() - t0
+
     t0 = time.perf_counter()
     W, H = _start_pair(Xm, r, start)
-    wall = time.perf_counter() - t0
-
-    f_prev = W_prev = H_prev = None
-    try:
-        for k in range(1, config.max_outer + 1):
-            # One residual per row: f_eps and sigma_hat are formed from r_k.
-            rk = residual_r(Xm, W, H, config.epsilon)
-            fit = float(np.sqrt(rk))
-            volume = float(config.lam) * shifted_gram(W, config.delta)[0]
-            fk = fit + volume
-            lamk = lambda_k(rk, config.lam)
-            row = TraceRow(k, fk, rk, lamk, fit / Xm.size, wall_ms=wall * 1000.0)
-            if X_star is not None:
-                row.rel_rmse_X = rel_rmse_X(X_star, W, H)
-            if W_star is not None:
-                row.rel_rmse_W = rel_rmse_W(W_star, W)
-            trace.rows.append(row)
-
-            for name, value in (("r_k", rk), ("lambda_k", lamk), ("f_eps", fk)):
-                check_finite(value, name)
-            if f_prev is not None and fk > f_prev:
-                # An MM step cannot raise f_eps: as in the sweeps, a rise past
-                # rounding is a fault, and a rounding rise is undone (a stall).
-                if fk - f_prev > 1e-12 * (fit + abs(volume)):
-                    raise NumericalFaultError(f"f_eps rose from {f_prev} to {fk}")
-                W, H, fk = W_prev, H_prev, f_prev
-                trace.rows[-1] = replace(trace.rows[-2], k=k, wall_ms=row.wall_ms)
-            trace.stop = stop_reason(f_prev, fk, config.tol, k, config.max_outer)
-            if trace.stop is not None:
-                break
-            f_prev, W_prev, H_prev = fk, W, H
-
-            t0 = time.perf_counter()
-            W, H, _, _ = block_sweeps(
-                Xm, W, H, lamk, config.delta, INNER_SWEEPS, config.inner_iters, INNER_TOL
-            )
-            wall = time.perf_counter() - t0
-    except NumericalFaultError as err:
-        raise NumericalFaultError(f"{err} at outer iteration {k}", trace=trace) from err
-
+    (W, H, _), trace = _descend(
+        (W, H, time.perf_counter() - t0), measure, step, config.tol, config.max_outer,
+        "outer iteration", first=1,
+    )
     return FactorPair(W=W, H=H, rank=int(r)), trace
 
 
@@ -347,9 +313,8 @@ def solve(
     An unknown solver, a setting of the other solver, a weight not given
     exactly once, a negative weight or a non-finite setting raises
     :class:`InvalidParameterError`; a numerical fault raises
-    :class:`NumericalFaultError` (see :func:`sqrt_minvol`).  A fault in the
-    baseline's sweeps names the sweep (``... at sweep k``) and carries the
-    :class:`SolveTrace` of the sweeps before it, ``k = 0`` the start.
+    :class:`NumericalFaultError` (see :func:`sqrt_minvol`; in the baseline it
+    names the sweep, ``... at sweep k``).
 
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight
@@ -368,12 +333,7 @@ def solve(
     W0, H0 = _start_pair(Xm, r, start)
     if lambda_tilde is not None:
         cfg = replace(cfg, lam=lambda_from_init(Xm, W0, H0, lambda_tilde, cfg.delta))
-    try:
-        W, H, history, stop = block_sweeps(
-            Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
-        )
-    except NumericalFaultError as err:
-        trace = SolveTrace([ObjectiveRow(k, obj) for k, obj in enumerate(err.trace)])
-        raise NumericalFaultError(f"{err} at sweep {len(err.trace)}", trace=trace) from err
-    trace = SolveTrace([ObjectiveRow(k, obj) for k, obj in enumerate(history)], stop)
-    return W, H, cfg, history[-1], len(history) - 1, trace
+    W, H, trace = block_sweeps(
+        Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
+    )
+    return W, H, cfg, trace.rows[-1].objective, trace.rows[-1].k, trace

@@ -103,7 +103,7 @@ class ExperimentSpec:
 class SweepRecord:
     """One grid cell result; ``lam`` holds the grid value for the cell.
 
-    ``stop`` is the solve's :func:`~sqrtminvol.baseline.stop_reason`, None
+    ``stop`` is the solve's :attr:`~sqrtminvol.baseline.SolveTrace.stop`, None
     for a faulted cell.  ``wall_ms`` is the cell's own time, except that
     the first cell of a row (or of a row's chunk, see :func:`run_sweep`)
     also carries the instance and SNPA start that the row's other cells

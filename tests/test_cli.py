@@ -516,7 +516,7 @@ class TestSolveNumericalFaults:
         capsys.readouterr()
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: non-finite W-block Lipschitz constant (inf) at outer iteration 2\n"
+            "error: non-finite W-block Lipschitz constant (inf) at sweep 1 at outer iteration 3\n"
         )
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["1", "2"]

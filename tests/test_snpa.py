@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import nnls_capped_oracle
 from sqrtminvol.errors import InvalidInputError, InvalidParameterError, NumericalFaultError
@@ -14,6 +17,18 @@ W4 = np.array(
         [1.0, 0.0, 0.0, 1.0],
     ]
 )
+
+
+@st.composite
+def mixtures(draw):
+    """A small ``(X, r)``: ``X = W H + N``, H's columns on the unit simplex."""
+    m = draw(st.integers(2, 6))
+    r = draw(st.integers(1, m))
+    n = draw(st.integers(r, 12))
+    W = draw(arrays(np.float64, (m, r), elements=st.floats(1e-2, 1.0)))
+    H = draw(arrays(np.float64, (r, n), elements=st.floats(1e-3, 1.0)))
+    N = draw(arrays(np.float64, (m, n), elements=st.floats(0.0, 1e-3)))
+    return W @ (H / H.sum(axis=0)) + N, r
 
 
 class TestNnlsCappedSimplex:
@@ -133,3 +148,15 @@ class TestSnpa:
         assert sorted(snpa(X, 3).selected_indices) == [0, 1, 2]
         with pytest.raises(InvalidInputError, match="^rank exceeds"):
             snpa(np.hstack([X[:, :2], np.zeros((3, 2))]), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixtures(), st.integers(-40, 40))
+    def test_power_of_two_scaling_commutes(self, problem, e):
+        # Scaling X by 2^e rounds nothing, and neither may SNPA: it picks the
+        # same columns and returns 2^e W0 and the same H0, bit for bit.
+        X, r = problem
+        c = 2.0 ** e
+        base, scaled = snpa(X, r), snpa(c * X, r)
+        assert scaled.selected_indices == base.selected_indices
+        assert scaled.W0.tobytes() == (c * base.W0).tobytes()
+        assert scaled.H0.tobytes() == base.H0.tobytes()
