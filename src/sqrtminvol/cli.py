@@ -19,7 +19,7 @@ for _var in (
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
     NumericalFaultError,
     SqrtMinvolError,
 )
+from .solver import SETTINGS, SOLVER_NAMES, ObjectiveRow, TraceRow, make_config, solve
 
 
 def _with_seed(spec, section, **seed):
@@ -41,7 +42,7 @@ def _with_seed(spec, section, **seed):
 def cmd_generate(args):
     from .datagen import make_instance
     from .matrixio import format_value, write_matrix
-    from .sweep import INI_KEYS, parse_generator_config
+    from .sweep import parse_generator_config
 
     spec = parse_generator_config(args.config)
     if args.seed is not None:
@@ -58,9 +59,9 @@ def cmd_generate(args):
         path = out / f"{name}.txt"
         write_matrix(path, M)
         print(path)
-    # The [generator] keys in INI order, so the manifest parses back to spec.
-    values = {key: getattr(spec, key) for key in INI_KEYS["generator"]}
-    lines = [f"{k} = {format_value(k, v)}" for k, v in values.items() if v is not None]
+    # The spec's fields are the [generator] keys, so the manifest parses back to spec.
+    values = asdict(spec).items()
+    lines = [f"{k} = {format_value(k, v)}" for k, v in values if v is not None]
     manifest = out / "manifest.ini"
     manifest.write_text("\n".join(["[generator]", *lines]) + "\n")
     print(manifest)
@@ -83,12 +84,12 @@ def _write_trace(out, row_type, trace):
 def cmd_solve(args):
     from .matrixio import read_matrix, write_matrix
     from .metrics import rel_rmse_W, rel_rmse_X
-    from .solver import ObjectiveRow, TraceRow, check_settings, solve
 
     baseline = args.solver == "minvol-baseline"
     row_type = ObjectiveRow if baseline else TraceRow
-    settings = dict(lam=args.lam, lambda_tilde=args.lambda_tilde, epsilon=args.epsilon)
-    check_settings(args.solver, settings, spell=_flag)
+    # A setting without a flag (inner_iters) takes its default.
+    settings = {name: getattr(args, name, None) for name in SETTINGS}
+    make_config(args.solver, args.lam, args.lambda_tilde, spell=_flag, **settings)
     X = read_matrix(args.x_path)
     W_star = read_matrix(args.w_star) if args.w_star else None
     X_star = read_matrix(args.x_star) if args.x_star else None
@@ -106,11 +107,8 @@ def cmd_solve(args):
             args.solver,
             lam=args.lam,
             lambda_tilde=args.lambda_tilde,
-            delta=args.delta,
-            epsilon=args.epsilon,
-            max_outer=args.max_outer,
-            tol=args.tol,
             ground_truth=(W_star, X_star),
+            **settings,
         )
     except NumericalFaultError as err:
         if err.trace is not None:
@@ -174,11 +172,7 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="factor one data matrix")
     p_solve.add_argument("x_path", help="data matrix file")
     p_solve.add_argument("--rank", type=int, required=True)
-    p_solve.add_argument(
-        "--solver",
-        choices=("sqrt-minvol", "minvol-baseline"),
-        default="sqrt-minvol",
-    )
+    p_solve.add_argument("--solver", choices=SOLVER_NAMES, default="sqrt-minvol")
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--lambda-tilde", type=float, default=None)
     p_solve.add_argument("--delta", type=float, default=None)

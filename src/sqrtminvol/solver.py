@@ -24,7 +24,7 @@ majorization yields.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "TraceRow",
     "ObjectiveRow",
     "SolveTrace",
-    "check_settings",
+    "SETTINGS",
     "make_config",
     "f_eps",
     "residual_r",
@@ -56,7 +56,7 @@ __all__ = [
 
 SOLVER_NAMES = ("sqrt-minvol", "minvol-baseline")
 # Settings that only one solver reads, with that solver.  Every other
-# setting (lam, delta, max_outer, tol, inner_iters) means the same to both.
+# setting (lam and the rest of SETTINGS) means the same to both.
 SOLVER_ONLY = {"epsilon": "sqrt-minvol", "lambda_tilde": "minvol-baseline"}
 
 # Per outer iteration the surrogate only needs to be improved, not
@@ -64,35 +64,6 @@ SOLVER_ONLY = {"epsilon": "sqrt-minvol", "lambda_tilde": "minvol-baseline"}
 # tiny tolerance keeps late sweeps from quitting before the budget.
 INNER_SWEEPS = 20
 INNER_TOL = 1e-13
-
-
-def check_settings(solver, settings, spell=str):
-    """Reject an unknown solver or a setting that ``solver`` would not read.
-
-    ``settings`` maps names to values, None meaning not given; a value for
-    the other solver's entry of :data:`SOLVER_ONLY` raises, and so does a
-    weight (``lam``, or for the baseline ``lambda_tilde``) not given
-    exactly once.  ``spell`` writes a name as the caller takes it, so the
-    CLI's messages name its flags.
-    """
-    if solver not in SOLVER_NAMES:
-        raise InvalidParameterError(
-            f"unknown solver {solver!r}; choose from {SOLVER_NAMES}"
-        )
-    for name, owner in SOLVER_ONLY.items():
-        if owner != solver and settings.get(name) is not None:
-            raise InvalidParameterError(
-                f"{spell(name)} is for {spell('solver')} {owner} only"
-            )
-    weights = ["lam"] + [w for w in ["lambda_tilde"] if SOLVER_ONLY[w] == solver]
-    given = [w for w in weights if settings.get(w) is not None]
-    if len(given) > 1:
-        raise InvalidParameterError(
-            f"give either {spell('lam')} or {spell('lambda_tilde')}, not both"
-        )
-    if not given:
-        flags = " or ".join(map(spell, weights))
-        raise InvalidParameterError(f"{solver} needs {flags}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +106,11 @@ class SqrtConfig:
             )
         # The shared settings (lam >= 0 among them) are checked as the baseline's.
         MinvolConfig(self.lam, self.delta, self.max_outer, self.inner_iters, self.tol)
+
+
+# The settings solve takes besides the weights, with their types: the one
+# list that the sweep's INI keys, its spec and the CLI read.
+SETTINGS = {f.name: f.type for f in fields(SqrtConfig) if f.name != "lam"}
 
 
 @dataclass(frozen=True)
@@ -276,12 +252,36 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     return FactorPair(W=W, H=H, rank=int(r)), trace
 
 
-def make_config(solver, lam=None, lambda_tilde=None, **settings):
-    """The config :func:`solve` runs ``solver`` with, checked as it checks it.
+def make_config(solver, lam=None, lambda_tilde=None, spell=str, **settings):
+    """The config :func:`solve` runs ``solver`` with: the one check of its settings.
 
-    It holds ``lam = 0`` until :func:`solve` rescales a given ``lambda_tilde``.
+    An unknown solver, a value for the other solver's entry of
+    :data:`SOLVER_ONLY`, a weight (``lam``, or for the baseline
+    ``lambda_tilde``) not given exactly once, or a value the config refuses
+    raises :class:`InvalidParameterError`; a setting left at None takes the
+    config's default.  ``spell`` writes a name as the caller takes it, so
+    the CLI's messages name its flags.  The config holds ``lam = 0`` until
+    :func:`solve` rescales a given ``lambda_tilde``.
     """
-    check_settings(solver, dict(settings, lam=lam, lambda_tilde=lambda_tilde))
+    if solver not in SOLVER_NAMES:
+        raise InvalidParameterError(
+            f"unknown solver {solver!r}; choose from {SOLVER_NAMES}"
+        )
+    named = dict(settings, lam=lam, lambda_tilde=lambda_tilde)
+    for name, owner in SOLVER_ONLY.items():
+        if owner != solver and named.get(name) is not None:
+            raise InvalidParameterError(
+                f"{spell(name)} is for {spell('solver')} {owner} only"
+            )
+    weights = ["lam"] + [w for w in ["lambda_tilde"] if SOLVER_ONLY[w] == solver]
+    given = [w for w in weights if named[w] is not None]
+    if len(given) > 1:
+        raise InvalidParameterError(
+            f"give either {spell('lam')} or {spell('lambda_tilde')}, not both"
+        )
+    if not given:
+        flags = " or ".join(map(spell, weights))
+        raise InvalidParameterError(f"{solver} needs {flags}")
     if lambda_tilde is not None and not (0.0 <= lambda_tilde < np.inf):
         raise InvalidParameterError(
             f"lambda_tilde must be finite and >= 0, got {lambda_tilde}"
@@ -299,19 +299,18 @@ def solve(
     ``solver`` is ``"sqrt-minvol"`` or ``"minvol-baseline"``.  The weight
     is ``lam``, used as given, or for the baseline only ``lambda_tilde``,
     rescaled by ``lambda_from_init`` at the start; exactly one must be
-    given.  The other ``settings`` (``delta``, ``epsilon``, ``max_outer``,
-    ``tol`` and ``inner_iters``) go to :class:`SqrtConfig` or
-    :class:`~sqrtminvol.baseline.MinvolConfig` under the same names, and
-    one left at None takes the config's default.  ``max_outer`` counts
-    outer iterations of ``sqrt-minvol`` and sweeps of the baseline.
+    given.  The other ``settings``, the names in :data:`SETTINGS`, go to
+    :class:`SqrtConfig` or :class:`~sqrtminvol.baseline.MinvolConfig` under
+    the same names, and one left at None takes the config's default.
+    ``max_outer`` counts outer iterations of ``sqrt-minvol`` and sweeps of
+    the baseline.
     ``epsilon`` is for ``sqrt-minvol`` only (:data:`SOLVER_ONLY`), and so
     is ``ground_truth`` (``(W_star, X_star)``, recorded in every trace
     row), which the baseline ignores.  ``start``, a feasible ``(W0, H0)``
     pair, replaces the SNPA start for both solvers, and the baseline's
     ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
-    An unknown solver, a setting of the other solver, a weight not given
-    exactly once, a negative weight or a non-finite setting raises
+    A setting :func:`make_config` refuses raises
     :class:`InvalidParameterError`; a numerical fault raises
     :class:`NumericalFaultError` (see :func:`sqrt_minvol`; in the baseline it
     names the sweep, ``... at sweep k``).

@@ -16,7 +16,7 @@ error), grids written as whitespace-separated values.  See the README.
 import configparser
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .datagen import InstanceSpec, make_instance
 from .errors import InvalidInputError, InvalidParameterError, SqrtMinvolError
 from .initialization import snpa
 from .metrics import rel_rmse_W, rel_rmse_X
-from .solver import make_config, solve
+from .solver import SETTINGS, make_config, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -47,8 +47,9 @@ class ExperimentSpec:
     ``lambda_grid`` values are reference weights rescaled per instance
     from the initialization (the lambda-tilde convention); for the
     square-root solver they are used as-is.  Every cell solves at the
-    generator's rank.  The settings passed to
-    :func:`~sqrtminvol.solver.solve` under the same names take the
+    generator's rank.  The fields named in
+    :data:`~sqrtminvol.solver.SETTINGS` are passed to
+    :func:`~sqrtminvol.solver.solve` under the same names and take the
     solver's default when None; ``max_outer`` budgets both solvers.  A
     setting the solver would refuse (``epsilon`` on a baseline spec, see
     :data:`~sqrtminvol.solver.SOLVER_ONLY`, or ``max_outer = 0``) and a
@@ -95,8 +96,7 @@ class ExperimentSpec:
     def solve_settings(self, lam):
         """Keywords of :func:`~sqrtminvol.solver.solve` for grid weight ``lam``."""
         weight = "lambda_tilde" if self.solver == "minvol-baseline" else "lam"
-        names = ("delta", "epsilon", "max_outer", "tol", "inner_iters")
-        return {weight: lam, **{name: getattr(self, name) for name in names}}
+        return {weight: lam, **{name: getattr(self, name) for name in SETTINGS}}
 
 
 @dataclass
@@ -297,12 +297,10 @@ def _float_list(raw):
 
 
 # Every key a config file may hold, with its type, by section; any other
-# section or key is an error.  [generator] keys are InstanceSpec fields and
-# [solver] keys ExperimentSpec fields, under the same names.
+# section or key is an error.  The [generator] keys are InstanceSpec's fields
+# and the [solver] keys the solver's SETTINGS, read off the dataclasses.
 INI_KEYS = {
-    "generator": dict(
-        name=str, n=int, m=int, r=int, alpha=float, sigma=float, seed=int
-    ),
+    "generator": {f.name: f.type for f in fields(InstanceSpec)},
     "sweep": dict(
         solver=str,
         sigmas=_float_list,
@@ -312,9 +310,7 @@ INI_KEYS = {
         base_seed=int,
         out=str,
     ),
-    "solver": dict(
-        delta=float, epsilon=float, max_outer=int, tol=float, inner_iters=int
-    ),
+    "solver": SETTINGS,
 }
 
 

@@ -543,13 +543,22 @@ class TestSolveFlagChecks:
             ),
             ([], "sqrt-minvol needs --lambda"),
             (["--solver", "minvol-baseline"], "minvol-baseline needs --lambda or --lambda-tilde"),
+            (["--lambda", "1", "--delta", "-1"], "delta must be finite and > 0, got -1.0"),
+            (["--lambda", "1", "--epsilon", "0"], "epsilon must be finite and > 0, got 0.0"),
+            (["--lambda", "1", "--max-outer", "0"], "max_outer must be >= 1, got 0"),
+            (["--lambda", "1", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
         ],
-        ids=["tilde-for-sqrt", "epsilon-for-baseline", "both", "none-sqrt", "none-baseline"],
+        ids=[
+            "tilde-for-sqrt", "epsilon-for-baseline", "both", "none-sqrt", "none-baseline",
+            "delta", "epsilon", "max-outer", "tol",
+        ],
     )
     def test_message_comes_before_reading_data(self, tmp_path, capsys, flags, message):
-        code = main(["solve", str(tmp_path / "missing.txt"), "--rank", "4", *flags])
-        assert code == 2
+        out = tmp_path / "out"
+        argv = ["solve", str(tmp_path / "missing.txt"), "--rank", "4", "--out", str(out)]
+        assert main(argv + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestSweep:
