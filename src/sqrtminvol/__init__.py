@@ -14,10 +14,6 @@ _EXPORTS = {
     # errors
     "SqrtMinvolError": "errors",
     "InvalidInputError": "errors",
-    "InvalidParameterError": "errors",
-    "NotPositiveDefiniteError": "errors",
-    "DegenerateDenominatorError": "errors",
-    "UndefinedMetricError": "errors",
     "NumericalFaultError": "errors",
     # linear algebra kernels
     "frobenius_norm": "linalg",

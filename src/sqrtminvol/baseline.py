@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, InvalidParameterError
-from .errors import NumericalFaultError
+from .errors import InvalidInputError, NumericalFaultError
 from .fgm import solve_block
-from .linalg import as_matrix, check_finite, frobenius_norm, residual, shifted_gram
+from .linalg import as_matrix, check_finite, check_integer, frobenius_norm, residual
+from .linalg import shifted_gram
 from .projections import project_H_columns, project_nonneg, require_feasible
 
 __all__ = [
@@ -65,14 +65,14 @@ class MinvolConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.lam < np.inf):
-            raise InvalidParameterError(f"lam must be finite and >= 0, got {self.lam}")
+            raise InvalidInputError(f"lam must be finite and >= 0, got {self.lam}")
         for name, v in {"delta": self.delta, "tol": self.tol}.items():
             if not (0.0 < v < np.inf):
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {v}")
+                raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
         counts = {"max_outer": self.max_outer, "inner_iters": self.inner_iters}
         for name, count in counts.items():
-            if count < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {count}")
+            if check_integer(count, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {count}")
 
 
 def _objective_at(Xm, W, H, lam, logdet):
@@ -186,12 +186,12 @@ def lambda_from_init(X, W0, H0, lambda_tilde, delta):
     is negative when the init columns are small next to ``delta``; its
     absolute value makes the weight >= 0 for any ``lambda_tilde >= 0``, the
     one weight rule of both solvers.  A denominator within 1e-300 of zero
-    is degenerate and raises.
+    is degenerate and raises ``NumericalFaultError``.
     """
     res = frobenius_norm(residual(as_matrix(X, "X"), W0, H0))
     denom = abs(shifted_gram(W0, delta)[0])
     if denom < 1e-300:
-        raise DegenerateDenominatorError(
+        raise NumericalFaultError(
             "logdet of the initial Gram is numerically zero; "
             "the init-scaled weight is undefined"
         )

@@ -22,12 +22,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .errors import (
-    InvalidInputError,
-    InvalidParameterError,
-    NumericalFaultError,
-    SqrtMinvolError,
-)
+from .errors import InvalidInputError, NumericalFaultError, SqrtMinvolError
 from .solver import SETTINGS, SOLVER_NAMES, ObjectiveRow, TraceRow, make_config, solve
 
 
@@ -35,7 +30,7 @@ def _with_seed(spec, section, **seed):
     """``spec`` with its seed set from ``--seed``, refused as the INI key would be."""
     try:
         return replace(spec, **seed)
-    except InvalidParameterError as err:
+    except InvalidInputError as err:
         raise InvalidInputError(f"--seed: [{section}] {err}") from err
 
 
@@ -136,7 +131,7 @@ def cmd_sweep(args):
     from .sweep import summarize
 
     if args.jobs < 1:
-        raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
+        raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
     spec = parse_experiment_config(args.config)
     if args.seed is not None:
         spec = _with_seed(spec, "sweep", base_seed=args.seed)
@@ -199,7 +194,7 @@ def main(argv=None):
         return args.func(args)
     except SqrtMinvolError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3 if isinstance(err, ArithmeticError) else 2
+        return 3 if isinstance(err, NumericalFaultError) else 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

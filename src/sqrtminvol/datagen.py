@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .linalg import as_matrix
+from .errors import InvalidInputError
+from .linalg import as_matrix, check_integer
 
 __all__ = [
     "GENERATOR_NAMES",
@@ -65,29 +65,34 @@ class InstanceSpec:
 
     def __post_init__(self):
         if self.name not in GENERATOR_NAMES:
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"unknown generator {self.name!r}; choose from {GENERATOR_NAMES}"
             )
+        # m and r may be left unset (None); every count given is an integer.
+        for name in ("n", "seed", "m", "r"):
+            value = getattr(self, name)
+            if value is not None or name in ("n", "seed"):
+                check_integer(value, name)
         if self.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
+            raise InvalidInputError(f"n must be >= 1, got {self.n}")
         if not (0.0 <= self.sigma < np.inf):
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"sigma must be finite and >= 0, got {self.sigma}"
             )
         if not (0.0 < self.alpha < np.inf):
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"alpha must be finite and > 0, got {self.alpha}"
             )
         if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.name == "paper-4x4":
             if self.m not in (None, 4) or self.r not in (None, 4):
-                raise InvalidParameterError("paper-4x4 is fixed at m = r = 4")
+                raise InvalidInputError("paper-4x4 is fixed at m = r = 4")
         else:
             if self.m is None or self.r is None:
-                raise InvalidParameterError(f"{self.name} needs explicit m and r")
+                raise InvalidInputError(f"{self.name} needs explicit m and r")
             if self.m < 1 or self.r < 1:
-                raise InvalidParameterError("m and r must be >= 1")
+                raise InvalidInputError("m and r must be >= 1")
 
     @property
     def rank(self):
@@ -116,9 +121,9 @@ def fixed_W4():
 def dirichlet_H(r, n, alpha, seed):
     """r x n matrix with i.i.d. Dirichlet(alpha) columns on the simplex."""
     if r < 1 or n < 1:
-        raise InvalidParameterError(f"r and n must be >= 1, got r={r}, n={n}")
+        raise InvalidInputError(f"r and n must be >= 1, got r={r}, n={n}")
     if not (float(alpha) > 0.0):
-        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
+        raise InvalidInputError(f"alpha must be > 0, got {alpha}")
     rng = _rng(seed)
     return rng.dirichlet(np.full(int(r), float(alpha)), size=int(n)).T
 
@@ -126,7 +131,7 @@ def dirichlet_H(r, n, alpha, seed):
 def random_uniform_W(m, r, seed):
     """m x r matrix with i.i.d. Uniform[0,1] entries."""
     if m < 1 or r < 1:
-        raise InvalidParameterError(f"m and r must be >= 1, got m={m}, r={r}")
+        raise InvalidInputError(f"m and r must be >= 1, got m={m}, r={r}")
     return _rng(seed).random((int(m), int(r)))
 
 
@@ -135,7 +140,7 @@ def add_uniform_noise(X_star, sigma, seed):
     Xs = as_matrix(X_star, "X_star")
     sigma = float(sigma)
     if sigma < 0.0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
+        raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return Xs.copy()
     return Xs + sigma * _rng(seed).random(Xs.shape)
@@ -148,7 +153,7 @@ def make_instance(spec):
     substreams 0, 1 and 2 of ``spec.seed``.
     """
     if not isinstance(spec, InstanceSpec):
-        raise InvalidParameterError("make_instance expects an InstanceSpec")
+        raise InvalidInputError("make_instance expects an InstanceSpec")
     key_W, key_H, key_E = (
         np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(i,))
         for i in (0, 1, 2)

@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per exit code.
 
-The split matters for the command-line tools: input and configuration
-problems exit with code 2, numerical breakdowns with code 3.
+A bad argument, setting or file raises :class:`InvalidInputError`, and
+the command-line tools exit with code 2; a numerical breakdown raises
+:class:`NumericalFaultError`, and they exit with code 3.
 """
 
 
@@ -10,34 +11,14 @@ class SqrtMinvolError(Exception):
 
 
 class InvalidInputError(SqrtMinvolError, ValueError):
-    """A data argument violates a precondition (shape, finiteness, sign)."""
-
-
-class InvalidParameterError(SqrtMinvolError, ValueError):
-    """A scalar parameter is out of its admissible range."""
-
-
-class NotPositiveDefiniteError(SqrtMinvolError, ArithmeticError):
-    """A matrix required to be positive definite is not.
-
-    Raised when a Cholesky pivot is non-positive.  Callers must surface
-    this; silently regularizing would hide that delta was set too small.
-    """
-
-
-class DegenerateDenominatorError(SqrtMinvolError, ArithmeticError):
-    """A denominator in a scaling formula is numerically zero."""
-
-
-class UndefinedMetricError(SqrtMinvolError, ValueError):
-    """A metric is undefined for the given reference (e.g. zero norm)."""
+    """An argument, setting or file violates a precondition (exit code 2)."""
 
 
 class NumericalFaultError(SqrtMinvolError, ArithmeticError):
-    """A solver produced a non-finite quantity.
+    """A numerical breakdown: a non-finite quantity, a rise, a failed factor.
 
-    Carries whatever per-iteration trace existed when the fault was
-    detected so the caller can flush it before exiting.
+    Exit code 3.  Carries whatever per-iteration trace existed when the
+    fault was detected so the caller can flush it before exiting.
     """
 
     def __init__(self, message, trace=None):

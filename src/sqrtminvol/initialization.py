@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericalFaultError
+from .errors import InvalidInputError, NumericalFaultError
 from .fgm import solve_block
-from .linalg import as_matrix
+from .linalg import as_matrix, check_integer
 from .projections import project_H_columns
 
 __all__ = ["SnpaResult", "nnls_capped_simplex", "snpa"]
@@ -138,9 +138,9 @@ def snpa(X, r):
     m, n = Xm.shape
     if np.min(Xm) < 0.0:
         raise InvalidInputError("X has negative entries")
-    r = int(r)
+    r = int(check_integer(r, "rank"))
     if not (0 < r <= min(m, n)):
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"rank must be in [1, min(m, n)] = [1, {min(m, n)}], got {r}"
         )
 

@@ -10,10 +10,11 @@ takes from it: the log-determinant and the inverse.  ``numpy.linalg``
 covers it, so the package depends on numpy alone.
 """
 
+import numbers
+
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NotPositiveDefiniteError
-from .errors import NumericalFaultError
+from .errors import InvalidInputError, NumericalFaultError
 
 __all__ = [
     "as_matrix",
@@ -43,6 +44,16 @@ def check_finite(value, name):
     """``value`` if it is finite, else ``NumericalFaultError`` naming ``name``."""
     if not np.isfinite(value):
         raise NumericalFaultError(f"non-finite {name} ({value})")
+    return value
+
+
+def check_integer(value, name):
+    """``value`` if it is an integer (numpy's too), else ``InvalidInputError``.
+
+    Counts, sizes, seeds and ranks are never truncated from a float.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -81,11 +92,13 @@ def shifted_gram(W, delta):
     volume penalty) is ``2 * sum(log(diag(L)))`` and the inverse (the
     gradient of the penalty's tangent) is ``solve(L^T, solve(L, I))``,
     made exactly symmetric.  A non-positive pivot means ``delta`` is too
-    small for this ``W`` in float64: it raises ``NotPositiveDefiniteError``
-    naming ``delta`` and is never masked by ad-hoc regularization.
+    small for this ``W`` in float64: it raises ``NumericalFaultError``
+    naming ``delta`` and is never masked by ad-hoc regularization.  Inside
+    a solve the fault is reported like any other, with its row and the rows
+    measured.
     """
     if not (float(delta) > 0.0):
-        raise InvalidParameterError(f"delta must be > 0, got {delta}")
+        raise InvalidInputError(f"delta must be > 0, got {delta}")
     A = as_matrix(W, "W")
     G = A.T @ A
     # Matrix products are only symmetric up to rounding; make it exact.
@@ -94,7 +107,7 @@ def shifted_gram(W, delta):
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
+        raise NumericalFaultError(
             f"W^T W + delta I is not numerically positive definite at "
             f"delta={float(delta):.17g}; use a larger delta"
         ) from exc

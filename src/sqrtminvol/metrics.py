@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedMetricError
+from .errors import InvalidInputError
 from .linalg import as_matrix, frobenius_norm, residual
 
 __all__ = [
@@ -29,7 +29,7 @@ def rel_rmse_X(X_star, W, H):
     R = residual(Xs, W, H, "X_star")
     denom = frobenius_norm(Xs)
     if denom == 0.0:
-        raise UndefinedMetricError("rel_rmse_X undefined for a zero reference matrix")
+        raise InvalidInputError("rel_rmse_X undefined for a zero reference matrix")
     return frobenius_norm(R) / denom
 
 
@@ -114,7 +114,7 @@ def rel_rmse_W(W_star, W_hat):
     Ws = as_matrix(W_star, "W_star")
     denom = frobenius_norm(Ws)
     if denom == 0.0:
-        raise UndefinedMetricError("rel_rmse_W undefined for a zero reference matrix")
+        raise InvalidInputError("rel_rmse_W undefined for a zero reference matrix")
     res = align_columns(Ws, W_hat)
     aligned = as_matrix(W_hat, "W_hat")[:, res.permutation]
     return frobenius_norm(Ws - aligned) / denom

@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
-from .linalg import as_matrix, frobenius_norm, residual, shifted_gram
+from .errors import InvalidInputError
+from .linalg import as_matrix, check_integer, frobenius_norm, residual, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
 from .baseline import MinvolConfig, ObjectiveRow, SolveTrace, _descend
 from .baseline import block_sweeps, lambda_from_init
@@ -101,7 +101,7 @@ class SqrtConfig:
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < np.inf):
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"epsilon must be finite and > 0, got {self.epsilon}"
             )
         # The shared settings (lam >= 0 among them) are checked as the baseline's.
@@ -139,7 +139,7 @@ class TraceRow:
 def residual_r(X, W, H, epsilon):
     """Squared Frobenius residual plus the smoothing constant."""
     if not (float(epsilon) > 0.0):
-        raise InvalidParameterError(f"epsilon must be > 0, got {epsilon}")
+        raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     res = frobenius_norm(residual(as_matrix(X, "X"), W, H))
     return res * res + float(epsilon)
 
@@ -148,7 +148,7 @@ def lambda_k(r_k, lam):
     """Effective inner penalty weight ``2 * lam * sqrt(r_k)``."""
     r_k = float(r_k)
     if not (r_k > 0.0):
-        raise InvalidParameterError(f"r_k must be > 0, got {r_k}")
+        raise InvalidInputError(f"r_k must be > 0, got {r_k}")
     return float(2.0 * float(lam) * np.sqrt(r_k))
 
 
@@ -171,7 +171,7 @@ def _start_pair(Xm, r, start):
         init = snpa(Xm, r)
         return init.W0, init.H0
     W, H = (as_matrix(M, f"start {name}") for M, name in zip(start, "WH"))
-    (m, n), r = Xm.shape, int(r)
+    (m, n), r = Xm.shape, int(check_integer(r, "rank"))
     if W.shape != (m, r) or H.shape != (r, n):
         raise InvalidInputError(
             f"start has shapes {W.shape} and {H.shape}; "
@@ -210,7 +210,8 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
     ------
     NumericalFaultError
         If ``r_k``, ``lambda_k`` or ``f_eps`` turns non-finite, ``f_eps``
-        rises past rounding, or the sweeps fault (``... at sweep j at outer
+        rises past rounding, ``delta`` is too small for the shifted Gram's
+        Cholesky factor, or the sweeps fault (``... at sweep j at outer
         iteration k``); it carries the rows measured so callers can flush them.
     """
     Xm = as_matrix(X, "X")
@@ -258,32 +259,32 @@ def make_config(solver, lam=None, lambda_tilde=None, spell=str, **settings):
     An unknown solver, a value for the other solver's entry of
     :data:`SOLVER_ONLY`, a weight (``lam``, or for the baseline
     ``lambda_tilde``) not given exactly once, or a value the config refuses
-    raises :class:`InvalidParameterError`; a setting left at None takes the
+    raises :class:`InvalidInputError`; a setting left at None takes the
     config's default.  ``spell`` writes a name as the caller takes it, so
     the CLI's messages name its flags.  The config holds ``lam = 0`` until
     :func:`solve` rescales a given ``lambda_tilde``.
     """
     if solver not in SOLVER_NAMES:
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"unknown solver {solver!r}; choose from {SOLVER_NAMES}"
         )
     named = dict(settings, lam=lam, lambda_tilde=lambda_tilde)
     for name, owner in SOLVER_ONLY.items():
         if owner != solver and named.get(name) is not None:
-            raise InvalidParameterError(
+            raise InvalidInputError(
                 f"{spell(name)} is for {spell('solver')} {owner} only"
             )
     weights = ["lam"] + [w for w in ["lambda_tilde"] if SOLVER_ONLY[w] == solver]
     given = [w for w in weights if named[w] is not None]
     if len(given) > 1:
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"give either {spell('lam')} or {spell('lambda_tilde')}, not both"
         )
     if not given:
         flags = " or ".join(map(spell, weights))
-        raise InvalidParameterError(f"{solver} needs {flags}")
+        raise InvalidInputError(f"{solver} needs {flags}")
     if lambda_tilde is not None and not (0.0 <= lambda_tilde < np.inf):
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"lambda_tilde must be finite and >= 0, got {lambda_tilde}"
         )
     settings = {key: v for key, v in settings.items() if v is not None}
@@ -311,9 +312,9 @@ def solve(
     ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
     A setting :func:`make_config` refuses raises
-    :class:`InvalidParameterError`; a numerical fault raises
-    :class:`NumericalFaultError` (see :func:`sqrt_minvol`; in the baseline it
-    names the sweep, ``... at sweep k``).
+    :class:`InvalidInputError`; a numerical fault, a too-small ``delta``
+    among them, raises :class:`NumericalFaultError` (see :func:`sqrt_minvol`;
+    in the baseline it names the sweep, ``... at sweep k``).
 
     Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
     factors, the config the solver ran with (its ``lam`` is the weight

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .datagen import InstanceSpec, make_instance
-from .errors import InvalidInputError, InvalidParameterError, SqrtMinvolError
+from .errors import InvalidInputError, SqrtMinvolError
 from .initialization import snpa
+from .linalg import check_integer
 from .metrics import rel_rmse_W, rel_rmse_X
 from .solver import SETTINGS, make_config, solve
 
@@ -73,23 +74,23 @@ class ExperimentSpec:
     def __post_init__(self):
         _check_rank(self.generator)
         if len(self.sigma_grid) == 0:
-            raise InvalidParameterError("sigma_grid must be non-empty")
+            raise InvalidInputError("sigma_grid must be non-empty")
         if len(self.lambda_grid) == 0:
-            raise InvalidParameterError("lambda_grid must be non-empty")
+            raise InvalidInputError("lambda_grid must be non-empty")
         for s in self.sigma_grid:
             if not (0.0 <= s < np.inf):
-                raise InvalidParameterError(
+                raise InvalidInputError(
                     f"sigma grid values must be finite and >= 0, got {s}"
                 )
         for l in self.lambda_grid:
             if not (0.0 < l < np.inf):
-                raise InvalidParameterError(
+                raise InvalidInputError(
                     f"lambda grid values must be finite and > 0, got {l}"
                 )
-        if self.replicates < 1:
-            raise InvalidParameterError("replicates must be >= 1")
-        if self.base_seed < 0:
-            raise InvalidParameterError(f"base_seed must be >= 0, got {self.base_seed}")
+        if check_integer(self.replicates, "replicates") < 1:
+            raise InvalidInputError("replicates must be >= 1")
+        if check_integer(self.base_seed, "base_seed") < 0:
+            raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
         # A setting the solver rejects fails here, not once in every cell.
         make_config(self.solver, **self.solve_settings(self.lambda_grid[0]))
 
@@ -235,7 +236,7 @@ def run_sweep(spec, jobs=1):
     of ``min(jobs, tasks)`` processes.  ``jobs`` below 1 raises.
     """
     if jobs < 1:
-        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     tasks = [(spec, *task) for task in _tasks(spec, jobs)]
     if jobs == 1:
         done = [_run_task(*t) for t in tasks]
@@ -350,7 +351,7 @@ def _check_rank(generator):
     """Refuse a generator whose rank SNPA cannot select from its data."""
     top = min(generator.rows, generator.n)
     if generator.rank > top:
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"r = {generator.rank} exceeds min(m, n) = {top}: "
             f"a sweep cannot select {generator.rank} columns"
         )
@@ -362,7 +363,7 @@ def _build_generator(path, values, for_sweep=False):
         if for_sweep:
             _check_rank(generator)
         return generator
-    except InvalidParameterError as err:
+    except InvalidInputError as err:
         raise _config_error(path, "generator", str(err)) from err
 
 
@@ -398,11 +399,11 @@ def parse_experiment_config(path):
             base_seed=sweep["base_seed"],
             out_dir=sweep.get("out"),
         )
-    except InvalidParameterError as err:
+    except InvalidInputError as err:
         raise _config_error(path, "sweep", str(err)) from err
     # The [solver] keys go on a spec the [sweep] keys alone have built, so
     # an error they raise is one of theirs.
     try:
         return replace(spec, **ini.get("solver", {}))
-    except InvalidParameterError as err:
+    except InvalidInputError as err:
         raise _config_error(path, "solver", str(err)) from err

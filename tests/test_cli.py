@@ -508,6 +508,19 @@ class TestSolveNumericalFaults:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_too_small_delta_writes_the_rows_before_the_fault(
+        self, tmp_path, noisy_dir, capsys, solver
+    ):
+        out = tmp_path / "s"
+        argv = ["solve", str(noisy_dir / "X.txt"), "--rank", "4", "--solver", solver,
+                "--lambda", "1", "--delta", "1e-300", "--max-outer", "3", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "delta=1e-300; use a larger delta at sweep " in capsys.readouterr().err
+        assert not (out / "W.txt").exists()
+        assert len((out / "trace.csv").read_text().splitlines()) >= 2
+
     def test_lambda_1e306_keeps_the_rows_before_the_fault(self, tmp_path, noisy_dir, capsys):
         # This solve used to end "stalled" at f_eps = -9.2e306.
         out = tmp_path / "s"

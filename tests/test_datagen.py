@@ -11,7 +11,7 @@ from sqrtminvol.datagen import (
     make_instance,
     random_uniform_W,
 )
-from sqrtminvol.errors import InvalidParameterError
+from sqrtminvol.errors import InvalidInputError
 
 
 class TestFixedW4:
@@ -94,7 +94,7 @@ class TestAddUniformNoise:
         assert abs(E.mean() - sigma / 2.0) <= 4.0 * se
 
     def test_negative_sigma_raises(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             add_uniform_noise(np.ones((2, 2)), -0.1, 0)
 
 
@@ -105,25 +105,25 @@ class TestInstanceSpec:
     def test_paper_shape_is_fixed(self):
         spec = InstanceSpec("paper-4x4", n=500, sigma=0.0, seed=0)
         assert spec.rank == 4 and spec.rows == 4
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             InstanceSpec("paper-4x4", n=10, sigma=0.0, seed=0, m=5)
 
     def test_random_uniform_needs_dimensions(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             InstanceSpec("random-uniform", n=10, sigma=0.0, seed=0)
         spec = InstanceSpec("random-uniform", n=10, sigma=0.0, seed=0, m=25, r=20)
         assert spec.rows == 25 and spec.rank == 20
 
     def test_rejects_unknown_generator(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             InstanceSpec("chessboard", n=10, sigma=0.0, seed=0)
 
     def test_rejects_bad_scalars(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             InstanceSpec("paper-4x4", n=0, sigma=0.0, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             InstanceSpec("paper-4x4", n=10, sigma=-1.0, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             InstanceSpec("paper-4x4", n=10, sigma=0.0, seed=0, alpha=0.0)
 
     @pytest.mark.parametrize(
@@ -133,8 +133,26 @@ class TestInstanceSpec:
     def test_rejects_negative_seed_and_non_finite_scalars(self, field, value):
         # Each would otherwise fail deep inside the draw, or draw a non-finite X.
         kwargs = {"n": 10, "sigma": 0.0, "seed": 0, field: value}
-        with pytest.raises(InvalidParameterError, match=rf"^{field} must be"):
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be"):
             InstanceSpec("paper-4x4", **kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", 20.5), ("seed", 1.5), ("m", 5.0), ("r", 2.5), ("n", "20")]
+    )
+    def test_count_that_is_not_an_integer_is_named(self, field, value):
+        # Truncated, n = 20.5 would build 20 columns and seed = 1.5 draw seed 1.
+        kwargs = {"n": 20, "sigma": 0.0, "seed": 0, "m": 5, "r": 3, field: value}
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be an integer, got "):
+            InstanceSpec("random-uniform", **kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        spec = InstanceSpec(
+            "random-uniform", n=np.int64(20), sigma=0.0, seed=np.uint32(1),
+            m=np.int16(5), r=np.int64(3),
+        )
+        _, X = make_instance(spec)
+        _, X_int = make_instance(InstanceSpec("random-uniform", 20, 0.0, 1, m=5, r=3))
+        np.testing.assert_array_equal(X, X_int)
 
 
 class TestMakeInstance:
@@ -177,5 +195,5 @@ class TestMakeInstance:
         np.testing.assert_array_equal(a.X_star, b.X_star)
 
     def test_rejects_raw_tuples(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             make_instance(("paper-4x4", 100, 0.0, 1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import align_brute_force, assignment_brute_force
-from sqrtminvol.errors import InvalidInputError, UndefinedMetricError
+from sqrtminvol.errors import InvalidInputError
 from sqrtminvol.metrics import (
     _min_cost_assignment,
     align_columns,
@@ -67,7 +67,7 @@ class TestRelRmseX:
         assert rel_rmse_X(X, W, H) == pytest.approx(want, rel=1e-12)
 
     def test_zero_reference_raises(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(InvalidInputError):
             rel_rmse_X(np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2)))
 
     def test_shape_mismatch_raises(self):
@@ -154,5 +154,5 @@ class TestRelRmseW:
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_zero_reference_raises(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(InvalidInputError):
             rel_rmse_W(np.zeros((3, 2)), np.ones((3, 2)))

@@ -12,13 +12,7 @@ from oracles import (
     proj_capped_cumsum,
 )
 import sqrtminvol.baseline as baseline_mod
-from sqrtminvol.errors import (
-    DegenerateDenominatorError,
-    InvalidInputError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-    NumericalFaultError,
-)
+from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 from sqrtminvol.linalg import frobenius_norm, shifted_gram
 from sqrtminvol.baseline import (
     MinvolConfig,
@@ -29,7 +23,7 @@ from sqrtminvol.baseline import (
 from sqrtminvol.fgm import solve_block
 from sqrtminvol.projections import project_H_columns, project_nonneg
 from sqrtminvol.initialization import nnls_capped_simplex, snpa
-from sqrtminvol.solver import solve
+from sqrtminvol.solver import SqrtConfig, solve
 
 W4 = np.array(
     [
@@ -329,7 +323,7 @@ class TestMinvol:
         # against 1: the shifted Gram has an exactly zero pivot.
         W = np.array([[1.0, 1.0], [0.0, 0.0]])
         H = np.full((2, 3), 0.25)
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NumericalFaultError):
             minvol(W @ H, 2, W, H, 1.0, delta=1e-300)
 
     def test_projects_H_once(self, monkeypatch):
@@ -480,39 +474,49 @@ class TestLambdaFromInit:
         W0 = np.array([[w]])
         H0 = np.array([[0.5, 0.2]])
         X = np.array([[1.0, 0.3]])
-        with pytest.raises(DegenerateDenominatorError):
+        with pytest.raises(NumericalFaultError):
             lambda_from_init(X, W0, H0, 1.0, delta)
 
 
 class TestConfigValidation:
     def test_bad_delta(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             MinvolConfig(lam=0.1, delta=0.0)
 
     def test_bad_iteration_counts(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             MinvolConfig(lam=0.1, max_outer=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             MinvolConfig(lam=0.1, inner_iters=0)
 
     @pytest.mark.parametrize("name", ["max_outer", "inner_iters"])
     def test_bad_iteration_count_is_named(self, name):
-        with pytest.raises(InvalidParameterError, match=rf"^{name} must be >= 1, got 0$"):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be >= 1, got 0$"):
             MinvolConfig(lam=0.1, **{name: 0})
 
+    @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("name", ["max_outer", "inner_iters"])
+    @pytest.mark.parametrize("config", [MinvolConfig, SqrtConfig])
+    def test_iteration_count_that_is_not_an_integer_is_named(self, config, name, value):
+        # A float budget would be truncated, or never met by the loop's k == budget.
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got "):
+            config(lam=0.1, **{name: value})
+        counts = config(lam=0.1, max_outer=np.int64(3), inner_iters=np.int32(5))
+        assert (counts.max_outer, counts.inner_iters) == (3, 5)
+
     def test_bad_tolerance(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             MinvolConfig(lam=0.1, tol=0.0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["lam", "delta", "tol"])
     def test_non_finite_setting_is_named(self, name, value):
         settings = {"lam": 0.1, name: value}
-        with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite"):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
             MinvolConfig(**settings)
 
     def test_negative_weight_is_refused(self):
         # A negative weight would reward volume; both solvers refuse it.
         message = r"^lam must be finite and >= 0, got -0\.2$"
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             MinvolConfig(lam=-0.2)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import nnls_capped_oracle
-from sqrtminvol.errors import InvalidInputError, InvalidParameterError, NumericalFaultError
+from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 from sqrtminvol.linalg import frobenius_norm
 from sqrtminvol.initialization import nnls_capped_simplex, snpa
 
@@ -104,11 +104,19 @@ class TestSnpa:
         with pytest.raises(InvalidInputError):
             snpa(np.array([[1.0, -0.1], [0.5, 0.2]]), 1)
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, np.float64(2.0)])
+    def test_rank_that_is_not_an_integer_is_named(self, r):
+        # Truncated, r = 2.5 would select 2 columns.
+        X = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(InvalidInputError, match=r"^rank must be an integer, got "):
+            snpa(X, r)
+        assert snpa(X, np.int64(2)).selected_indices == snpa(X, 2).selected_indices
+
     def test_rejects_rank_out_of_range(self):
         X = np.ones((2, 3))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             snpa(X, 0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             snpa(X, 4)
 
     def test_rank_beyond_distinct_columns_raises(self):

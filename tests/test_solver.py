@@ -11,12 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import f_eps_grad, fd_grad, frob_oracle, jacobi_eigenvalues, surrogate_g
 from sqrtminvol.datagen import InstanceSpec, make_instance
-from sqrtminvol.errors import (
-    InvalidInputError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-    NumericalFaultError,
-)
+from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 import sqrtminvol.baseline as baseline_mod
 import sqrtminvol.solver as solver_mod
 from sqrtminvol.baseline import MinvolConfig, block_sweeps
@@ -75,7 +70,7 @@ class TestResidualR:
         assert residual_r(X, W, H, 0.01) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             residual_r(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)) * 0.4, 0.0)
 
 
@@ -90,7 +85,7 @@ class TestLambdaK:
         assert lambda_k(0.1, 0.8) == pytest.approx(1.6 * math.sqrt(0.1), rel=1e-15)
 
     def test_rejects_nonpositive_residual(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             lambda_k(0.0, 1.0)
 
 
@@ -556,33 +551,40 @@ class TestNumericalFaults:
 
 
 def test_too_small_delta_is_named_in_the_error():
+    # A failed Cholesky factor inside a loop is reported like any other
+    # fault there: with its row, and carrying the rows measured before it.
     _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=1e-4, seed=0))
-    with pytest.raises(NotPositiveDefiniteError, match=r"delta=1e-300\b"):
-        solve(X, 4, "sqrt-minvol", lam=1.0, delta=1e-300, max_outer=3)
+    for solver, suffix in [
+        ("sqrt-minvol", r" at sweep \d+ at outer iteration \d+"),
+        ("minvol-baseline", r" at sweep \d+"),
+    ]:
+        with pytest.raises(NumericalFaultError, match=rf"delta=1e-300\b.*{suffix}$") as info:
+            solve(X, 4, solver, lam=1.0, delta=1e-300, max_outer=3)
+        assert info.value.trace.rows
 
 
 class TestSqrtConfig:
     def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidParameterError, match=r"^lam must be finite and >= 0"):
+        with pytest.raises(InvalidInputError, match=r"^lam must be finite and >= 0"):
             SqrtConfig(lam=-0.1)
 
     def test_rejects_bad_smoothing(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             SqrtConfig(lam=0.1, epsilon=0.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             SqrtConfig(lam=0.1, delta=-1.0)
 
     def test_rejects_bad_budgets(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             SqrtConfig(lam=0.1, max_outer=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             SqrtConfig(lam=0.1, tol=0.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["lam", "delta", "epsilon", "tol"])
     def test_non_finite_setting_is_named(self, name, value):
         settings = {"lam": 0.1, name: value}
-        with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite"):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be finite"):
             SqrtConfig(**settings)
 
 
@@ -606,7 +608,7 @@ class TestSolveSettings:
              "both-baseline"],
     )
     def test_rejected(self, X, solver, weights, message):
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             solve(X, 4, solver, max_outer=2, **weights)
 
     @pytest.mark.parametrize(
@@ -622,16 +624,16 @@ class TestSolveSettings:
         # lam >= 0 is the one weight rule of both solvers.
         [(name, value)] = weights.items()
         message = rf"^{name} must be finite and >= 0, got {value}$"
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             solve(X, 4, solver, max_outer=2, **weights)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_lambda_tilde(self, X, value):
-        with pytest.raises(InvalidParameterError, match="^lambda_tilde must be finite"):
+        with pytest.raises(InvalidInputError, match="^lambda_tilde must be finite"):
             solve(X, 4, "minvol-baseline", lambda_tilde=value, max_outer=2)
 
     def test_unknown_solver(self, X):
-        with pytest.raises(InvalidParameterError, match="unknown solver 'mu'"):
+        with pytest.raises(InvalidInputError, match="unknown solver 'mu'"):
             solve(X, 4, "mu", lam=0.1)
 
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
@@ -710,6 +712,16 @@ class TestSolveStart:
         weight = {"lam": 0.5} if solver == "sqrt-minvol" else {"lambda_tilde": 0.01}
         with pytest.raises(InvalidInputError, match="start"):
             solve(X, 4, solver, start=(W0, H0), max_outer=2, **weight)
+
+    @pytest.mark.parametrize("start", [False, True])
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_rank_that_is_not_an_integer_is_named(self, instance, solver, start):
+        # Neither SNPA nor a given start may truncate a rank of 3.5 to 3.
+        _, X = instance
+        init = snpa(X, 3)
+        start = (init.W0, init.H0) if start else None
+        with pytest.raises(InvalidInputError, match=r"^rank must be an integer, got 3\.5$"):
+            solve(X, 3.5, solver, lam=0.5, start=start, max_outer=2)
 
 
 @st.composite

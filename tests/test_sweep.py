@@ -10,7 +10,7 @@ import sqrtminvol.solver as solver_mod
 import sqrtminvol.sweep as sweep_mod
 from sqrtminvol.cli import main
 from sqrtminvol.datagen import InstanceSpec
-from sqrtminvol.errors import InvalidInputError, InvalidParameterError, NumericalFaultError
+from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 from sqrtminvol.matrixio import write_table
 from sqrtminvol.sweep import (
     ExperimentSpec,
@@ -61,19 +61,19 @@ class TestCellSeed:
 
 class TestExperimentSpec:
     def test_rejects_unknown_solver(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(solver="multiplicative")
 
     def test_rejects_empty_grids(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(sigma_grid=())
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(lambda_grid=())
 
     def test_rejects_bad_grid_values(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(sigma_grid=(-0.1,))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(lambda_grid=(0.0,))
 
     @pytest.mark.parametrize(
@@ -82,15 +82,25 @@ class TestExperimentSpec:
     )
     def test_rejects_non_finite_grid_values(self, grid, values):
         # A non-finite value would fault its cells and still exit 0.
-        with pytest.raises(InvalidParameterError, match=f"{grid} grid values"):
+        with pytest.raises(InvalidInputError, match=f"{grid} grid values"):
             tiny_spec(**{f"{grid}_grid": values})
 
     def test_rejects_bad_replicates(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(replicates=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("replicates", 1.5), ("replicates", 2.0), ("base_seed", 0.5)]
+    )
+    def test_count_that_is_not_an_integer_is_named(self, field, value):
+        # replicates = 1.5 would build, then fail in run_sweep with a TypeError.
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be an integer, got "):
+            tiny_spec(**{field: value})
+        spec = tiny_spec(replicates=np.int64(2), base_seed=np.uint64(5))
+        assert (spec.replicates, spec.base_seed) == (2, 5)
+
     def test_rejects_a_negative_base_seed(self):
-        with pytest.raises(InvalidParameterError, match="base_seed must be >= 0"):
+        with pytest.raises(InvalidInputError, match="base_seed must be >= 0"):
             tiny_spec(base_seed=-5)
 
     @pytest.mark.parametrize(
@@ -99,12 +109,12 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_rejects_a_bad_solver_setting_when_built(self, solver, setting):
         # Every cell would fault on it; the spec refuses it instead.
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             tiny_spec(solver=solver, **setting)
 
     def test_rejects_epsilon_for_baseline(self):
         assert tiny_spec(solver="minvol-baseline").epsilon is None
-        with pytest.raises(InvalidParameterError, match="epsilon"):
+        with pytest.raises(InvalidInputError, match="epsilon"):
             tiny_spec(solver="minvol-baseline", epsilon=1e-3)
 
     def test_max_outer_budgets_the_baseline(self):
@@ -119,7 +129,7 @@ class TestExperimentSpec:
 
     def test_solve_rejects_epsilon_for_baseline(self):
         X = np.random.default_rng(3).random((4, 12))
-        with pytest.raises(InvalidParameterError, match="epsilon"):
+        with pytest.raises(InvalidInputError, match="epsilon"):
             solve(X, 2, "minvol-baseline", lam=0.1, epsilon=1e-3)
 
     def test_rank_is_the_generators(self):
@@ -140,7 +150,7 @@ class TestExperimentSpec:
         # Every cell's SNPA would refuse it; the spec refuses it instead.
         too_big = InstanceSpec(sigma=0.0, seed=0, **generator)
         top = min(too_big.rows, too_big.n)
-        with pytest.raises(InvalidParameterError, match=rf"r = {too_big.rank} exceeds min\(m, n\) = {top}"):
+        with pytest.raises(InvalidInputError, match=rf"r = {too_big.rank} exceeds min\(m, n\) = {top}"):
             tiny_spec(generator=too_big)
         # At r = min(m, n) the spec is built.
         tiny_spec(generator=dataclasses.replace(too_big, **fits))
@@ -176,6 +186,12 @@ class TestRunCell:
         # ... and a loose tolerance stops the sweeps early.
         assert loose.status == "ok"
         assert loose.outer_iters < default.outer_iters
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_too_small_delta_is_a_numerical_fault(self, solver):
+        # A failed Cholesky factor is a numerical fault like any other.
+        rec = run_cell(tiny_spec(solver=solver, delta=1e-300, max_outer=3), 1, 0, 0)
+        assert (rec.status, rec.stop) == ("fault:NumericalFaultError", None)
 
     def test_fault_is_recorded_not_raised(self, monkeypatch):
         def boom(spec, X, gt, lam, start):
@@ -284,7 +300,7 @@ class TestPoolSize:
     def test_jobs_below_one_is_refused(self, monkeypatch, jobs):
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(sweep_mod, "run_cell", None)  # nothing may run
-        with pytest.raises(InvalidParameterError, match=rf"^jobs must be >= 1, got {jobs}$"):
+        with pytest.raises(InvalidInputError, match=rf"^jobs must be >= 1, got {jobs}$"):
             run_sweep(tiny_spec(), jobs=jobs)
 
 
