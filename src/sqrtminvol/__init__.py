@@ -40,7 +40,6 @@ _EXPORTS = {
     "f_eps": "solver",
     "residual_r": "solver",
     "lambda_k": "solver",
-    "sigma_hat": "solver",
     "sqrt_minvol": "solver",
     "solve": "solver",
     # metrics

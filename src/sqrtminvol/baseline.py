@@ -32,6 +32,10 @@ __all__ = [
     "lambda_from_init",
 ]
 
+# The FGM budget of each block update, as INNER_SWEEPS is the sweep budget
+# of each inner solve: a budget of the inner solver, not a model setting.
+BLOCK_ITERS = 50
+
 
 @dataclass(frozen=True)
 class MinvolConfig:
@@ -49,9 +53,6 @@ class MinvolConfig:
         here.
     max_outer : int
         Number of (W, H) sweeps, default 100.
-    inner_iters : int
-        Projected-gradient budget for each block update, default 50; the
-        square-root solver takes its default from here.
     tol : float
         Relative objective change that stops the sweeps, default 1e-7;
         each block update stops on the same relative change.
@@ -60,7 +61,6 @@ class MinvolConfig:
     lam: float
     delta: float = 0.1
     max_outer: int = 100
-    inner_iters: int = 50
     tol: float = 1e-7
 
     def __post_init__(self):
@@ -69,10 +69,8 @@ class MinvolConfig:
         for name, v in {"delta": self.delta, "tol": self.tol}.items():
             if not (0.0 < v < np.inf):
                 raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
-        counts = {"max_outer": self.max_outer, "inner_iters": self.inner_iters}
-        for name, count in counts.items():
-            if check_integer(count, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {count}")
+        if check_integer(self.max_outer, "max_outer") < 1:
+            raise InvalidInputError(f"max_outer must be >= 1, got {self.max_outer}")
 
 
 def _objective_at(Xm, W, H, lam, logdet):
@@ -107,20 +105,22 @@ class SolveTrace:
     stop: str = None
 
 
-def _descend(state, measure, step, tol, budget, where, first=0):
+def _descend(start, measure, step, tol, budget, where, first=0):
     """The MM loop of both solvers: ``(state, trace)``, rows ``first`` to ``budget``.
 
-    ``measure(state, k)`` returns row ``k``, the values that must be finite
-    as ``(name, value)`` pairs, the objective last, and the scale of its
-    rounding; ``step(state, row)`` returns the next state.  No MM step
-    raises the objective, so a rise within 1e-12 of the scale is undone (the
-    row repeats the one before but for ``k`` and ``wall_ms``) and the loop
-    stalls.  A larger rise, or a ``NumericalFaultError`` while making row
-    ``k``, raises one ending ``at <where> k`` that carries the rows measured.
+    ``start()`` returns the first state, ``measure(state, k)`` row ``k``, the
+    values that must be finite as ``(name, value)`` pairs, the objective
+    last, and the scale of its rounding; ``step(state, row)`` returns the
+    next state.  No MM step raises the objective, so a rise within 1e-12 of
+    the scale is undone (the row repeats the one before but for ``k`` and
+    ``wall_ms``) and the loop stalls.  A larger rise, or a
+    ``NumericalFaultError`` while making the state or row ``k``, raises one
+    ending ``at <where> k`` that carries the rows measured.
     """
     trace = SolveTrace()
     k, prev, f_prev = first, None, None  # the state and objective of row k - 1
     try:
+        state = start()
         while True:
             row, named, scale = measure(state, k)
             trace.rows.append(row)
@@ -148,12 +148,13 @@ def _descend(state, measure, step, tol, budget, where, first=0):
         raise NumericalFaultError(f"{err} at {where} {k}", trace=trace) from err
 
 
-def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
+def block_sweeps(Xm, W, H, lam, delta, count, tol):
     """``(W, H, trace)`` of at most ``count`` sweeps from a checked start.
 
     The blocks trust the checked ``Xm``, ``(W, H)`` and ``lam >= 0``, so only
     rounding can raise the objective, judged against ``|X|^2 + |lam logdet|``.
-    The :class:`ObjectiveRow` records run from ``k = 0``, the start.
+    The :class:`ObjectiveRow` records run from ``k = 0``, the start; a start
+    whose shifted Gram does not factor is a fault ``at sweep 0``.
     """
     xx = float(np.sum(Xm * Xm))
 
@@ -165,15 +166,17 @@ def block_sweeps(Xm, W, H, lam, delta, count, inner_iters, tol):
     def sweep(state, row):
         W, H, _, A = state
         Wt = solve_block(
-            W.T, H.T, Xm.T, project_nonneg, inner_iters, tol, "W-block", lam, A
+            W.T, H.T, Xm.T, project_nonneg, BLOCK_ITERS, tol, "W-block", lam, A
         )
         W = np.ascontiguousarray(Wt.T)
-        H = solve_block(H, W, Xm, project_H_columns, inner_iters, tol, "H-block")
+        H = solve_block(H, W, Xm, project_H_columns, BLOCK_ITERS, tol, "H-block")
         # One factor per iterate: its objective's log-det and the next linearization.
         return (W, H, *shifted_gram(W, delta))
 
-    # One copy of W and one projection of H; every later W and H is a block output.
-    start = (W.copy(), project_H_columns(H), *shifted_gram(W, delta))
+    def start():
+        # One copy of W and one projection of H; every later W and H is a block output.
+        return (W.copy(), project_H_columns(H), *shifted_gram(W, delta))
+
     (W, H, _, _), trace = _descend(start, measure, sweep, tol, count, "sweep")
     return W, H, trace
 

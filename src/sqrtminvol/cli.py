@@ -82,8 +82,7 @@ def cmd_solve(args):
 
     baseline = args.solver == "minvol-baseline"
     row_type = ObjectiveRow if baseline else TraceRow
-    # A setting without a flag (inner_iters) takes its default.
-    settings = {name: getattr(args, name, None) for name in SETTINGS}
+    settings = {name: getattr(args, name) for name in SETTINGS}
     make_config(args.solver, args.lam, args.lambda_tilde, spell=_flag, **settings)
     X = read_matrix(args.x_path)
     W_star = read_matrix(args.w_star) if args.w_star else None

@@ -49,7 +49,6 @@ __all__ = [
     "f_eps",
     "residual_r",
     "lambda_k",
-    "sigma_hat",
     "sqrt_minvol",
     "solve",
 ]
@@ -86,10 +85,6 @@ class SqrtConfig:
     tol : float
         Relative change of ``f_eps`` that stops the outer loop, default
         1e-9.
-    inner_iters : int
-        Projected-gradient budget of each block update in the inner
-        solves, default ``MinvolConfig.inner_iters`` (50).  Each inner
-        solve runs at most ``INNER_SWEEPS`` sweeps to ``INNER_TOL``.
     """
 
     lam: float
@@ -97,7 +92,6 @@ class SqrtConfig:
     epsilon: float = 0.1
     max_outer: int = 200
     tol: float = 1e-9
-    inner_iters: int = MinvolConfig.inner_iters
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < np.inf):
@@ -105,7 +99,7 @@ class SqrtConfig:
                 f"epsilon must be finite and > 0, got {self.epsilon}"
             )
         # The shared settings (lam >= 0 among them) are checked as the baseline's.
-        MinvolConfig(self.lam, self.delta, self.max_outer, self.inner_iters, self.tol)
+        MinvolConfig(self.lam, self.delta, self.max_outer, self.tol)
 
 
 # The settings solve takes besides the weights, with their types: the one
@@ -124,13 +118,17 @@ class FactorPair:
 
 @dataclass
 class TraceRow:
-    """One outer-iteration record of :func:`sqrt_minvol`."""
+    """One outer-iteration record of :func:`sqrt_minvol`.
+
+    ``rms_residual`` is ``sqrt(r_k / (m n))``, the residual per entry, so it
+    compares across data sizes at one noise level.
+    """
 
     k: int
     f_eps: float
     r_k: float
     lambda_k: float
-    sigma_hat: float
+    rms_residual: float
     rel_rmse_X: float = None
     rel_rmse_W: float = None
     wall_ms: float = 0.0
@@ -150,12 +148,6 @@ def lambda_k(r_k, lam):
     if not (r_k > 0.0):
         raise InvalidInputError(f"r_k must be > 0, got {r_k}")
     return float(2.0 * float(lam) * np.sqrt(r_k))
-
-
-def sigma_hat(X, W, H, epsilon):
-    """Residual-based noise-scale estimate ``sqrt(r) / (m n)``."""
-    Xm = as_matrix(X, "X")
-    return float(np.sqrt(residual_r(Xm, W, H, epsilon)) / Xm.size)
 
 
 def f_eps(X, W, H, lam, delta, epsilon):
@@ -221,13 +213,14 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
 
     def measure(state, k):
         W, H, wall = state
-        # One residual per row: f_eps and sigma_hat are formed from r_k.
+        # One residual per row: f_eps and the RMS residual are formed from r_k.
         rk = residual_r(Xm, W, H, config.epsilon)
         fit = float(np.sqrt(rk))
         volume = float(config.lam) * shifted_gram(W, config.delta)[0]
         fk = fit + volume
         lamk = lambda_k(rk, config.lam)
-        row = TraceRow(k, fk, rk, lamk, fit / Xm.size, wall_ms=wall * 1000.0)
+        rms = float(np.sqrt(rk / Xm.size))
+        row = TraceRow(k, fk, rk, lamk, rms, wall_ms=wall * 1000.0)
         if X_star is not None:
             row.rel_rmse_X = rel_rmse_X(X_star, W, H)
         if W_star is not None:
@@ -239,16 +232,15 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
         W, H, _ = state
         t0 = time.perf_counter()
         W, H, _ = block_sweeps(
-            Xm, W, H, row.lambda_k, config.delta, INNER_SWEEPS, config.inner_iters,
-            INNER_TOL,
+            Xm, W, H, row.lambda_k, config.delta, INNER_SWEEPS, INNER_TOL
         )
         return W, H, time.perf_counter() - t0
 
     t0 = time.perf_counter()
     W, H = _start_pair(Xm, r, start)
     (W, H, _), trace = _descend(
-        (W, H, time.perf_counter() - t0), measure, step, config.tol, config.max_outer,
-        "outer iteration", first=1,
+        lambda: (W, H, time.perf_counter() - t0), measure, step, config.tol,
+        config.max_outer, "outer iteration", first=1,
     )
     return FactorPair(W=W, H=H, rank=int(r)), trace
 
@@ -333,7 +325,5 @@ def solve(
     W0, H0 = _start_pair(Xm, r, start)
     if lambda_tilde is not None:
         cfg = replace(cfg, lam=lambda_from_init(Xm, W0, H0, lambda_tilde, cfg.delta))
-    W, H, trace = block_sweeps(
-        Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.inner_iters, cfg.tol
-    )
+    W, H, trace = block_sweeps(Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.tol)
     return W, H, cfg, trace.rows[-1].objective, trace.rows[-1].k, trace

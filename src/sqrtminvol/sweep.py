@@ -69,7 +69,6 @@ class ExperimentSpec:
     epsilon: float = None
     max_outer: int = None
     tol: float = None
-    inner_iters: int = None
 
     def __post_init__(self):
         _check_rank(self.generator)
@@ -233,9 +232,10 @@ def run_sweep(spec, jobs=1):
 
     The tasks are rows, or chunks of rows (:func:`_tasks`), each sharing
     one instance and SNPA start; with ``jobs`` above 1 they run on a pool
-    of ``min(jobs, tasks)`` processes.  ``jobs`` below 1 raises.
+    of ``min(jobs, tasks)`` processes.  ``jobs`` that is not an integer
+    (a numpy integer will do) or is below 1 raises.
     """
-    if jobs < 1:
+    if check_integer(jobs, "jobs") < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     tasks = [(spec, *task) for task in _tasks(spec, jobs)]
     if jobs == 1:

@@ -479,7 +479,6 @@ def test_sweep_is_deterministic_across_jobs():
             lambda_grid=grid,
             replicates=2,
             base_seed=BASE_SEED,
-            inner_iters=15,
             **budget,
         )
         outputs = []

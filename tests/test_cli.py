@@ -25,7 +25,6 @@ SWEEP_INI = (
     "base_seed = 11\n"
     "[solver]\n"
     "max_outer = 6\n"
-    "inner_iters = 10\n"
 )
 
 
@@ -236,12 +235,20 @@ class TestSolveSqrt:
         assert main(argv + ["--max-outer", "2", "--out", str(tmp_path / "s")]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(" stop=budget")
 
-    def test_missing_data_file_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["solve", str(tmp_path / "absent.txt"), "--rank", "2", "--lambda", "0.1"]
-        )
-        assert code == 2
-        assert "absent.txt" in capsys.readouterr().err
+    @pytest.mark.parametrize("bad", ["missing-data", "out-is-a-file"])
+    def test_unusable_path_exits_2(self, tmp_path, instance_dir, capsys, bad):
+        data, out = instance_dir / "X.txt", tmp_path / "s"
+        if bad == "missing-data":
+            data = tmp_path / "absent.txt"
+            message = f"{data}: No such file or directory"
+        else:
+            # The solve runs; the directory for its results cannot be made.
+            out.write_text("a file, not a directory\n")
+            message = f"[Errno 17] File exists: '{out}'"
+        argv = ["solve", str(data), "--rank", "4", "--lambda", "0.1", "--max-outer", "2"]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSolveBaseline:
@@ -520,6 +527,23 @@ class TestSolveNumericalFaults:
         assert "delta=1e-300; use a larger delta at sweep " in capsys.readouterr().err
         assert not (out / "W.txt").exists()
         assert len((out / "trace.csv").read_text().splitlines()) >= 2
+
+    @pytest.mark.parametrize(
+        "solver, where", [("sqrt-minvol", "outer iteration 1"), ("minvol-baseline", "sweep 0")]
+    )
+    def test_a_start_that_does_not_factor_writes_the_header(
+        self, tmp_path, instance_dir, capsys, solver, where
+    ):
+        # SNPA's start on this draw has rank 3, so its Gram plus 1e-300 I
+        # does not factor: no row is measured, and trace.csv is its header.
+        out = tmp_path / "s"
+        argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4", "--solver", solver,
+                "--lambda", "1", "--delta", "1e-300", "--max-outer", "3", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.endswith(f"; use a larger delta at {where}\n")
+        assert not (out / "W.txt").exists()
+        assert len((out / "trace.csv").read_text().splitlines()) == 1
 
     def test_lambda_1e306_keeps_the_rows_before_the_fault(self, tmp_path, noisy_dir, capsys):
         # This solve used to end "stalled" at f_eps = -9.2e306.

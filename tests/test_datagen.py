@@ -98,6 +98,24 @@ class TestAddUniformNoise:
             add_uniform_noise(np.ones((2, 2)), -0.1, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dirichlet_H(0, 5, 1.0, 0), "r and n must be >= 1, got r=0, n=5"),
+        (lambda: dirichlet_H(3, 5, 0.0, 0), "alpha must be > 0, got 0.0"),
+        (lambda: random_uniform_W(0, 3, 0), "m and r must be >= 1, got m=0, r=3"),
+        (
+            lambda: InstanceSpec("random-uniform", n=10, sigma=0.0, seed=0, m=0, r=3),
+            "m and r must be >= 1",
+        ),
+    ],
+    ids=["dirichlet-r", "dirichlet-alpha", "uniform-m", "spec-m"],
+)
+def test_bad_size_or_concentration_is_named(call, message):
+    with pytest.raises(InvalidInputError, match=rf"^{message}$"):
+        call()
+
+
 class TestInstanceSpec:
     def test_generator_names(self):
         assert GENERATOR_NAMES == ("paper-4x4", "random-uniform")

@@ -16,7 +16,7 @@ from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 from sqrtminvol.baseline import lambda_from_init, objective_minvol
 from sqrtminvol.initialization import nnls_capped_simplex
 from sqrtminvol.linalg import as_matrix, frobenius_norm, residual, shifted_gram
-from sqrtminvol.solver import f_eps, residual_r, sigma_hat
+from sqrtminvol.solver import f_eps, residual_r
 
 W4 = np.array(
     [
@@ -234,7 +234,6 @@ class TestResidual:
             lambda: f_eps(np.ones((4, 5)), np.ones((4, 2)), np.full((2, 6), 0.25),
                           1.0, 0.1, 0.1),
             lambda: residual_r(np.ones((4, 5)), np.ones((4, 2)), np.full((2, 6), 0.25), 0.1),
-            lambda: sigma_hat(np.ones((4, 5)), np.ones((4, 2)), np.full((2, 6), 0.25), 0.1),
             # W has 3 rows for the 4 of X.
             lambda: objective_minvol(np.ones((4, 5)), np.ones((3, 2)),
                                      np.full((2, 5), 0.25), 1.0, 0.1),
@@ -245,7 +244,7 @@ class TestResidual:
             lambda: nnls_capped_simplex(np.ones((4, 2)), np.ones((4, 5)),
                                         np.full((3, 5), 0.25)),
         ],
-        ids=["f_eps", "residual_r", "sigma_hat", "objective_minvol",
+        ids=["f_eps", "residual_r", "objective_minvol",
              "lambda_from_init", "nnls_capped_simplex"],
     )
     def test_mismatched_shapes_raise_invalid_input(self, call):

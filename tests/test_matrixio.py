@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,20 @@ def test_missing_file_reports_path(tmp_path):
         read_matrix(missing)
 
 
-def test_bad_header_reports_line_1(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n1 0\n0 1\n", ":1: expected 'rows cols', got '2'"),
+        ("", ": empty file"),
+        ("2 1.5\n1 0\n", ":1: expected integer 'rows cols'"),
+        ("0 2\n", ":1: non-positive dimensions 0x2"),
+    ],
+    ids=["one-field", "empty", "non-integer", "non-positive"],
+)
+def test_bad_header_is_named(tmp_path, text, message):
     path = tmp_path / "bad.txt"
-    path.write_text("2\n1 0\n0 1\n")
-    with pytest.raises(InvalidInputError, match=r":1:"):
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path) + message)}$"):
         read_matrix(path)
 
 

@@ -17,6 +17,7 @@ import sqrtminvol.solver as solver_mod
 from sqrtminvol.baseline import MinvolConfig, block_sweeps
 from sqrtminvol.initialization import snpa
 from sqrtminvol.matrixio import write_table
+from sqrtminvol.sweep import ExperimentSpec
 from sqrtminvol.solver import (
     INNER_SWEEPS,
     INNER_TOL,
@@ -25,7 +26,6 @@ from sqrtminvol.solver import (
     f_eps,
     lambda_k,
     residual_r,
-    sigma_hat,
     solve,
     sqrt_minvol,
 )
@@ -89,18 +89,25 @@ class TestLambdaK:
             lambda_k(0.0, 1.0)
 
 
-class TestSigmaHat:
+class TestRmsResidual:
+    """The trace's ``rms_residual`` is ``sqrt(r_k / (m n))``, read off a one-row solve."""
+
+    @staticmethod
+    def first_row(X, W, H):
+        config = SqrtConfig(lam=0.0, epsilon=0.1, max_outer=1)
+        return sqrt_minvol(X, W.shape[1], config, start=(W, H))[1].rows[0]
+
     def test_exact_fit_floor(self):
         X = np.full((10, 10), 0.05)
-        got = sigma_hat(X, np.eye(10), X.copy(), 0.1)
-        assert got == pytest.approx(math.sqrt(0.1) / 100.0, rel=1e-15)
+        got = self.first_row(X, np.eye(10), X.copy()).rms_residual
+        assert got == pytest.approx(math.sqrt(0.1 / 100.0), rel=1e-15)
 
     def test_random_case(self):
         rng = np.random.default_rng(6)
         X = rng.random((4, 6))
         W, H = feasible_pair(rng, 4, 2, 6)
-        want = math.sqrt(frob_oracle(X - W @ H) ** 2 + 0.1) / 24.0
-        assert sigma_hat(X, W, H, 0.1) == pytest.approx(want, rel=1e-13)
+        want = math.sqrt((frob_oracle(X - W @ H) ** 2 + 0.1) / 24.0)
+        assert self.first_row(X, W, H).rms_residual == pytest.approx(want, rel=1e-13)
 
 
 class TestFEps:
@@ -217,8 +224,8 @@ class TestSqrtMinvol:
             assert row.lambda_k == pytest.approx(
                 2.0 * 0.5 * math.sqrt(row.r_k), rel=1e-14
             )
-            assert row.sigma_hat == pytest.approx(
-                math.sqrt(row.r_k) / (4 * 120), rel=1e-14
+            assert row.rms_residual == pytest.approx(
+                math.sqrt(row.r_k / (4 * 120)), rel=1e-14
             )
             assert row.rel_rmse_X is None and row.rel_rmse_W is None
 
@@ -255,7 +262,7 @@ class TestSqrtMinvol:
         assert last.f_eps == f_eps(X, W, H, cfg.lam, cfg.delta, cfg.epsilon)
         assert last.r_k == rk
         assert last.lambda_k == lambda_k(rk, cfg.lam)
-        assert last.sigma_hat == sigma_hat(X, W, H, cfg.epsilon)
+        assert last.rms_residual == math.sqrt(rk / X.size)
 
     @staticmethod
     def replay_minvol_chain(lam):
@@ -268,7 +275,7 @@ class TestSqrtMinvol:
         X = separable_X(rng, n_extra=16)
         cfg = SqrtConfig(lam=lam, max_outer=6)
         pair, trace = sqrt_minvol(X, 4, cfg)
-        got = [(r.k, r.f_eps, r.r_k, r.lambda_k, r.sigma_hat) for r in trace.rows]
+        got = [(r.k, r.f_eps, r.r_k, r.lambda_k, r.rms_residual) for r in trace.rows]
 
         init = snpa(X, 4)
         W, H = init.W0, init.H0
@@ -276,7 +283,7 @@ class TestSqrtMinvol:
         for k in range(1, cfg.max_outer + 1):
             rk = residual_r(X, W, H, cfg.epsilon)
             fk = f_eps(X, W, H, lam, cfg.delta, cfg.epsilon)
-            rows.append((k, fk, rk, lambda_k(rk, lam), sigma_hat(X, W, H, cfg.epsilon)))
+            rows.append((k, fk, rk, lambda_k(rk, lam), math.sqrt(rk / X.size)))
             if k > 1 and abs(fk - rows[-2][1]) <= cfg.tol * max(abs(rows[-2][1]), 1e-300):
                 break
             if k == cfg.max_outer:
@@ -287,7 +294,6 @@ class TestSqrtMinvol:
                 start=(W, H),
                 delta=cfg.delta,
                 max_outer=INNER_SWEEPS,
-                inner_iters=cfg.inner_iters,
                 tol=INNER_TOL,
             )
         return (pair.W, pair.H, got), (W, H, rows)
@@ -339,7 +345,7 @@ class TestSqrtMinvol:
         buf = io.StringIO()
         write_table(buf, TraceRow, trace.rows)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "k,f_eps,r_k,lambda_k,sigma_hat,rel_rmse_X,rel_rmse_W,wall_ms"
+        assert lines[0] == "k,f_eps,r_k,lambda_k,rms_residual,rel_rmse_X,rel_rmse_W,wall_ms"
         reader = csv.DictReader(io.StringIO(buf.getvalue()))
         parsed = list(reader)
         assert len(parsed) == len(trace.rows)
@@ -550,17 +556,26 @@ class TestNumericalFaults:
             assert [row.k for row in info.value.trace.rows] == [0, 1]
 
 
-def test_too_small_delta_is_named_in_the_error():
+@pytest.mark.parametrize(
+    "draw, solver, suffix",
+    [
+        ((20, 1e-4, 0), "sqrt-minvol", r" at sweep \d+ at outer iteration \d+"),
+        ((20, 1e-4, 0), "minvol-baseline", r" at sweep \d+"),
+        # SNPA's start on this draw has rank 3, so its own Gram does not
+        # factor: the fault names the first row, and no row was measured.
+        ((60, 0.0, 3), "sqrt-minvol", " at outer iteration 1"),
+        ((60, 0.0, 3), "minvol-baseline", " at sweep 0"),
+    ],
+    ids=["sqrt", "baseline", "sqrt-start", "baseline-start"],
+)
+def test_too_small_delta_is_named_in_the_error(draw, solver, suffix):
     # A failed Cholesky factor inside a loop is reported like any other
     # fault there: with its row, and carrying the rows measured before it.
-    _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=1e-4, seed=0))
-    for solver, suffix in [
-        ("sqrt-minvol", r" at sweep \d+ at outer iteration \d+"),
-        ("minvol-baseline", r" at sweep \d+"),
-    ]:
-        with pytest.raises(NumericalFaultError, match=rf"delta=1e-300\b.*{suffix}$") as info:
-            solve(X, 4, solver, lam=1.0, delta=1e-300, max_outer=3)
-        assert info.value.trace.rows
+    n, sigma, seed = draw
+    _, X = make_instance(InstanceSpec("paper-4x4", n=n, sigma=sigma, seed=seed))
+    with pytest.raises(NumericalFaultError, match=rf"delta=1e-300\b.*{suffix}$") as info:
+        solve(X, 4, solver, lam=1.0, delta=1e-300, max_outer=3)
+    assert bool(info.value.trace.rows) == (seed != 3)
 
 
 class TestSqrtConfig:
@@ -636,15 +651,21 @@ class TestSolveSettings:
         with pytest.raises(InvalidInputError, match="unknown solver 'mu'"):
             solve(X, 4, "mu", lam=0.1)
 
+    @pytest.mark.parametrize("name", ["max_outter", "inner_iters"])
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
-    def test_misspelled_setting_is_a_type_error(self, X, solver):
-        with pytest.raises(TypeError, match="max_outter"):
-            solve(X, 4, solver, lam=0.1, max_outter=2)
+    def test_misspelled_setting_is_a_type_error(self, X, solver, name):
+        # The FGM budget of a block update is a constant, not a setting, of
+        # a solve and of a sweep's spec alike.
+        with pytest.raises(TypeError, match=name):
+            solve(X, 4, solver, lam=0.1, **{name: 5})
+        generator = InstanceSpec("paper-4x4", n=40, sigma=0.0, seed=0)
+        with pytest.raises(TypeError, match=name):
+            ExperimentSpec(generator, solver, (0.0,), (0.1,), 1, 0, **{name: 5})
 
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_shared_settings_reach_the_config(self, X, solver):
         weight = "lam" if solver == "sqrt-minvol" else "lambda_tilde"
-        settings = dict(delta=0.2, max_outer=3, tol=1e-300, inner_iters=7)
+        settings = dict(delta=0.2, max_outer=3, tol=1e-300)
         _, _, cfg, _, iters, _ = solve(X, 4, solver, **{weight: 0.1}, **settings)
         assert {key: getattr(cfg, key) for key in settings} == settings
         assert iters == 3
@@ -679,7 +700,7 @@ class TestSolveStart:
         start = (init.W0.copy(), init.H0.copy())
         for M in start:
             M.setflags(write=False)  # the solver reads the start, never writes it
-        settings = dict(settings, max_outer=5, inner_iters=10)
+        settings = dict(settings, max_outer=5)
         if solver == "sqrt-minvol":
             settings["ground_truth"] = (gt.W_star, gt.X_star)
         default = solve(X, 4, solver, **settings)
@@ -751,7 +772,7 @@ class TestRandomInstances:
     @given(small_problems(), st.sampled_from([0.0, 0.01, 1.0]))
     def test_sqrt_minvol(self, problem, lam):
         X, r = problem
-        W, H, *_, trace = solve(X, r, "sqrt-minvol", lam=lam, max_outer=4, inner_iters=10)
+        W, H, *_, trace = solve(X, r, "sqrt-minvol", lam=lam, max_outer=4)
         self.assert_feasible(W, H)
         self.assert_descends([row.f_eps for row in trace.rows])
 
@@ -761,8 +782,6 @@ class TestRandomInstances:
     @example((np.ones((1, 7)), 1), 0.0)
     def test_baseline(self, problem, lam):
         X, r = problem
-        W, H, *_, trace = solve(
-            X, r, "minvol-baseline", lam=lam, max_outer=6, inner_iters=10
-        )
+        W, H, *_, trace = solve(X, r, "minvol-baseline", lam=lam, max_outer=6)
         self.assert_feasible(W, H)
         self.assert_descends([row.objective for row in trace.rows])

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ def tiny_spec(**overrides):
         lambda_grid=(0.1, 0.01),
         replicates=2,
         base_seed=5,
-        inner_iters=10,
     )
     kwargs.update(overrides)
     if kwargs["solver"] == "sqrt-minvol":
@@ -103,9 +103,7 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInputError, match="base_seed must be >= 0"):
             tiny_spec(base_seed=-5)
 
-    @pytest.mark.parametrize(
-        "setting", [{"max_outer": 0}, {"inner_iters": 0}, {"tol": -1.0}, {"delta": 0.0}]
-    )
+    @pytest.mark.parametrize("setting", [{"max_outer": 0}, {"tol": -1.0}, {"delta": 0.0}])
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_rejects_a_bad_solver_setting_when_built(self, solver, setting):
         # Every cell would fault on it; the spec refuses it instead.
@@ -205,7 +203,7 @@ class TestRunCell:
 
 class TestRunSweep:
     def test_grid_order(self):
-        spec = tiny_spec(max_outer=2, inner_iters=5)
+        spec = tiny_spec(max_outer=2)
         records = run_sweep(spec, jobs=1)
         keys = [(r.sigma, r.replicate, r.lam) for r in records]
         want = [
@@ -225,7 +223,7 @@ class TestRunSweep:
             return real(spec, X, gt, lam, start)
 
         monkeypatch.setattr(sweep_mod, "_solve_cell", sometimes)
-        records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
+        records = run_sweep(tiny_spec(max_outer=2), jobs=1)
         by_lam = {
             lam: [(r.status, r.stop) for r in records if r.lam == lam] for lam in (0.1, 0.01)
         }
@@ -234,7 +232,7 @@ class TestRunSweep:
         assert all(s == ("fault:NumericalFaultError", None) for s in by_lam[0.01])
 
     def test_parallel_matches_serial_excluding_wall(self):
-        spec = tiny_spec(max_outer=4, inner_iters=8)
+        spec = tiny_spec(max_outer=4)
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
 
@@ -276,14 +274,15 @@ class TestPoolSize:
             # 4 rows of 2 cells split into 8 one-cell tasks.
             ({}, 64, 8),
             # The benchmark's sweep shape: 8 rows on 2 workers keeps 2.
-            ({"sigma_grid": (0.1, 0.01, 0.001, 0.0001)}, 2, 2),
+            # A numpy integer is a count like any other.
+            ({"sigma_grid": (0.1, 0.01, 0.001, 0.0001)}, np.int64(2), 2),
         ],
         ids=["one-cell", "more-jobs-than-cells", "fewer-jobs-than-rows"],
     )
     def test_workers_are_capped_by_tasks(self, monkeypatch, grid, jobs, workers):
         monkeypatch.setattr(InProcessPool, "sizes", [])
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
-        spec = tiny_spec(max_outer=2, inner_iters=5, **grid)
+        spec = tiny_spec(max_outer=2, **grid)
         records = run_sweep(spec, jobs=jobs)
         assert InProcessPool.sizes == [workers]
         serial = run_sweep(spec, jobs=1)
@@ -301,6 +300,15 @@ class TestPoolSize:
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(sweep_mod, "run_cell", None)  # nothing may run
         with pytest.raises(InvalidInputError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            run_sweep(tiny_spec(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1.5, np.float64(2.0)])
+    def test_jobs_that_is_not_an_integer_is_refused(self, monkeypatch, jobs):
+        # 1.5 used to pass the jobs < 1 test and run int(1.5) = 1 worker.
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(sweep_mod, "run_cell", None)  # nothing may run
+        message = rf"^jobs must be an integer, got {re.escape(repr(jobs))}$"
+        with pytest.raises(InvalidInputError, match=message):
             run_sweep(tiny_spec(), jobs=jobs)
 
 
@@ -327,7 +335,7 @@ class TestRowSharing:
             monkeypatch.setattr(module, "snpa", snpa, raising=False)
         make_instance = counting("make_instance", sweep_mod.make_instance)
         monkeypatch.setattr(sweep_mod, "make_instance", make_instance)
-        records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
+        records = run_sweep(tiny_spec(max_outer=2), jobs=1)
         # 2 sigmas x 2 replicates = 4 rows of 2 lambdas each.
         assert len(records) == 8 and all(r.status == "ok" for r in records)
         assert calls == {"snpa": 4, "make_instance": 4}
@@ -336,7 +344,7 @@ class TestRowSharing:
     @pytest.mark.parametrize("grid", ["rows", "one-row"])
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_records_equal_cells_run_alone(self, solver, grid, jobs):
-        settings = dict(solver=solver, max_outer=3, inner_iters=5)
+        settings = dict(solver=solver, max_outer=3)
         spec = self.one_row(**settings) if grid == "one-row" else tiny_spec(**settings)
         alone = [
             run_cell(spec, si, rep, li)
@@ -383,7 +391,7 @@ class TestRowSharing:
             return real(*args)
 
         monkeypatch.setattr(sweep_mod, "_run_task", meet_then_run)
-        records = run_sweep(self.one_row(max_outer=2, inner_iters=5), jobs=2)
+        records = run_sweep(self.one_row(max_outer=2), jobs=2)
         assert [r.status for r in records] == ["ok"] * 6
 
     @pytest.mark.parametrize("where", ["make_instance", "snpa"])
@@ -398,7 +406,7 @@ class TestRowSharing:
             return real(*args)
 
         monkeypatch.setattr(sweep_mod, where, second_row_fails)
-        records = run_sweep(tiny_spec(max_outer=2, inner_iters=5), jobs=1)
+        records = run_sweep(tiny_spec(max_outer=2), jobs=1)
         fault = "fault:NumericalFaultError"
         assert [r.status for r in records] == ["ok"] * 2 + [fault] * 2 + ["ok"] * 4
         assert len(calls) == 4  # the fault is kept for the row, not rebuilt
@@ -580,13 +588,16 @@ class TestConfigParsing:
             parse_experiment_config(str(path))
 
     @staticmethod
-    def experiment_ini(tmp_path, solver, extra="", generator="name = paper-4x4\nn = 40\n"):
-        grid = "lambda_tildes" if solver == "minvol-baseline" else "lambdas"
+    def experiment_ini(
+        tmp_path, solver, extra="", generator="name = paper-4x4\nn = 40\n", grid="0.1"
+    ):
+        """An experiment INI file; ``grid=None`` leaves the weight grid out."""
+        key = "lambda_tildes" if solver == "minvol-baseline" else "lambdas"
+        grid = "" if grid is None else f"{key} = {grid}\n"
         path = tmp_path / "exp.ini"
         path.write_text(
             f"[generator]\n{generator}"
-            f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid} = 0.1\nbase_seed = 1\n"
-            + extra
+            f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid}base_seed = 1\n" + extra
         )
         return path
 
@@ -609,6 +620,18 @@ class TestConfigParsing:
             ("sqrt-minvol", "[solvr]\nmax_outer = 1\n", r"unknown section \[solvr\]"),
             # The generator's rank is the only one a sweep can score.
             ("sqrt-minvol", "[solver]\nrank = 4\n", r"\[solver\] unknown key 'rank'"),
+            # The FGM budget of a block update is a constant, not a setting.
+            (
+                "sqrt-minvol",
+                "[solver]\ninner_iters = 10\n",
+                r"\[solver\] unknown key 'inner_iters'",
+            ),
+            # configparser's own errors name the file and the line.
+            (
+                "sqrt-minvol",
+                "[solver]\nmax_outer\n",
+                r"parsing errors: '\S*exp\.ini'\s+\[line 10\]: 'max_outer\\n'$",
+            ),
         ],
         ids=[
             "baseline_sweeps-baseline",
@@ -617,6 +640,8 @@ class TestConfigParsing:
             "sweep-key",
             "section",
             "rank",
+            "inner_iters",
+            "no-equals",
         ],
     )
     def test_unknown_key_or_section_exits_2(self, tmp_path, capsys, solver, extra, where):
@@ -628,25 +653,25 @@ class TestConfigParsing:
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
-        "solver, extra, where, generator",
+        "solver, extra, where, ini",
         [
-            ("sqrt-minvol", "[solver]\ninner_iters = 0\n", r"\[solver\] inner_iters must be >= 1, got 0", None),
-            ("minvol-baseline", "[solver]\nmax_outer = 0\n", r"\[solver\] max_outer must be >= 1, got 0", None),
+            ("minvol-baseline", "[solver]\nmax_outer = 0\n", r"\[solver\] max_outer must be >= 1, got 0", {}),
             (
                 "sqrt-minvol",
                 "",
                 r"\[generator\] r = 5 exceeds min\(m, n\) = 3",
-                "name = random-uniform\nn = 40\nm = 3\nr = 5\n",
+                {"generator": "name = random-uniform\nn = 40\nm = 3\nr = 5\n"},
             ),
-            ("minvol-baseline", "", r"\[generator\] r = 4 exceeds min\(m, n\) = 3", "name = paper-4x4\nn = 3\n"),
-            ("minvol-baseline", "[solver]\nepsilon = 5\n", r"\[solver\] epsilon is for", None),
-            ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates", None),
+            ("minvol-baseline", "", r"\[generator\] r = 4 exceeds min\(m, n\) = 3", {"generator": "name = paper-4x4\nn = 3\n"}),
+            ("minvol-baseline", "[solver]\nepsilon = 5\n", r"\[solver\] epsilon is for", {}),
+            ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates", {}),
+            # The missing grid is named in the spelling of the file's solver.
+            ("minvol-baseline", "", r"\[sweep\] missing key 'lambda_tildes'$", {"grid": None}),
         ],
-        ids=["inner_iters", "max_outer", "rank-above-rows", "rank-above-n", "epsilon", "sweep-key"],
+        ids=["max_outer", "rank-above-rows", "rank-above-n", "epsilon", "sweep-key", "missing-grid"],
     )
-    def test_setting_error_names_its_section(self, tmp_path, capsys, solver, extra, where, generator):
-        kwargs = {} if generator is None else {"generator": generator}
-        path = self.experiment_ini(tmp_path, solver, extra, **kwargs)
+    def test_setting_error_names_its_section(self, tmp_path, capsys, solver, extra, where, ini):
+        path = self.experiment_ini(tmp_path, solver, extra, **ini)
         with pytest.raises(InvalidInputError, match=where):
             parse_experiment_config(str(path))
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -690,18 +715,24 @@ class TestConfigParsing:
             parse_experiment_config(str(path))
 
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, says",
         [
-            ("generator", "seed", "-1"),
-            ("generator", "sigma", "inf"),
-            ("generator", "alpha", "inf"),
-            ("sweep", "base_seed", "-5"),
-            ("sweep", "sigmas", "nan 0.01"),
-            ("sweep", "lambdas", "inf"),
+            ("generator", "seed", "-1", "must be >= 0, got -1"),
+            ("generator", "sigma", "inf", "must be finite and >= 0, got inf"),
+            ("generator", "alpha", "inf", "must be finite and > 0, got inf"),
+            ("sweep", "base_seed", "-5", "must be >= 0, got -5"),
+            ("sweep", "sigmas", "nan 0.01", "values must be finite"),
+            ("sweep", "lambdas", "inf", "values must be finite"),
+            ("sweep", "sigmas", "", "empty list"),
+        ],
+        ids=[
+            "generator-seed--1", "generator-sigma-inf", "generator-alpha-inf",
+            "sweep-base_seed--5", "sweep-sigmas-nan 0.01", "sweep-lambdas-inf",
+            "sweep-sigmas-empty",
         ],
     )
     def test_negative_seed_or_non_finite_value_names_its_key(
-        self, tmp_path, section, key, value
+        self, tmp_path, section, key, value, says
     ):
         ini = {
             "generator": dict(name="paper-4x4", n="50", sigma="0", seed="1"),
@@ -716,7 +747,7 @@ class TestConfigParsing:
             )
         )
         parse = parse_generator_config if section == "generator" else parse_experiment_config
-        with pytest.raises(InvalidInputError, match=rf"\[{section}\] {key}\b"):
+        with pytest.raises(InvalidInputError, match=rf"\[{section}\] {key}\b.*{says}$"):
             parse(str(path))
 
     def test_bad_generator_name_wrapped_with_path(self, tmp_path):
