@@ -19,19 +19,11 @@ for _var in (
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InvalidInputError, NumericalFaultError, SqrtMinvolError
 from .solver import SETTINGS, SOLVER_NAMES, ObjectiveRow, TraceRow, make_config, solve
-
-
-def _with_seed(spec, section, **seed):
-    """``spec`` with its seed set from ``--seed``, refused as the INI key would be."""
-    try:
-        return replace(spec, **seed)
-    except InvalidInputError as err:
-        raise InvalidInputError(f"--seed: [{section}] {err}") from err
 
 
 def cmd_generate(args):
@@ -40,8 +32,6 @@ def cmd_generate(args):
     from .sweep import parse_generator_config
 
     spec = parse_generator_config(args.config)
-    if args.seed is not None:
-        spec = _with_seed(spec, "generator", seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt, X = make_instance(spec)
@@ -63,6 +53,10 @@ def cmd_generate(args):
     return 0
 
 
+# The solve weights and settings, with their types: one flag each, from _flag.
+_SOLVE_FLAGS = {"lam": float, "lambda_tilde": float, **SETTINGS}
+
+
 def _flag(name):
     """The command-line flag of a solve setting: ``lam`` is ``--lambda``."""
     return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
@@ -82,8 +76,13 @@ def cmd_solve(args):
 
     baseline = args.solver == "minvol-baseline"
     row_type = ObjectiveRow if baseline else TraceRow
-    settings = {name: getattr(args, name) for name in SETTINGS}
-    make_config(args.solver, args.lam, args.lambda_tilde, spell=_flag, **settings)
+    settings = {name: getattr(args, name) for name in _SOLVE_FLAGS}
+    make_config(args.solver, spell=_flag, **settings)
+    out = Path(args.out)
+    # The solve's results need a directory: its nearest existing part must be one.
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise InvalidInputError(f"--out {out}: {found} is not a directory")
     X = read_matrix(args.x_path)
     W_star = read_matrix(args.w_star) if args.w_star else None
     X_star = read_matrix(args.x_star) if args.x_star else None
@@ -93,16 +92,9 @@ def cmd_solve(args):
     ):
         if M is not None and M.shape != shape:
             raise InvalidInputError(f"{flag} has shape {M.shape}, expected {shape}")
-    out = Path(args.out)
     try:
         W, H, cfg, final_obj, iters, trace = solve(
-            X,
-            args.rank,
-            args.solver,
-            lam=args.lam,
-            lambda_tilde=args.lambda_tilde,
-            ground_truth=(W_star, X_star),
-            **settings,
+            X, args.rank, args.solver, ground_truth=(W_star, X_star), **settings
         )
     except NumericalFaultError as err:
         if err.trace is not None:
@@ -132,12 +124,7 @@ def cmd_sweep(args):
     if args.jobs < 1:
         raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
     spec = parse_experiment_config(args.config)
-    if args.seed is not None:
-        spec = _with_seed(spec, "sweep", base_seed=args.seed)
-    out_dir = args.out if args.out is not None else spec.out_dir
-    if out_dir is None:
-        raise InvalidInputError("no output directory: give --out or an 'out' key")
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = run_sweep(spec, jobs=args.jobs)
     with open(out / "sweep.csv", "w") as fh:
@@ -160,19 +147,14 @@ def build_parser():
     p_gen = sub.add_parser("generate", help="write a synthetic instance to files")
     p_gen.add_argument("config", help="INI file with a [generator] section")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, default=None, help="override config seed")
     p_gen.set_defaults(func=cmd_generate)
 
     p_solve = sub.add_parser("solve", help="factor one data matrix")
     p_solve.add_argument("x_path", help="data matrix file")
     p_solve.add_argument("--rank", type=int, required=True)
     p_solve.add_argument("--solver", choices=SOLVER_NAMES, default="sqrt-minvol")
-    p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_solve.add_argument("--lambda-tilde", type=float, default=None)
-    p_solve.add_argument("--delta", type=float, default=None)
-    p_solve.add_argument("--epsilon", type=float, default=None)
-    p_solve.add_argument("--max-outer", type=int, default=None)
-    p_solve.add_argument("--tol", type=float, default=None)
+    for name, kind in _SOLVE_FLAGS.items():
+        p_solve.add_argument(_flag(name), dest=name, type=kind)
     p_solve.add_argument("--w-star", default=None, help="true W for recovery error")
     p_solve.add_argument("--x-star", default=None, help="noiseless X for fit error")
     p_solve.add_argument("--out", default=".", help="directory for W, H and the trace")
@@ -180,8 +162,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run a (sigma, lambda) grid")
     p_sweep.add_argument("config", help="INI file with [generator] and [sweep]")
-    p_sweep.add_argument("--out", default=None, help="override output directory")
-    p_sweep.add_argument("--seed", type=int, default=None, help="override base seed")
+    p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

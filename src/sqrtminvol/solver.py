@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFaultError
 from .linalg import as_matrix, check_integer, frobenius_norm, residual, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
 from .baseline import MinvolConfig, ObjectiveRow, SolveTrace, _descend
@@ -324,6 +324,10 @@ def solve(
     Xm = as_matrix(X, "X")
     W0, H0 = _start_pair(Xm, r, start)
     if lambda_tilde is not None:
-        cfg = replace(cfg, lam=lambda_from_init(Xm, W0, H0, lambda_tilde, cfg.delta))
+        try:
+            cfg = replace(cfg, lam=lambda_from_init(Xm, W0, H0, lambda_tilde, cfg.delta))
+        except NumericalFaultError as err:
+            # The start is the sweeps' row 0, so its fault is reported there.
+            raise NumericalFaultError(f"{err} at sweep 0", trace=SolveTrace()) from err
     W, H, trace = block_sweeps(Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.tol)
     return W, H, cfg, trace.rows[-1].objective, trace.rows[-1].k, trace

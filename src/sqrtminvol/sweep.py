@@ -64,7 +64,6 @@ class ExperimentSpec:
     lambda_grid: tuple
     replicates: int
     base_seed: int
-    out_dir: str = None
     delta: float = None
     epsilon: float = None
     max_outer: int = None
@@ -309,7 +308,6 @@ INI_KEYS = {
         lambda_tildes=_float_list,
         replicates=int,
         base_seed=int,
-        out=str,
     ),
     "solver": SETTINGS,
 }
@@ -317,15 +315,28 @@ INI_KEYS = {
 
 def _read_ini(path, required):
     """The typed values of every section, once the ``required`` keys are found."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a '%' is part of the value, which its key's type then judges.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         with open(path, "r") as fh:
             parser.read_file(fh)
     except OSError as err:
         raise InvalidInputError(f"{path}: {err.strerror or err}") from err
+    except configparser.MissingSectionHeaderError as err:
+        message = f"line {err.lineno}: {err.line!r} comes before any section"
+        raise InvalidInputError(f"{path}: {message}") from err
+    except configparser.ParsingError as err:
+        # configparser names the file again, and each bad line on a line of its own.
+        lineno, line = err.errors[0]
+        message = f"line {lineno}: {line} is not key = value"
+        raise InvalidInputError(f"{path}: {message}") from err
     except configparser.Error as err:
-        # configparser reports the offending line in its message.
-        raise InvalidInputError(f"{path}: {err}") from err
+        # A section or key given twice; configparser's message names the file again.
+        key = f"key {err.option!r}" if hasattr(err, "option") else "section"
+        message = f"line {err.lineno}: {key} repeated"
+        raise _config_error(path, err.section, message) from err
     ini = {}
     for section in parser.sections():
         if section not in INI_KEYS:
@@ -397,7 +408,6 @@ def parse_experiment_config(path):
             lambda_grid=grid,
             replicates=sweep.get("replicates", 1),
             base_seed=sweep["base_seed"],
-            out_dir=sweep.get("out"),
         )
     except InvalidInputError as err:
         raise _config_error(path, "sweep", str(err)) from err

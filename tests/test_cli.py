@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from sqrtminvol.cli import main
+from sqrtminvol.cli import _flag, build_parser, main
 from sqrtminvol.matrixio import read_matrix, write_matrix
+from sqrtminvol.solver import SETTINGS
 from sqrtminvol.sweep import parse_generator_config
 
 GEN_INI = "[generator]\nname = paper-4x4\nn = 60\nsigma = 0\nseed = 3\n"
@@ -64,12 +65,14 @@ class TestGenerate:
         for name in ("X.txt", "W_star.txt", "H_star.txt"):
             assert (out2 / name).read_bytes() == (instance_dir / name).read_bytes()
 
-    def test_seed_override_changes_data(self, tmp_path, instance_dir):
-        ini = write_ini(tmp_path, GEN_INI, "seeded.ini")
-        out2 = tmp_path / "inst3"
-        assert main(["generate", ini, "--out", str(out2), "--seed", "9"]) == 0
-        assert (out2 / "X.txt").read_bytes() != (instance_dir / "X.txt").read_bytes()
-        assert "seed = 9" in (out2 / "manifest.ini").read_text()
+    def test_seed_flag_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The INI file's seed is the one seed of an instance.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", write_ini(tmp_path, GEN_INI), "--out", str(out), "--seed", "9"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_parses_back(self, instance_dir):
         spec = parse_generator_config(str(instance_dir / "manifest.ini"))
@@ -84,22 +87,19 @@ class TestGenerate:
         assert main(["generate", str(tmp_path / "nope.ini"), "--out", "o"]) == 2
 
     @pytest.mark.parametrize(
-        "old, new, flags, message",
+        "old, new, message",
         [
-            ("seed = 3", "seed = -1", [], "[generator] seed must be >= 0, got -1"),
-            ("", "", ["--seed", "-1"], "--seed: [generator] seed must be >= 0, got -1"),
-            ("sigma = 0", "sigma = inf", [], "[generator] sigma must be finite"),
-            ("sigma = 0", "sigma = nan", [], "[generator] sigma must be finite"),
-            ("sigma = 0", "sigma = 0\nalpha = inf", [], "[generator] alpha must be finite"),
+            ("seed = 3", "seed = -1", "[generator] seed must be >= 0, got -1"),
+            ("sigma = 0", "sigma = inf", "[generator] sigma must be finite"),
+            ("sigma = 0", "sigma = nan", "[generator] sigma must be finite"),
+            ("sigma = 0", "sigma = 0\nalpha = inf", "[generator] alpha must be finite"),
         ],
-        ids=["ini-seed", "flag-seed", "inf-sigma", "nan-sigma", "inf-alpha"],
+        ids=["ini-seed", "inf-sigma", "nan-sigma", "inf-alpha"],
     )
-    def test_bad_value_exits_2_and_writes_nothing(
-        self, tmp_path, capsys, old, new, flags, message
-    ):
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, old, new, message):
         ini = write_ini(tmp_path, GEN_INI.replace(old, new))
         out = tmp_path / "o"
-        assert main(["generate", ini, "--out", str(out), *flags]) == 2
+        assert main(["generate", ini, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -235,20 +235,24 @@ class TestSolveSqrt:
         assert main(argv + ["--max-outer", "2", "--out", str(tmp_path / "s")]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(" stop=budget")
 
-    @pytest.mark.parametrize("bad", ["missing-data", "out-is-a-file"])
+    @pytest.mark.parametrize("bad", ["missing-data", "out-is-a-file", "out-under-a-file"])
     def test_unusable_path_exits_2(self, tmp_path, instance_dir, capsys, bad):
         data, out = instance_dir / "X.txt", tmp_path / "s"
         if bad == "missing-data":
             data = tmp_path / "absent.txt"
             message = f"{data}: No such file or directory"
         else:
-            # The solve runs; the directory for its results cannot be made.
-            out.write_text("a file, not a directory\n")
-            message = f"[Errno 17] File exists: '{out}'"
+            # Refused before X is read, rather than after a whole solve.
+            (tmp_path / "s").write_text("a file, not a directory\n")
+            if bad == "out-under-a-file":
+                out = out / "sub"
+            message = f"--out {out}: {tmp_path / 's'} is not a directory"
         argv = ["solve", str(data), "--rank", "4", "--lambda", "0.1", "--max-outer", "2"]
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "solver=" not in captured.out
 
 
 class TestSolveBaseline:
@@ -529,16 +533,24 @@ class TestSolveNumericalFaults:
         assert len((out / "trace.csv").read_text().splitlines()) >= 2
 
     @pytest.mark.parametrize(
-        "solver, where", [("sqrt-minvol", "outer iteration 1"), ("minvol-baseline", "sweep 0")]
+        "solver, weight, where",
+        [
+            ("sqrt-minvol", ["--lambda", "1"], "outer iteration 1"),
+            ("minvol-baseline", ["--lambda", "1"], "sweep 0"),
+            # Rescaling the weight factors the same start before the sweeps.
+            ("minvol-baseline", ["--lambda-tilde", "0.01"], "sweep 0"),
+        ],
+        ids=["sqrt-minvol-outer iteration 1", "minvol-baseline-sweep 0",
+             "minvol-baseline-lambda-tilde-sweep 0"],
     )
     def test_a_start_that_does_not_factor_writes_the_header(
-        self, tmp_path, instance_dir, capsys, solver, where
+        self, tmp_path, instance_dir, capsys, solver, weight, where
     ):
         # SNPA's start on this draw has rank 3, so its Gram plus 1e-300 I
         # does not factor: no row is measured, and trace.csv is its header.
         out = tmp_path / "s"
         argv = ["solve", str(instance_dir / "X.txt"), "--rank", "4", "--solver", solver,
-                "--lambda", "1", "--delta", "1e-300", "--max-outer", "3", "--out", str(out)]
+                *weight, "--delta", "1e-300", "--max-outer", "3", "--out", str(out)]
         capsys.readouterr()
         assert main(argv) == 3
         assert capsys.readouterr().err.endswith(f"; use a larger delta at {where}\n")
@@ -598,6 +610,16 @@ class TestSolveFlagChecks:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["lam", "lambda_tilde", *SETTINGS])
+def test_each_weight_and_setting_parses_from_its_flag(name):
+    # The flags are read off SETTINGS: a new solve setting needs no CLI edit.
+    flag = {"lam": "--lambda"}.get(name, "--" + name.replace("_", "-"))
+    assert _flag(name) == flag
+    args = build_parser().parse_args(["solve", "X.txt", "--rank", "4", flag, "7"])
+    kind = SETTINGS.get(name, float)
+    assert type(getattr(args, name)) is kind and getattr(args, name) == 7
+
+
 class TestSweep:
     def test_end_to_end_and_parallel_determinism(self, tmp_path, capsys):
         ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")
@@ -610,13 +632,6 @@ class TestSweep:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         header = (out1 / "sweep.csv").read_text().splitlines()[0]
         assert header.startswith("solver,sigma,lambda,replicate,seed,")
-
-    def test_seed_override_changes_records(self, tmp_path):
-        ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", ini, "--out", str(out1)]) == 0
-        assert main(["sweep", ini, "--out", str(out2), "--seed", "99"]) == 0
-        assert strip_wall(out1 / "sweep.csv") != strip_wall(out2 / "sweep.csv")
 
     def test_out_of_range_rank_exits_2(self, tmp_path, capsys):
         # paper-4x4 has rank 4, so 3 columns would fault every cell in SNPA.
@@ -632,21 +647,18 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
-        "old, new, flags, message",
+        "old, new, message",
         [
-            ("base_seed = 11", "base_seed = -5", [], "[sweep] base_seed must be >= 0"),
-            ("", "", ["--seed", "-5"], "--seed: [sweep] base_seed must be >= 0"),
-            ("sigmas = 0.01", "sigmas = nan 0.01", [], "[sweep] sigmas = 'nan 0.01'"),
-            ("lambdas = 0.1 0.01", "lambdas = inf", [], "[sweep] lambdas = 'inf'"),
+            ("base_seed = 11", "base_seed = -5", "[sweep] base_seed must be >= 0"),
+            ("sigmas = 0.01", "sigmas = nan 0.01", "[sweep] sigmas = 'nan 0.01'"),
+            ("lambdas = 0.1 0.01", "lambdas = inf", "[sweep] lambdas = 'inf'"),
         ],
-        ids=["ini-seed", "flag-seed", "nan-sigma", "inf-lambda"],
+        ids=["ini-seed", "nan-sigma", "inf-lambda"],
     )
-    def test_bad_value_exits_2_and_writes_nothing(
-        self, tmp_path, capsys, old, new, flags, message
-    ):
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, old, new, message):
         ini = write_ini(tmp_path, SWEEP_INI.replace(old, new), "sweep.ini")
         out = tmp_path / "out"
-        assert main(["sweep", ini, "--out", str(out), *flags]) == 2
+        assert main(["sweep", ini, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -677,10 +689,31 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
-    def test_no_output_directory_exits_2(self, tmp_path, capsys):
+    def test_no_output_directory_exits_2(self, tmp_path, capsys, monkeypatch):
         ini = write_ini(tmp_path, SWEEP_INI, "sweep.ini")
-        assert main(["sweep", ini]) == 2
-        assert "output directory" in capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", ini])
+        assert info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.ini"]
+
+    def test_seed_flag_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The INI file's base_seed is the one seed of a sweep.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", write_ini(tmp_path, SWEEP_INI), "--out", str(out), "--seed", "9"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # Where a sweep writes is not part of what it computes.
+        named = tmp_path / "named"
+        ini = write_ini(tmp_path, SWEEP_INI.replace("[solver]", f"out = {named}\n[solver]"))
+        assert main(["sweep", ini, "--out", str(tmp_path / "out")]) == 2
+        assert "[sweep] unknown key 'out'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
 
 
 class TestImports:

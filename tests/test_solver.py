@@ -557,24 +557,26 @@ class TestNumericalFaults:
 
 
 @pytest.mark.parametrize(
-    "draw, solver, suffix",
+    "draw, solver, weight, suffix",
     [
-        ((20, 1e-4, 0), "sqrt-minvol", r" at sweep \d+ at outer iteration \d+"),
-        ((20, 1e-4, 0), "minvol-baseline", r" at sweep \d+"),
+        ((20, 1e-4, 0), "sqrt-minvol", "lam", r" at sweep \d+ at outer iteration \d+"),
+        ((20, 1e-4, 0), "minvol-baseline", "lam", r" at sweep \d+"),
         # SNPA's start on this draw has rank 3, so its own Gram does not
         # factor: the fault names the first row, and no row was measured.
-        ((60, 0.0, 3), "sqrt-minvol", " at outer iteration 1"),
-        ((60, 0.0, 3), "minvol-baseline", " at sweep 0"),
+        ((60, 0.0, 3), "sqrt-minvol", "lam", " at outer iteration 1"),
+        ((60, 0.0, 3), "minvol-baseline", "lam", " at sweep 0"),
+        # Rescaling lambda_tilde factors the same start before the sweeps.
+        ((60, 0.0, 3), "minvol-baseline", "lambda_tilde", " at sweep 0"),
     ],
-    ids=["sqrt", "baseline", "sqrt-start", "baseline-start"],
+    ids=["sqrt", "baseline", "sqrt-start", "baseline-start", "baseline-tilde-start"],
 )
-def test_too_small_delta_is_named_in_the_error(draw, solver, suffix):
+def test_too_small_delta_is_named_in_the_error(draw, solver, weight, suffix):
     # A failed Cholesky factor inside a loop is reported like any other
     # fault there: with its row, and carrying the rows measured before it.
     n, sigma, seed = draw
     _, X = make_instance(InstanceSpec("paper-4x4", n=n, sigma=sigma, seed=seed))
     with pytest.raises(NumericalFaultError, match=rf"delta=1e-300\b.*{suffix}$") as info:
-        solve(X, 4, solver, lam=1.0, delta=1e-300, max_outer=3)
+        solve(X, 4, solver, delta=1e-300, max_outer=3, **{weight: 1.0})
     assert bool(info.value.trace.rows) == (seed != 3)
 
 

@@ -544,7 +544,6 @@ class TestConfigParsing:
             "lambdas = 1 0.1 0.01\n"
             "replicates = 2\n"
             "base_seed = 9\n"
-            "out = runs/demo\n"
             "[solver]\n"
             "max_outer = 30\n"
             "epsilon = 1e-12\n"
@@ -555,7 +554,6 @@ class TestConfigParsing:
         assert spec.lambda_grid == (1.0, 0.1, 0.01)
         assert spec.replicates == 2
         assert spec.base_seed == 9
-        assert spec.out_dir == "runs/demo"
         assert spec.max_outer == 30
         assert spec.epsilon == 1e-12
         assert spec.delta is None  # unset: the solver takes MinvolConfig.delta
@@ -626,11 +624,13 @@ class TestConfigParsing:
                 "[solver]\ninner_iters = 10\n",
                 r"\[solver\] unknown key 'inner_iters'",
             ),
-            # configparser's own errors name the file and the line.
+            # Where a run writes is only ever said by --out.
+            ("sqrt-minvol", "out = runs/demo\n", r"\[sweep\] unknown key 'out'"),
+            # A line configparser cannot parse: one line, naming the file once.
             (
                 "sqrt-minvol",
                 "[solver]\nmax_outer\n",
-                r"parsing errors: '\S*exp\.ini'\s+\[line 10\]: 'max_outer\\n'$",
+                r"^\S*exp\.ini: line 10: 'max_outer\\n' is not key = value$",
             ),
         ],
         ids=[
@@ -641,6 +641,7 @@ class TestConfigParsing:
             "section",
             "rank",
             "inner_iters",
+            "out",
             "no-equals",
         ],
     )
@@ -651,6 +652,24 @@ class TestConfigParsing:
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "exp.ini" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 40\n[generator]\n", "line 1: 'n = 40\\n' comes before any section"),
+            ("[generator]\nn = 40\n[generator]\n", "[generator] line 3: section repeated"),
+            ("[generator]\nn = 40\nn = 50\n", "[generator] line 3: key 'n' repeated"),
+        ],
+        ids=["no-section", "section-twice", "key-twice"],
+    )
+    def test_other_parse_errors_are_one_line_naming_the_file_once(
+        self, tmp_path, text, message
+    ):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as info:
+            parse_experiment_config(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "solver, extra, where, ini",
@@ -667,8 +686,13 @@ class TestConfigParsing:
             ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates", {}),
             # The missing grid is named in the spelling of the file's solver.
             ("minvol-baseline", "", r"\[sweep\] missing key 'lambda_tildes'$", {"grid": None}),
+            # A '%' is not interpolated; it used to end in a traceback.
+            ("sqrt-minvol", "replicates = 2%\n", r"\[sweep\] replicates = '2%'", {}),
         ],
-        ids=["max_outer", "rank-above-rows", "rank-above-n", "epsilon", "sweep-key", "missing-grid"],
+        ids=[
+            "max_outer", "rank-above-rows", "rank-above-n", "epsilon", "sweep-key",
+            "missing-grid", "percent",
+        ],
     )
     def test_setting_error_names_its_section(self, tmp_path, capsys, solver, extra, where, ini):
         path = self.experiment_ini(tmp_path, solver, extra, **ini)
