@@ -27,6 +27,8 @@ from .projections import project_H_columns, project_nonneg, require_feasible
 
 __all__ = [
     "MinvolConfig",
+    "ObjectiveRow",
+    "SolveTrace",
     "objective_minvol",
     "block_sweeps",
     "lambda_from_init",

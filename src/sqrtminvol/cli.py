@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 invalid input or config, 3 numerical fault.
 
-BLAS thread caps are pinned to one before numpy loads so results do
-not depend on the host's core count; sweep parallelism comes from the
-process pool (``--jobs``), not from threaded kernels.
+Each BLAS thread cap the environment leaves unset is set to one before
+numpy loads, so by default results do not depend on the host's core
+count; a cap that is already set keeps its value.  Sweep parallelism
+comes from the process pool (``--jobs``), not from threaded kernels.
 """
 
 import os
@@ -23,7 +24,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InvalidInputError, NumericalFaultError, SqrtMinvolError
-from .solver import SETTINGS, SOLVER_NAMES, ObjectiveRow, TraceRow, make_config, solve
+from .baseline import ObjectiveRow
+from .solver import SETTINGS, SOLVER_NAMES, TraceRow, make_config, solve
 
 
 def cmd_generate(args):

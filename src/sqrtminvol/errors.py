@@ -5,6 +5,8 @@ the command-line tools exit with code 2; a numerical breakdown raises
 :class:`NumericalFaultError`, and they exit with code 3.
 """
 
+__all__ = ["SqrtMinvolError", "InvalidInputError", "NumericalFaultError"]
+
 
 class SqrtMinvolError(Exception):
     """Base class for all errors raised by this package."""

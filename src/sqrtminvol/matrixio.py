@@ -47,17 +47,33 @@ def write_table(fh, row_type, rows):
         fh.write(",".join(format_value(n, getattr(row, n)) for n, _ in names) + "\n")
 
 
+def _read_text(path, encoding):
+    """The text of the file at ``path``, decoded as ``encoding``.
+
+    A file that cannot be read raises ``InvalidInputError`` naming it, and a
+    byte that does not decode names its line too.
+    """
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except OSError as err:
+        raise InvalidInputError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        # read() decodes the whole file at once, so err.object is all of it.
+        line = err.object.count(b"\n", 0, err.start) + 1
+        byte = err.object[err.start]
+        raise InvalidInputError(
+            f"{path}:{line}: byte {byte:#04x} is not {encoding} text"
+        ) from None
+
+
 def read_matrix(path):
     """Read a matrix written by :func:`write_matrix`.
 
     Raises ``InvalidInputError`` with the offending line number on any
     malformed content.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as err:
-        raise InvalidInputError(f"{path}: {err.strerror or err}") from err
+    lines = _read_text(path, "ascii").splitlines()
     if not lines:
         raise InvalidInputError(f"{path}: empty file")
     head = lines[0].split()
@@ -69,20 +85,21 @@ def read_matrix(path):
         raise InvalidInputError(f"{path}:1: expected integer 'rows cols'") from None
     if rows < 1 or cols < 1:
         raise InvalidInputError(f"{path}:1: non-positive dimensions {rows}x{cols}")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # Each data row with its line number in the file, blank lines skipped.
+    body = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(body) != rows:
         raise InvalidInputError(f"{path}: expected {rows} data rows, found {len(body)}")
     out = np.empty((rows, cols), dtype=np.float64)
-    for i, ln in enumerate(body):
+    for row, (i, ln) in zip(out, body):
         parts = ln.split()
         if len(parts) != cols:
             raise InvalidInputError(
-                f"{path}:{i + 2}: expected {cols} values, found {len(parts)}"
+                f"{path}:{i}: expected {cols} values, found {len(parts)}"
             )
         try:
-            out[i, :] = [float(p) for p in parts]
+            row[:] = [float(p) for p in parts]
         except ValueError as exc:
-            raise InvalidInputError(f"{path}:{i + 2}: {exc}") from None
-    if not np.isfinite(out).all():
-        raise InvalidInputError(f"{path}: non-finite entries")
+            raise InvalidInputError(f"{path}:{i}: {exc}") from None
+        if not np.isfinite(row).all():
+            raise InvalidInputError(f"{path}:{i}: non-finite entries")
     return out

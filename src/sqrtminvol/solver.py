@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFaultError
 from .linalg import as_matrix, check_integer, frobenius_norm, residual, shifted_gram
 from .metrics import rel_rmse_W, rel_rmse_X
-from .baseline import MinvolConfig, ObjectiveRow, SolveTrace, _descend
+from .baseline import MinvolConfig, SolveTrace, _descend
 from .baseline import block_sweeps, lambda_from_init
 from .projections import require_feasible
 from .initialization import snpa
@@ -42,8 +42,6 @@ __all__ = [
     "SqrtConfig",
     "FactorPair",
     "TraceRow",
-    "ObjectiveRow",
-    "SolveTrace",
     "SETTINGS",
     "make_config",
     "f_eps",
@@ -162,6 +160,9 @@ def _start_pair(Xm, r, start):
     if start is None:
         init = snpa(Xm, r)
         return init.W0, init.H0
+    # SNPA's rule on X, so a given start refuses the same X.
+    if np.min(Xm) < 0.0:
+        raise InvalidInputError("X has negative entries")
     W, H = (as_matrix(M, f"start {name}") for M, name in zip(start, "WH"))
     (m, n), r = Xm.shape, int(check_integer(r, "rank"))
     if W.shape != (m, r) or H.shape != (r, n):

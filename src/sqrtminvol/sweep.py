@@ -24,6 +24,7 @@ from .datagen import InstanceSpec, make_instance
 from .errors import InvalidInputError, SqrtMinvolError
 from .initialization import snpa
 from .linalg import check_integer
+from .matrixio import _read_text
 from .metrics import rel_rmse_W, rel_rmse_X
 from .solver import SETTINGS, make_config, solve
 
@@ -319,11 +320,9 @@ def _read_ini(path, required):
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
+    text = _read_text(path, "utf-8")
     try:
-        with open(path, "r") as fh:
-            parser.read_file(fh)
-    except OSError as err:
-        raise InvalidInputError(f"{path}: {err.strerror or err}") from err
+        parser.read_string(text, source=str(path))
     except configparser.MissingSectionHeaderError as err:
         message = f"line {err.lineno}: {err.line!r} comes before any section"
         raise InvalidInputError(f"{path}: {message}") from err

@@ -1,8 +1,11 @@
 import csv
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -716,21 +719,92 @@ class TestSweep:
         assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep", "solve"])
+def test_file_that_is_not_text_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # A 0xE9 byte, as a Latin-1 editor writes an accented letter.
+    text = {"generate": GEN_INI, "sweep": SWEEP_INI, "solve": "1 2\n1 2\n"}[command]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode() + b"# caf\xe9\n")
+    out = tmp_path / "out"
+    argv = [command, str(path), "--out", str(out)]
+    if command == "solve":
+        argv += ["--rank", "1", "--lambda", "1"]
+    assert main(argv) == 2
+    encoding = "ascii" if command == "solve" else "utf-8"
+    line = text.count("\n") + 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:{line}: byte 0xe9 is not {encoding} text\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def library_modules():
+    """Every module of the package but ``cli``, by name."""
+    import sqrtminvol
+
+    names = [i.name for i in pkgutil.iter_modules(sqrtminvol.__path__) if i.name != "cli"]
+    return {name: importlib.import_module(f"sqrtminvol.{name}") for name in names}
+
+
 class TestImports:
-    def test_package_does_not_load_scipy(self):
-        # A fresh interpreter, so nothing imported by the test run can leak in.
-        code = (
-            "import sys\n"
-            "import sqrtminvol.cli, sqrtminvol.solver, sqrtminvol.sweep, sqrtminvol.metrics\n"
-            "print('scipy' in sys.modules)\n"
-        )
+    @staticmethod
+    def fresh(code):
+        """What ``code`` prints in a fresh interpreter, so nothing the test run
+        imported can leak in."""
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", "import sys\n" + code],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_package_does_not_load_scipy(self):
+        code = (
+            "import sqrtminvol.cli, sqrtminvol.solver, sqrtminvol.sweep, sqrtminvol.metrics\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        assert self.fresh(code) == "False"
+
+    LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sqrtminvol')))\n"
+
+    def test_bare_import_loads_no_numpy_and_no_submodule(self):
+        assert self.fresh("import sqrtminvol\n" + self.LOADED) == "['sqrtminvol']"
+
+    @pytest.mark.parametrize(
+        "code", ["import sqrtminvol\nsqrtminvol.InvalidInputError", "from sqrtminvol import errors"]
+    )
+    def test_an_error_class_loads_only_errors(self, code):
+        assert self.fresh(code + "\n" + self.LOADED) == "['sqrtminvol', 'sqrtminvol.errors']"
+
+    def test_every_public_name_is_the_package_attribute(self):
+        import sqrtminvol
+
+        modules = library_modules()
+        assert sorted(modules) == sorted(sqrtminvol._MODULES)
+        declared = [(m, name) for m in modules.values() for name in m.__all__]
+        for module, name in declared:
+            assert getattr(sqrtminvol, name) is getattr(module, name), name
+        assert sorted(sqrtminvol.__all__) == sorted([n for _, n in declared] + ["__version__"])
+        assert dir(sqrtminvol) == sorted(sqrtminvol.__all__)
+
+    def test_each_name_is_declared_once_by_its_defining_module(self):
+        declared = [(m, name) for m in library_modules().values() for name in m.__all__]
+        twice = [name for name, count in Counter(n for _, n in declared).items() if count > 1]
+        assert twice == []
+        for module, name in declared:
+            # Constants (a tuple, a dict) carry no __module__ of their own.
+            owner = getattr(getattr(module, name), "__module__", module.__name__)
+            assert owner == module.__name__, name
+
+    @pytest.mark.parametrize("name", ["no_such_name", "build_parser"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        # build_parser is cli's: cli is not searched, as importing it sets the
+        # BLAS thread variables.
+        import sqrtminvol
+
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(sqrtminvol, name)

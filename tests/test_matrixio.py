@@ -52,17 +52,26 @@ def test_bad_header_is_named(tmp_path, text, message):
         read_matrix(path)
 
 
-def test_short_row_reports_its_line(tmp_path):
+# A blank line before the bad row still counts: the error names the file's line.
+@pytest.mark.parametrize(
+    "text, line",
+    [("2 2\n1 0\n0\n", 3), ("2 2\n1 2\n\n3 4 5\n", 4)],
+    ids=["plain", "after-blank"],
+)
+def test_short_row_reports_its_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"
-    path.write_text("2 2\n1 0\n0\n")
-    with pytest.raises(InvalidInputError, match=r":3:"):
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=rf":{line}: expected 2 values"):
         read_matrix(path)
 
 
-def test_non_numeric_token_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "text, line", [("1 2\n1 x\n", 2), ("2 2\n\n1 2\n3 x\n", 4)], ids=["plain", "after-blank"]
+)
+def test_non_numeric_token_rejected(tmp_path, text, line):
     path = tmp_path / "bad.txt"
-    path.write_text("1 2\n1 x\n")
-    with pytest.raises(InvalidInputError, match=r":2:"):
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=rf":{line}: could not convert"):
         read_matrix(path)
 
 
@@ -75,8 +84,19 @@ def test_missing_rows_rejected(tmp_path):
 
 def test_non_finite_value_rejected(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("1 2\n1 inf\n")
-    with pytest.raises(InvalidInputError):
+    path.write_text("2 2\n1 2\n\n1 inf\n")
+    with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))}:4: non-finite"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_byte_that_is_not_ascii_names_file_and_line(tmp_path, line):
+    lines = [b"2 2", b"1 2", b"3 4"]
+    lines[line - 1] += b" \xe9"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    message = f"{path}:{line}: byte 0xe9 is not ascii text"
+    with pytest.raises(InvalidInputError, match=rf"^{re.escape(message)}$"):
         read_matrix(path)
 
 

@@ -746,6 +746,41 @@ class TestSolveStart:
         with pytest.raises(InvalidInputError, match=r"^rank must be an integer, got 3\.5$"):
             solve(X, 3.5, solver, lam=0.5, start=start, max_outer=2)
 
+    @pytest.mark.parametrize("start", [False, True])
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_negative_X_is_refused_from_either_start(self, solver, start):
+        X = np.random.default_rng(0).random((4, 20))
+        init = snpa(X, 4)
+        X[0, 0] = -0.5
+        start = (init.W0, init.H0) if start else None
+        with pytest.raises(InvalidInputError, match=r"^X has negative entries$"):
+            solve(X, 4, solver, lam=0.5, start=start, max_outer=2)
+
+
+class TestColumnPermutation:
+    """Permuting X's columns permutes H and leaves W as it was.
+
+    FGM sums the objective over the columns in another order, so the two
+    answers agree to rounding, not bitwise.  The bound and the seeds were
+    fixed before the first run.
+    """
+
+    BOUND = 1e-6
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "solver, weight",
+        [("sqrt-minvol", {"lam": 0.5, "epsilon": 1e-9}), ("minvol-baseline", {"lambda_tilde": 0.01})],
+        ids=["sqrt", "baseline"],
+    )
+    def test_permuted_columns_permute_H(self, solver, weight, seed):
+        _, X = make_instance(InstanceSpec("paper-4x4", n=80, sigma=1e-2, seed=seed, alpha=0.05))
+        perm = np.random.default_rng(seed).permutation(X.shape[1])
+        W, H, *_ = solve(X, 4, solver, max_outer=5, **weight)
+        W_p, H_p, *_ = solve(X[:, perm], 4, solver, max_outer=5, **weight)
+        assert np.max(np.abs(W_p - W)) <= self.BOUND * np.max(np.abs(W))
+        assert np.max(np.abs(H_p - H[:, perm])) <= self.BOUND
+
 
 @st.composite
 def small_problems(draw):
