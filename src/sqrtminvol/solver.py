@@ -79,7 +79,9 @@ class SqrtConfig:
         Note ``sqrt(eps)`` floors the self-scaling: the effective inner
         weight can never drop below ``2 * lam * sqrt(eps)``.
     max_outer : int
-        Outer (majorization) iteration budget, default 200.
+        Outer iterations, default 200.  The SNPA start is outer iteration
+        1, so ``max_outer = N`` makes at most N - 1 majorization steps,
+        and ``max_outer = 1`` returns the start.
     tol : float
         Relative change of ``f_eps`` that stops the outer loop, default
         1e-9.
@@ -296,8 +298,9 @@ def solve(
     given.  The other ``settings``, the names in :data:`SETTINGS`, go to
     :class:`SqrtConfig` or :class:`~sqrtminvol.baseline.MinvolConfig` under
     the same names, and one left at None takes the config's default.
-    ``max_outer`` counts outer iterations of ``sqrt-minvol`` and sweeps of
-    the baseline.
+    ``max_outer`` counts outer iterations of ``sqrt-minvol``, its start
+    being iteration 1, so it makes ``max_outer - 1`` majorization steps;
+    the baseline makes ``max_outer`` sweeps after its start, row 0.
     ``epsilon`` is for ``sqrt-minvol`` only (:data:`SOLVER_ONLY`), and so
     is ``ground_truth`` (``(W_star, X_star)``, recorded in every trace
     row), which the baseline ignores.  ``start``, a feasible ``(W0, H0)``

@@ -8,9 +8,12 @@ start.  A row shares them: its first cell builds the instance and the
 start, and the row's other cells reuse them, read-only.  Nothing else is
 shared, and results do not depend on execution order or worker count.
 
-Config files are flat INI text with [generator], [sweep] and optional
-[solver] sections (:data:`INI_KEYS`; any other section or key is an
-error), grids written as whitespace-separated values.  See the README.
+Config files are flat INI text with a [generator] and a [sweep] section.
+A section is one spec and its keys are that spec's fields: the
+[generator] keys are :class:`~sqrtminvol.datagen.InstanceSpec`'s, the
+[sweep] keys :class:`ExperimentSpec`'s but ``generator``
+(:data:`INI_KEYS`; any other section or key is an error), grids written
+as whitespace-separated values.  See the README.
 """
 
 import configparser
@@ -42,18 +45,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of a sweep.
+    """Full description of a sweep; every field but ``generator`` is a [sweep] key.
 
     ``generator`` is a template descriptor whose ``sigma`` and ``seed``
     fields are overwritten per cell.  For the baseline solver the
-    ``lambda_grid`` values are reference weights rescaled per instance
-    from the initialization (the lambda-tilde convention); for the
-    square-root solver they are used as-is.  Every cell solves at the
-    generator's rank.  The fields named in
-    :data:`~sqrtminvol.solver.SETTINGS` are passed to
+    ``lambda_grid`` values are the init-scaled weights lambda-tilde,
+    rescaled per instance from the start; for the square-root solver
+    they are used as-is.  Every cell solves at the generator's rank.  The
+    fields named in :data:`~sqrtminvol.solver.SETTINGS` are passed to
     :func:`~sqrtminvol.solver.solve` under the same names and take the
-    solver's default when None; ``max_outer`` budgets both solvers.  A
-    setting the solver would refuse (``epsilon`` on a baseline spec, see
+    solver's default when None.  ``max_outer`` budgets both solvers: a
+    square-root solve counts its SNPA start as outer iteration 1, so it
+    makes ``max_outer - 1`` majorization steps, and a baseline solve
+    ``max_outer`` sweeps after its start.  A setting the solver would
+    refuse (``epsilon`` on a baseline spec, see
     :data:`~sqrtminvol.solver.SOLVER_ONLY`, or ``max_outer = 0``) and a
     generator whose rank SNPA cannot select (``r`` above ``min(m, n)``)
     are refused when the spec is built, not in every cell.
@@ -63,8 +68,8 @@ class ExperimentSpec:
     solver: str
     sigma_grid: tuple
     lambda_grid: tuple
-    replicates: int
     base_seed: int
+    replicates: int = 1
     delta: float = None
     epsilon: float = None
     max_outer: int = None
@@ -79,12 +84,12 @@ class ExperimentSpec:
         for s in self.sigma_grid:
             if not (0.0 <= s < np.inf):
                 raise InvalidInputError(
-                    f"sigma grid values must be finite and >= 0, got {s}"
+                    f"sigma_grid values must be finite and >= 0, got {s}"
                 )
         for l in self.lambda_grid:
             if not (0.0 < l < np.inf):
                 raise InvalidInputError(
-                    f"lambda grid values must be finite and > 0, got {l}"
+                    f"lambda_grid values must be finite and > 0, got {l}"
                 )
         if check_integer(self.replicates, "replicates") < 1:
             raise InvalidInputError("replicates must be >= 1")
@@ -289,28 +294,19 @@ def _config_error(path, section, message):
 
 
 def _float_list(raw):
-    values = tuple(float(tok) for tok in raw.split())
-    if not values:
-        raise ValueError("empty list")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    return values
+    return tuple(float(tok) for tok in raw.split())
 
 
 # Every key a config file may hold, with its type, by section; any other
-# section or key is an error.  The [generator] keys are InstanceSpec's fields
-# and the [solver] keys the solver's SETTINGS, read off the dataclasses.
+# section or key is an error.  A section's keys are its spec's fields, read
+# off the dataclasses, and a grid (a tuple field) is whitespace-separated.
 INI_KEYS = {
     "generator": {f.name: f.type for f in fields(InstanceSpec)},
-    "sweep": dict(
-        solver=str,
-        sigmas=_float_list,
-        lambdas=_float_list,
-        lambda_tildes=_float_list,
-        replicates=int,
-        base_seed=int,
-    ),
-    "solver": SETTINGS,
+    "sweep": {
+        f.name: _float_list if f.type is tuple else f.type
+        for f in fields(ExperimentSpec)
+        if f.name != "generator"
+    },
 }
 
 
@@ -384,35 +380,18 @@ def parse_generator_config(path):
 
 
 def parse_experiment_config(path):
-    """[generator] + [sweep] + optional [solver] sections."""
+    """[generator] and [sweep] sections, as an :class:`ExperimentSpec`."""
     ini = _read_ini(
-        path, {"generator": ("name", "n"), "sweep": ("solver", "sigmas", "base_seed")}
+        path,
+        {
+            "generator": ("name", "n"),
+            "sweep": ("solver", "sigma_grid", "lambda_grid", "base_seed"),
+        },
     )
     generator = _build_generator(
         path, {"sigma": 0.0, "seed": 0, **ini["generator"]}, for_sweep=True
     )
-    sweep = ini["sweep"]
-    # Either spelling of the grid is accepted, but only one of them.
-    if "lambdas" in sweep and "lambda_tildes" in sweep:
-        raise _config_error(path, "sweep", "give lambdas or lambda_tildes, not both")
-    grid = sweep.get("lambdas", sweep.get("lambda_tildes"))
-    if grid is None:
-        key = "lambda_tildes" if sweep["solver"] == "minvol-baseline" else "lambdas"
-        raise _config_error(path, "sweep", f"missing key {key!r}")
     try:
-        spec = ExperimentSpec(
-            generator=generator,
-            solver=sweep["solver"],
-            sigma_grid=sweep["sigmas"],
-            lambda_grid=grid,
-            replicates=sweep.get("replicates", 1),
-            base_seed=sweep["base_seed"],
-        )
+        return ExperimentSpec(generator=generator, **ini["sweep"])
     except InvalidInputError as err:
         raise _config_error(path, "sweep", str(err)) from err
-    # The [solver] keys go on a spec the [sweep] keys alone have built, so
-    # an error they raise is one of theirs.
-    try:
-        return replace(spec, **ini.get("solver", {}))
-    except InvalidInputError as err:
-        raise _config_error(path, "solver", str(err)) from err

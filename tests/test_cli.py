@@ -23,11 +23,10 @@ SWEEP_INI = (
     "n = 40\n"
     "[sweep]\n"
     "solver = sqrt-minvol\n"
-    "sigmas = 0.01\n"
-    "lambdas = 0.1 0.01\n"
+    "sigma_grid = 0.01\n"
+    "lambda_grid = 0.1 0.01\n"
     "replicates = 2\n"
     "base_seed = 11\n"
-    "[solver]\n"
     "max_outer = 6\n"
 )
 
@@ -646,15 +645,23 @@ class TestSweep:
         # Any other solve rank would fault every cell in rel_rmse_W.
         ini = write_ini(tmp_path, SWEEP_INI + "rank = 4\n", "sweep.ini")
         assert main(["sweep", ini, "--out", str(out)]) == 2
-        assert "[solver] unknown key 'rank'" in capsys.readouterr().err
+        assert "[sweep] unknown key 'rank'" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
         "old, new, message",
         [
             ("base_seed = 11", "base_seed = -5", "[sweep] base_seed must be >= 0"),
-            ("sigmas = 0.01", "sigmas = nan 0.01", "[sweep] sigmas = 'nan 0.01'"),
-            ("lambdas = 0.1 0.01", "lambdas = inf", "[sweep] lambdas = 'inf'"),
+            (
+                "sigma_grid = 0.01",
+                "sigma_grid = nan 0.01",
+                "[sweep] sigma_grid values must be finite and >= 0, got nan",
+            ),
+            (
+                "lambda_grid = 0.1 0.01",
+                "lambda_grid = inf",
+                "[sweep] lambda_grid values must be finite and > 0, got inf",
+            ),
         ],
         ids=["ini-seed", "nan-sigma", "inf-lambda"],
     )
@@ -680,7 +687,7 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", write_ini(tmp_path, text, "sweep.ini"), "--out", str(out)]) == 2
         key = line.split()[0]
-        assert f"[solver] {key} must be finite" in capsys.readouterr().err
+        assert f"[sweep] {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -713,7 +720,7 @@ class TestSweep:
     def test_out_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # Where a sweep writes is not part of what it computes.
         named = tmp_path / "named"
-        ini = write_ini(tmp_path, SWEEP_INI.replace("[solver]", f"out = {named}\n[solver]"))
+        ini = write_ini(tmp_path, SWEEP_INI + f"out = {named}\n")
         assert main(["sweep", ini, "--out", str(tmp_path / "out")]) == 2
         assert "[sweep] unknown key 'out'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]

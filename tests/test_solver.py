@@ -662,7 +662,14 @@ class TestSolveSettings:
             solve(X, 4, solver, lam=0.1, **{name: 5})
         generator = InstanceSpec("paper-4x4", n=40, sigma=0.0, seed=0)
         with pytest.raises(TypeError, match=name):
-            ExperimentSpec(generator, solver, (0.0,), (0.1,), 1, 0, **{name: 5})
+            ExperimentSpec(
+                generator=generator,
+                solver=solver,
+                sigma_grid=(0.0,),
+                lambda_grid=(0.1,),
+                base_seed=0,
+                **{name: 5},
+            )
 
     @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
     def test_shared_settings_reach_the_config(self, X, solver):

@@ -12,7 +12,7 @@ import sqrtminvol.sweep as sweep_mod
 from sqrtminvol.cli import main
 from sqrtminvol.datagen import InstanceSpec
 from sqrtminvol.errors import InvalidInputError, NumericalFaultError
-from sqrtminvol.matrixio import write_table
+from sqrtminvol.matrixio import format_value, write_table
 from sqrtminvol.sweep import (
     ExperimentSpec,
     SummaryRow,
@@ -82,7 +82,7 @@ class TestExperimentSpec:
     )
     def test_rejects_non_finite_grid_values(self, grid, values):
         # A non-finite value would fault its cells and still exit 0.
-        with pytest.raises(InvalidInputError, match=f"{grid} grid values"):
+        with pytest.raises(InvalidInputError, match=f"{grid}_grid values"):
             tiny_spec(**{f"{grid}_grid": values})
 
     def test_rejects_bad_replicates(self):
@@ -540,11 +540,10 @@ class TestConfigParsing:
             "r = 3\n"
             "[sweep]\n"
             "solver = sqrt-minvol\n"
-            "sigmas = 0.1 0.01\n"
-            "lambdas = 1 0.1 0.01\n"
+            "sigma_grid = 0.1 0.01\n"
+            "lambda_grid = 1 0.1 0.01\n"
             "replicates = 2\n"
             "base_seed = 9\n"
-            "[solver]\n"
             "max_outer = 30\n"
             "epsilon = 1e-12\n"
         )
@@ -558,80 +557,141 @@ class TestConfigParsing:
         assert spec.epsilon == 1e-12
         assert spec.delta is None  # unset: the solver takes MinvolConfig.delta
 
-    def test_baseline_accepts_either_grid_spelling(self, tmp_path):
-        body = (
-            "[generator]\nname = paper-4x4\nn = 50\n"
-            "[sweep]\nsolver = minvol-baseline\nsigmas = 0.1\n{grid}\nbase_seed = 1\n"
+    def test_sweep_keys_are_the_spec_fields(self):
+        # A new spec field is a new key with no edit to the parser.
+        assert set(sweep_mod.INI_KEYS) == {"generator", "sweep"}
+        assert set(sweep_mod.INI_KEYS["generator"]) == {
+            f.name for f in dataclasses.fields(InstanceSpec)
+        }
+        assert set(sweep_mod.INI_KEYS["sweep"]) == {
+            f.name for f in dataclasses.fields(ExperimentSpec)
+        } - {"generator"}
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_every_field_round_trips(self, tmp_path, solver):
+        spec = ExperimentSpec(
+            generator=InstanceSpec(
+                "random-uniform", n=30, sigma=0.25, seed=7, m=6, r=3, alpha=0.05
+            ),
+            solver=solver,
+            sigma_grid=(0.1, 1e-3, 0.0),
+            lambda_grid=(0.3, 1 / 3, 1e-5),
+            base_seed=9,
+            replicates=2,
+            delta=0.2,
+            # The one setting a baseline spec refuses is left unset.
+            epsilon=1e-12 if solver == "sqrt-minvol" else None,
+            max_outer=30,
+            tol=1e-5,
         )
-        a = tmp_path / "a.ini"
-        a.write_text(body.format(grid="lambda_tildes = 0.1 0.01"))
-        b = tmp_path / "b.ini"
-        b.write_text(body.format(grid="lambdas = 0.1 0.01"))
-        assert parse_experiment_config(str(a)).lambda_grid == (0.1, 0.01)
-        assert parse_experiment_config(str(b)).lambda_grid == (0.1, 0.01)
-        both = tmp_path / "both.ini"
-        both.write_text(body.format(grid="lambdas = 0.1\nlambda_tildes = 0.5 0.05"))
-        with pytest.raises(InvalidInputError, match="not both"):
-            parse_experiment_config(str(both))
+
+        def section(name, obj):
+            lines = [f"[{name}]"]
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if f.name == "generator" or value is None:
+                    continue
+                if isinstance(value, tuple):
+                    text = " ".join(format_value(f.name, v) for v in value)
+                else:
+                    text = format_value(f.name, value)
+                lines.append(f"{f.name} = {text}")
+            return lines
+
+        unset = {f.name for f in dataclasses.fields(spec) if getattr(spec, f.name) is None}
+        assert unset == (set() if solver == "sqrt-minvol" else {"epsilon"})
+        path = tmp_path / "exp.ini"
+        lines = section("generator", spec.generator) + section("sweep", spec)
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_experiment_config(str(path)) == spec
 
     def test_baseline_rejects_solver_epsilon(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(
             "[generator]\nname = paper-4x4\nn = 50\n"
-            "[sweep]\nsolver = minvol-baseline\nsigmas = 0.1\n"
-            "lambda_tildes = 0.1\nbase_seed = 1\n"
-            "[solver]\nepsilon = 5\n"
+            "[sweep]\nsolver = minvol-baseline\nsigma_grid = 0.1\n"
+            "lambda_grid = 0.1\nbase_seed = 1\n"
+            "epsilon = 5\n"
         )
         with pytest.raises(InvalidInputError, match="epsilon"):
             parse_experiment_config(str(path))
 
     @staticmethod
     def experiment_ini(
-        tmp_path, solver, extra="", generator="name = paper-4x4\nn = 40\n", grid="0.1"
+        tmp_path,
+        solver,
+        extra="",
+        generator="name = paper-4x4\nn = 40\n",
+        grids="sigma_grid = 0.01\nlambda_grid = 0.1\n",
     ):
-        """An experiment INI file; ``grid=None`` leaves the weight grid out."""
-        key = "lambda_tildes" if solver == "minvol-baseline" else "lambdas"
-        grid = "" if grid is None else f"{key} = {grid}\n"
+        """An experiment INI file: ``extra`` ends its [sweep] section."""
         path = tmp_path / "exp.ini"
         path.write_text(
             f"[generator]\n{generator}"
-            f"[sweep]\nsolver = {solver}\nsigmas = 0.01\n{grid}base_seed = 1\n" + extra
+            f"[sweep]\nsolver = {solver}\n{grids}base_seed = 1\n" + extra
         )
         return path
 
     @pytest.mark.parametrize(
-        "solver, extra, where",
+        "solver, extra, where, ini",
         [
             # max_outer budgets both solvers; the old baseline-only key is unknown.
             (
                 "minvol-baseline",
-                "[solver]\nbaseline_sweeps = 1\n",
-                r"\[solver\] unknown key 'baseline_sweeps'",
+                "baseline_sweeps = 1\n",
+                r"\[sweep\] unknown key 'baseline_sweeps'",
+                {},
             ),
             (
                 "sqrt-minvol",
-                "[solver]\nbaseline_sweeps = 1\n",
-                r"\[solver\] unknown key 'baseline_sweeps'",
+                "baseline_sweeps = 1\n",
+                r"\[sweep\] unknown key 'baseline_sweeps'",
+                {},
             ),
-            ("sqrt-minvol", "[solver]\nmax_outter = 1\n", r"\[solver\] unknown key 'max_outter'"),
-            ("sqrt-minvol", "replicate = 3\n", r"\[sweep\] unknown key 'replicate'"),
-            ("sqrt-minvol", "[solvr]\nmax_outer = 1\n", r"unknown section \[solvr\]"),
+            ("sqrt-minvol", "max_outter = 1\n", r"\[sweep\] unknown key 'max_outter'", {}),
+            ("sqrt-minvol", "replicate = 3\n", r"\[sweep\] unknown key 'replicate'", {}),
+            ("sqrt-minvol", "[solvr]\nmax_outer = 1\n", r"unknown section \[solvr\]", {}),
             # The generator's rank is the only one a sweep can score.
-            ("sqrt-minvol", "[solver]\nrank = 4\n", r"\[solver\] unknown key 'rank'"),
+            ("sqrt-minvol", "rank = 4\n", r"\[sweep\] unknown key 'rank'", {}),
             # The FGM budget of a block update is a constant, not a setting.
-            (
-                "sqrt-minvol",
-                "[solver]\ninner_iters = 10\n",
-                r"\[solver\] unknown key 'inner_iters'",
-            ),
+            ("sqrt-minvol", "inner_iters = 10\n", r"\[sweep\] unknown key 'inner_iters'", {}),
             # Where a run writes is only ever said by --out.
-            ("sqrt-minvol", "out = runs/demo\n", r"\[sweep\] unknown key 'out'"),
+            ("sqrt-minvol", "out = runs/demo\n", r"\[sweep\] unknown key 'out'", {}),
             # A line configparser cannot parse: one line, naming the file once.
             (
                 "sqrt-minvol",
-                "[solver]\nmax_outer\n",
-                r"^\S*exp\.ini: line 10: 'max_outer\\n' is not key = value$",
+                "max_outer\n",
+                r"^\S*exp\.ini: line 9: 'max_outer\\n' is not key = value$",
+                {},
             ),
+            # The keys are the spec's fields: the old grid spellings are unknown.
+            (
+                "sqrt-minvol",
+                "",
+                r"\[sweep\] unknown key 'sigmas'",
+                {"grids": "sigmas = 0.01\nlambda_grid = 0.1\n"},
+            ),
+            (
+                "sqrt-minvol",
+                "",
+                r"\[sweep\] unknown key 'lambdas'",
+                {"grids": "sigma_grid = 0.01\nlambdas = 0.1\n"},
+            ),
+            # Read as a grid, a lambda-tilde would run as the raw weight lam = 0.3.
+            (
+                "sqrt-minvol",
+                "",
+                r"\[sweep\] unknown key 'lambda_tildes'",
+                {"grids": "sigma_grid = 0.01\nlambda_tildes = 0.3\n"},
+            ),
+            (
+                "minvol-baseline",
+                "",
+                r"\[sweep\] unknown key 'lambda_tildes'",
+                {"grids": "sigma_grid = 0.01\nlambda_tildes = 0.3\n"},
+            ),
+            # The solver settings are [sweep] keys, as ExperimentSpec's fields.
+            ("sqrt-minvol", "[solver]\nmax_outer = 1\n", r"unknown section \[solver\]", {}),
         ],
         ids=[
             "baseline_sweeps-baseline",
@@ -643,15 +703,23 @@ class TestConfigParsing:
             "inner_iters",
             "out",
             "no-equals",
+            "sigmas",
+            "lambdas",
+            "lambda_tildes-sqrt",
+            "lambda_tildes-baseline",
+            "solver-section",
         ],
     )
-    def test_unknown_key_or_section_exits_2(self, tmp_path, capsys, solver, extra, where):
-        path = self.experiment_ini(tmp_path, solver, extra)
-        with pytest.raises(InvalidInputError, match=where):
+    def test_unknown_key_or_section_exits_2(
+        self, tmp_path, capsys, solver, extra, where, ini
+    ):
+        path = self.experiment_ini(tmp_path, solver, extra, **ini)
+        with pytest.raises(InvalidInputError, match=where) as info:
             parse_experiment_config(str(path))
         assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "exp.ini" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert "exp.ini" in str(info.value)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -674,7 +742,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "solver, extra, where, ini",
         [
-            ("minvol-baseline", "[solver]\nmax_outer = 0\n", r"\[solver\] max_outer must be >= 1, got 0", {}),
+            ("minvol-baseline", "max_outer = 0\n", r"\[sweep\] max_outer must be >= 1, got 0", {}),
             (
                 "sqrt-minvol",
                 "",
@@ -682,10 +750,16 @@ class TestConfigParsing:
                 {"generator": "name = random-uniform\nn = 40\nm = 3\nr = 5\n"},
             ),
             ("minvol-baseline", "", r"\[generator\] r = 4 exceeds min\(m, n\) = 3", {"generator": "name = paper-4x4\nn = 3\n"}),
-            ("minvol-baseline", "[solver]\nepsilon = 5\n", r"\[solver\] epsilon is for", {}),
-            ("sqrt-minvol", "replicates = 0\n[solver]\nmax_outer = 0\n", r"\[sweep\] replicates", {}),
-            # The missing grid is named in the spelling of the file's solver.
-            ("minvol-baseline", "", r"\[sweep\] missing key 'lambda_tildes'$", {"grid": None}),
+            ("minvol-baseline", "epsilon = 5\n", r"\[sweep\] epsilon is for", {}),
+            # The spec's own checks come before the solver's.
+            ("sqrt-minvol", "replicates = 0\nmax_outer = 0\n", r"\[sweep\] replicates", {}),
+            # The weight grid has one key, whichever the solver.
+            (
+                "minvol-baseline",
+                "",
+                r"\[sweep\] missing key 'lambda_grid'$",
+                {"grids": "sigma_grid = 0.01\n"},
+            ),
             # A '%' is not interpolated; it used to end in a traceback.
             ("sqrt-minvol", "replicates = 2%\n", r"\[sweep\] replicates = '2%'", {}),
         ],
@@ -732,10 +806,10 @@ class TestConfigParsing:
         path = tmp_path / "exp.ini"
         path.write_text(
             "[generator]\nname = paper-4x4\nn = 50\n"
-            "[sweep]\nsolver = sqrt-minvol\nsigmas = 0.1 oops\n"
-            "lambdas = 0.1\nbase_seed = 1\n"
+            "[sweep]\nsolver = sqrt-minvol\nsigma_grid = 0.1 oops\n"
+            "lambda_grid = 0.1\nbase_seed = 1\n"
         )
-        with pytest.raises(InvalidInputError, match="sigmas"):
+        with pytest.raises(InvalidInputError, match="sigma_grid"):
             parse_experiment_config(str(path))
 
     @pytest.mark.parametrize(
@@ -745,14 +819,14 @@ class TestConfigParsing:
             ("generator", "sigma", "inf", "must be finite and >= 0, got inf"),
             ("generator", "alpha", "inf", "must be finite and > 0, got inf"),
             ("sweep", "base_seed", "-5", "must be >= 0, got -5"),
-            ("sweep", "sigmas", "nan 0.01", "values must be finite"),
-            ("sweep", "lambdas", "inf", "values must be finite"),
-            ("sweep", "sigmas", "", "empty list"),
+            ("sweep", "sigma_grid", "nan 0.01", "values must be finite and >= 0, got nan"),
+            ("sweep", "lambda_grid", "inf", "values must be finite and > 0, got inf"),
+            ("sweep", "sigma_grid", "", "must be non-empty"),
         ],
         ids=[
             "generator-seed--1", "generator-sigma-inf", "generator-alpha-inf",
-            "sweep-base_seed--5", "sweep-sigmas-nan 0.01", "sweep-lambdas-inf",
-            "sweep-sigmas-empty",
+            "sweep-base_seed--5", "sweep-sigma_grid-nan 0.01", "sweep-lambda_grid-inf",
+            "sweep-sigma_grid-empty",
         ],
     )
     def test_negative_seed_or_non_finite_value_names_its_key(
@@ -760,7 +834,9 @@ class TestConfigParsing:
     ):
         ini = {
             "generator": dict(name="paper-4x4", n="50", sigma="0", seed="1"),
-            "sweep": dict(solver="sqrt-minvol", sigmas="0.1", lambdas="0.1", base_seed="1"),
+            "sweep": dict(
+                solver="sqrt-minvol", sigma_grid="0.1", lambda_grid="0.1", base_seed="1"
+            ),
         }
         ini[section][key] = value
         path = tmp_path / "exp.ini"
