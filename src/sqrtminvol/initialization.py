@@ -18,9 +18,18 @@ from .projections import project_H_columns
 
 __all__ = ["SnpaResult", "nnls_capped_simplex", "snpa"]
 
-# Refit budget per selection step.  It binds: on perfbench's uniform-r20
-# draws (25 x 200, r = 20) 8-11 of the 20 refits, all the late ones, end on
-# it, and SNPA is 81-84% of the solve (1 BLAS thread, 2-core x86-64 VM).
+# Refit budgets.  The first r - 1 refits only score the next pick and warm
+# start the next one, so they get SELECT_ITERS; the last sets H0 before the
+# polish and keeps NNLS_ITERS, as nnls_capped_simplex does.  On the paper's
+# 4 x 4 instance the selection refits stop on NNLS_TOL well inside
+# SELECT_ITERS (within 38 steps, n = 500, sigma 0 to 1e-1), so the start is
+# bit for bit that of a 500-step budget; a small-r random-uniform draw can
+# still end one on it (1 of 80 at 10 x 200, r = 5, sigma = 1e-3).  At
+# r = 20 (25 x 200 uniform draws) most selection refits end on SELECT_ITERS,
+# which still picks the column set of a 500- or 5,000-step budget (two
+# adjacent picks may swap order) in about half of SNPA's time (1 BLAS
+# thread, 2-core VM).
+SELECT_ITERS = 200
 NNLS_ITERS = 500
 NNLS_TOL = 1e-10
 
@@ -159,7 +168,7 @@ def snpa(X, r):
     blocked = scores == 0.0
     result = SnpaResult()
     H = np.zeros((0, n))
-    for _ in range(r):
+    for k in range(1, r + 1):
         scores[blocked] = -1.0
         j = int(np.argmax(scores))
         if scores[j] < 0.0:
@@ -177,7 +186,8 @@ def snpa(X, r):
         W0 = Xm[:, result.selected_indices]
         # The warm start [H; 0] is feasible, so the refit needs no checks.
         H0 = np.vstack([H, np.zeros((1, n))])
-        H = solve_block(H0, W0, Xm, project_H_columns, NNLS_ITERS, NNLS_TOL, "H-block")
+        iters = NNLS_ITERS if k == r else SELECT_ITERS
+        H = solve_block(H0, W0, Xm, project_H_columns, iters, NNLS_TOL, "H-block")
         R = Xm - W0 @ H
         R *= R  # squared residual entries: the next scores and the norm
         scores = np.sum(R, axis=0)

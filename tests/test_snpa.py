@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import nnls_capped_oracle
+import sqrtminvol.initialization as init_mod
+from sqrtminvol.datagen import InstanceSpec, make_instance
 from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 from sqrtminvol.linalg import frobenius_norm
 from sqrtminvol.initialization import nnls_capped_simplex, snpa
@@ -168,3 +172,74 @@ class TestSnpa:
         assert scaled.selected_indices == base.selected_indices
         assert scaled.W0.tobytes() == (c * base.W0).tobytes()
         assert scaled.H0.tobytes() == base.H0.tobytes()
+
+
+def spy_refits(monkeypatch):
+    """Patch SNPA's ``solve_block``; return one ``(iters, projections)`` per refit."""
+    real = init_mod.solve_block
+    signature = inspect.signature(real)
+    refits = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        refit = [bound["iters"], 0]
+        refits.append(refit)
+        project = bound["project"]
+
+        def counted(Z):
+            refit[1] += 1
+            return project(Z)
+
+        bound["project"] = counted
+        return real(**bound)
+
+    monkeypatch.setattr(init_mod, "solve_block", spy)
+    return refits
+
+
+class TestRefitBudgets:
+    """The r - 1 selection refits get SELECT_ITERS, the final refit NNLS_ITERS."""
+
+    def test_selection_refits_get_the_selection_budget(self, monkeypatch):
+        assert init_mod.SELECT_ITERS < init_mod.NNLS_ITERS
+        refits = spy_refits(monkeypatch)
+        _, X = make_instance(InstanceSpec("random-uniform", n=40, sigma=0.0, seed=1, m=8, r=6))
+        snpa(X, 6)
+        budgets = [iters for iters, _ in refits]
+        assert budgets == [init_mod.SELECT_ITERS] * 5 + [init_mod.NNLS_ITERS]
+
+    def test_rank_one_has_only_the_final_refit(self, monkeypatch):
+        refits = spy_refits(monkeypatch)
+        snpa(np.diag([1.0, 2.0, 3.0]), 1)
+        assert [iters for iters, _ in refits] == [init_mod.NNLS_ITERS]
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-1, 1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paper_instance_selection_refits_stop_inside_the_budget(
+        self, monkeypatch, sigma, seed
+    ):
+        # A refit that stops on NNLS_TOL before SELECT_ITERS steps returns
+        # what a 500-step budget returns, so on the paper's instance the
+        # smaller budget leaves every pick, H0 and solve bit for bit as
+        # before.  Each step projects at least once, so fewer projections
+        # than SELECT_ITERS means the budget never bound.
+        refits = spy_refits(monkeypatch)
+        _, X = make_instance(InstanceSpec("paper-4x4", n=500, sigma=sigma, seed=seed))
+        snpa(X, 4)
+        assert len(refits) == 4
+        used = [projections for _, projections in refits[:-1]]
+        assert max(used) < init_mod.SELECT_ITERS, used
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_selection_budget_picks_the_converged_column_set(self, monkeypatch, seed):
+        # At r = 20 the late selection refits end on their budget.  The
+        # columns picked must still be those of a ten-times longer refit; two
+        # adjacent picks may swap order (the model is symmetric under column
+        # permutation), so the sets are compared.
+        _, X = make_instance(
+            InstanceSpec("random-uniform", n=200, sigma=0.0, seed=seed, m=25, r=20)
+        )
+        picked = snpa(X, 20).selected_indices
+        monkeypatch.setattr(init_mod, "SELECT_ITERS", 5000)
+        converged = snpa(X, 20).selected_indices
+        assert sorted(picked) == sorted(converged)

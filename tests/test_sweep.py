@@ -60,6 +60,15 @@ class TestCellSeed:
 
 
 class TestExperimentSpec:
+    def test_setting_fields_are_exactly_the_solver_settings(self):
+        # A setting added to SqrtConfig but not here would break every spec
+        # when it is built; this names the missing field instead.
+        own = {"generator", "solver", "sigma_grid", "lambda_grid", "base_seed",
+               "replicates"}
+        settings = [f for f in dataclasses.fields(ExperimentSpec) if f.name not in own]
+        assert {f.name: f.type for f in settings} == solver_mod.SETTINGS
+        assert all(f.default is None for f in settings)
+
     def test_rejects_unknown_solver(self):
         with pytest.raises(InvalidInputError):
             tiny_spec(solver="multiplicative")
