@@ -13,15 +13,7 @@ Mixing columns here are drawn close to the simplex vertices
 basis and recovery error can track the noise floor.
 """
 
-from sqrtminvol import (
-    InstanceSpec,
-    SqrtConfig,
-    make_instance,
-    rel_rmse_W,
-    snpa,
-    solve,
-    sqrt_minvol,
-)
+from sqrtminvol import InstanceSpec, make_instance, rel_rmse_W, snpa, solve
 
 sigmas = (1e-1, 1e-3, 1e-5)
 rank = 4
@@ -32,9 +24,8 @@ for sigma in sigmas:
     truth, X = make_instance(
         InstanceSpec("paper-4x4", n=300, sigma=sigma, seed=5, alpha=0.05)
     )
-    config = SqrtConfig(lam=1.0, epsilon=1e-12, max_outer=80)
-    factors, trace = sqrt_minvol(X, rank, config,
-                                 ground_truth=(truth.W_star, truth.X_star))
+    factors, trace = solve(X, rank, "sqrt-minvol", lam=1.0, epsilon=1e-12,
+                           max_outer=80, ground_truth=(truth.W_star, truth.X_star))
     last = trace.rows[-1]
     print(f"{sigma:>8g} {last.rel_rmse_W:>12.2e} {last.lambda_k:>15.2e}")
 
@@ -51,9 +42,9 @@ for sigma in sigmas:
     init = snpa(X, rank)
     errs = []
     for lam in lams:
-        W, *_ = solve(X, rank, "minvol-baseline", lam=lam,
-                      start=(init.W0, init.H0), max_outer=150)
-        errs.append(rel_rmse_W(truth.W_star, W))
+        factors, _ = solve(X, rank, "minvol-baseline", lam=lam,
+                           start=(init.W0, init.H0), max_outer=150)
+        errs.append(rel_rmse_W(truth.W_star, factors.W))
     marks = [
         f"{e:>12.2e}" + ("*" if e == min(errs) else " ") for e in errs
     ]

@@ -21,18 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from sqrtminvol import (
-    InstanceSpec,
-    SqrtConfig,
-    align_columns,
-    make_instance,
-    sqrt_minvol,
-)
+from sqrtminvol import InstanceSpec, align_columns, make_instance, solve
 
 spec = InstanceSpec("paper-4x4", n=500, sigma=1e-2, seed=0, alpha=0.3)
 truth, X = make_instance(spec)
-factors, trace = sqrt_minvol(
-    X, 4, SqrtConfig(lam=1.0, epsilon=1e-9, max_outer=50),
+factors, trace = solve(
+    X, 4, "sqrt-minvol", lam=1.0, epsilon=1e-9, max_outer=50,
     ground_truth=(truth.W_star, truth.X_star),
 )
 # Solved columns come in any order; list them in the order of the truth's.

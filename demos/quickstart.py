@@ -8,7 +8,7 @@ shrinks on its own as the fit improves instead of staying at whatever
 value was passed in.
 """
 
-from sqrtminvol import InstanceSpec, SqrtConfig, make_instance, sqrt_minvol
+from sqrtminvol import InstanceSpec, make_instance, solve
 
 # A 4 x 300 instance from the fixed 0/1 basis, mixing weights on the
 # simplex, and a little additive noise.
@@ -19,9 +19,8 @@ print(f"instance: X is {X.shape[0]} x {X.shape[1]}, rank {spec.rank}, "
 
 # Passing the ground truth makes the solver record recovery errors in
 # the trace; it never uses them to steer the iteration.
-config = SqrtConfig(lam=0.5, epsilon=1e-9, max_outer=40)
-factors, trace = sqrt_minvol(X, spec.rank, config,
-                             ground_truth=(truth.W_star, truth.X_star))
+factors, trace = solve(X, spec.rank, "sqrt-minvol", lam=0.5, epsilon=1e-9,
+                       max_outer=40, ground_truth=(truth.W_star, truth.X_star))
 
 print(f"\n{'k':>3} {'f_eps':>12} {'lambda_k':>12} {'rel_rmse_X':>12} "
       f"{'rel_rmse_W':>12}")

@@ -100,11 +100,14 @@ class SolveTrace:
 
     ``rows``: :class:`~sqrtminvol.solver.TraceRow` records of the square-root
     solver's outer iterations, or :class:`ObjectiveRow` records of the
-    baseline's sweeps.  ``stop``: why :func:`_descend` ended it, or None.
+    baseline's sweeps.  ``stop``: why :func:`_descend` ended it, and
+    ``objective``: the value of the row it ended on; both are None in the
+    trace a fault carries.
     """
 
     rows: list = field(default_factory=list)
     stop: str = None
+    objective: float = None
 
 
 def _descend(start, measure, step, tol, budget, where, first=0):
@@ -143,6 +146,7 @@ def _descend(start, measure, step, tol, budget, where, first=0):
             if trace.stop is None and k == budget:
                 trace.stop = "budget"
             if trace.stop is not None:
+                trace.objective = obj
                 return state, trace
             prev, f_prev, k = state, obj, k + 1
             state = step(state, row)

@@ -20,7 +20,6 @@ for _var in (
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InvalidInputError, NumericalFaultError, SqrtMinvolError
@@ -30,27 +29,20 @@ from .solver import SETTINGS, SOLVER_NAMES, TraceRow, make_config, solve
 
 def cmd_generate(args):
     from .datagen import make_instance
-    from .matrixio import format_value, write_matrix
-    from .sweep import parse_generator_config
+    from .matrixio import write_matrix
+    from .sweep import parse_generator_config, write_ini
 
     spec = parse_generator_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt, X = make_instance(spec)
-    for name, M in (
-        ("X", X),
-        ("X_star", gt.X_star),
-        ("W_star", gt.W_star),
-        ("H_star", gt.H_star),
-    ):
+    matrices = {"X": X, "X_star": gt.X_star, "W_star": gt.W_star, "H_star": gt.H_star}
+    for name, M in matrices.items():
         path = out / f"{name}.txt"
         write_matrix(path, M)
         print(path)
-    # The spec's fields are the [generator] keys, so the manifest parses back to spec.
-    values = asdict(spec).items()
-    lines = [f"{k} = {format_value(k, v)}" for k, v in values if v is not None]
     manifest = out / "manifest.ini"
-    manifest.write_text("\n".join(["[generator]", *lines]) + "\n")
+    write_ini(manifest, {"generator": spec})
     print(manifest)
     return 0
 
@@ -95,13 +87,14 @@ def cmd_solve(args):
         if M is not None and M.shape != shape:
             raise InvalidInputError(f"{flag} has shape {M.shape}, expected {shape}")
     try:
-        W, H, cfg, final_obj, iters, trace = solve(
+        factors, trace = solve(
             X, args.rank, args.solver, ground_truth=(W_star, X_star), **settings
         )
     except NumericalFaultError as err:
         if err.trace is not None:
             _write_trace(out, row_type, err.trace)
         raise
+    W, H, cfg = factors.W, factors.H, factors.config
     echo = f"solver={args.solver} rank={args.rank} lambda={cfg.lam:.17g}"
     if args.lambda_tilde is not None:
         echo += f" (from lambda_tilde={args.lambda_tilde:.17g})"
@@ -110,7 +103,7 @@ def cmd_solve(args):
     _write_trace(out, row_type, trace)
     write_matrix(out / "W.txt", W)
     write_matrix(out / "H.txt", H)
-    print(f"outer_iters={iters} final_obj={final_obj:.17g} stop={trace.stop}")
+    print(f"outer_iters={trace.rows[-1].k} final_obj={trace.objective:.17g} stop={trace.stop}")
     if X_star is not None:
         print(f"rel_rmse_X={rel_rmse_X(X_star, W, H):.17g}")
     if W_star is not None:
@@ -121,19 +114,22 @@ def cmd_solve(args):
 def cmd_sweep(args):
     from .matrixio import write_table
     from .sweep import SummaryRow, SweepRecord, parse_experiment_config, run_sweep
-    from .sweep import summarize
+    from .sweep import summarize, write_ini
 
     if args.jobs < 1:
         raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
     spec = parse_experiment_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # The resolved spec parses back equal, so the directory can be re-run from it.
+    write_ini(out / "spec.ini", {"generator": spec.generator, "sweep": spec.resolved()})
     records = run_sweep(spec, jobs=args.jobs)
     with open(out / "sweep.csv", "w") as fh:
         write_table(fh, SweepRecord, records)
     rows = summarize(records, spec.sigma_grid, spec.lambda_grid)
     with open(out / "summary.csv", "w") as fh:
         write_table(fh, SummaryRow, rows)
+    print(out / "spec.ini")
     print(out / "sweep.csv")
     print(out / "summary.csv")
     return 0

@@ -109,11 +109,11 @@ SETTINGS = {f.name: f.type for f in fields(SqrtConfig) if f.name != "lam"}
 
 @dataclass(frozen=True)
 class FactorPair:
-    """A feasible (W, H) pair with its target rank."""
+    """A feasible (W, H) pair and the config the solver ran with."""
 
     W: np.ndarray
     H: np.ndarray
-    rank: int
+    config: object
 
 
 @dataclass
@@ -177,37 +177,17 @@ def _start_pair(Xm, r, start):
 
 
 def sqrt_minvol(X, r, config, ground_truth=None, start=None):
-    """Run the full solver: the SNPA start, then block sweeps at each ``lambda_k``.
+    """The square-root loop behind :func:`solve`, run with a :class:`SqrtConfig`.
 
-    Parameters
-    ----------
-    X : array_like, shape (m, n)
-        Nonnegative data matrix.
-    r : int
-        Target rank.
-    config : SqrtConfig
-    ground_truth : tuple, optional
-        ``(W_star, X_star)``; when given, recovery errors are recorded
-        in the trace at every outer iteration.
-    start : tuple, optional
-        ``(W0, H0)`` to start from in place of ``snpa(X, r)``; it must
-        have shapes ``(m, r)`` and ``(r, n)`` and be feasible, or
-        ``InvalidInputError`` is raised.  It is read, never written.
-
-    Returns
-    -------
-    (FactorPair, SolveTrace)
-        An outer step that raises ``f_eps`` by rounding (at most 1e-12 of
-        ``sqrt(r_k) + |lam logdet|``) is undone: its row repeats the one
-        before, and the solve stops ``"stalled"``.
-
-    Raises
-    ------
-    NumericalFaultError
-        If ``r_k``, ``lambda_k`` or ``f_eps`` turns non-finite, ``f_eps``
-        rises past rounding, ``delta`` is too small for the shifted Gram's
-        Cholesky factor, or the sweeps fault (``... at sweep j at outer
-        iteration k``); it carries the rows measured so callers can flush them.
+    ``solve(X, r, "sqrt-minvol", **asdict(config))`` returns the same
+    ``(FactorPair, SolveTrace)``, and ``ground_truth`` and ``start`` are
+    as there.  An outer step that raises ``f_eps`` by rounding (at most
+    1e-12 of ``sqrt(r_k) + |lam logdet|``) is undone: its row repeats the
+    one before, and the solve stops ``"stalled"``.  A non-finite ``r_k``,
+    ``lambda_k`` or ``f_eps``, a larger rise, a ``delta`` too small for the
+    shifted Gram's Cholesky factor, or a fault in the sweeps (``... at
+    sweep j at outer iteration k``) raises :class:`NumericalFaultError`
+    carrying the rows measured, so callers can flush them.
     """
     Xm = as_matrix(X, "X")
     W_star = X_star = None
@@ -245,7 +225,7 @@ def sqrt_minvol(X, r, config, ground_truth=None, start=None):
         lambda: (W, H, time.perf_counter() - t0), measure, step, config.tol,
         config.max_outer, "outer iteration", first=1,
     )
-    return FactorPair(W=W, H=H, rank=int(r)), trace
+    return FactorPair(W, H, config), trace
 
 
 def make_config(solver, lam=None, lambda_tilde=None, spell=str, **settings):
@@ -304,27 +284,28 @@ def solve(
     ``epsilon`` is for ``sqrt-minvol`` only (:data:`SOLVER_ONLY`), and so
     is ``ground_truth`` (``(W_star, X_star)``, recorded in every trace
     row), which the baseline ignores.  ``start``, a feasible ``(W0, H0)``
-    pair, replaces the SNPA start for both solvers, and the baseline's
+    pair of shapes ``(m, r)`` and ``(r, n)``, read and never written,
+    replaces the SNPA start for both solvers, and the baseline's
     ``lambda_tilde`` is rescaled from it; None runs ``snpa(X, r)``.
 
-    A setting :func:`make_config` refuses raises
-    :class:`InvalidInputError`; a numerical fault, a too-small ``delta``
-    among them, raises :class:`NumericalFaultError` (see :func:`sqrt_minvol`;
-    in the baseline it names the sweep, ``... at sweep k``).
+    A setting :func:`make_config` refuses, or a start of the wrong shape
+    or outside the feasible set, raises :class:`InvalidInputError`; a
+    numerical fault, a too-small ``delta`` among them, raises
+    :class:`NumericalFaultError` (see :func:`sqrt_minvol`; in the baseline
+    it names the sweep, ``... at sweep k``).
 
-    Returns ``(W, H, config, final_obj, outer_iters, trace)``: the
-    factors, the config the solver ran with (its ``lam`` is the weight
-    used, rescaled from ``lambda_tilde`` for the baseline), the last
-    objective value, the number of outer iterations, and the
-    :class:`SolveTrace` ``trace.csv`` is written from.  Its ``stop`` says
-    why the solve stopped; its rows are the square-root solver's
-    :class:`TraceRow` records, or the baseline's :class:`ObjectiveRow`
-    records, one per sweep from ``k = 0``, the start.
+    Returns ``(factors, trace)`` for both solvers.  ``factors`` is a
+    :class:`FactorPair`: ``W``, ``H`` and the config the solver ran with,
+    whose ``lam`` is the weight used, rescaled from ``lambda_tilde`` for
+    the baseline.  ``trace`` is the :class:`SolveTrace` ``trace.csv`` is
+    written from: its ``stop`` says why the solve stopped, its
+    ``objective`` is the last row's, and its rows are the square-root
+    solver's :class:`TraceRow` records, or the baseline's
+    :class:`ObjectiveRow` records, one per sweep from ``k = 0``, the start.
     """
     cfg = make_config(solver, lam, lambda_tilde, **settings)
     if solver == "sqrt-minvol":
-        pair, trace = sqrt_minvol(X, r, cfg, ground_truth=ground_truth, start=start)
-        return pair.W, pair.H, cfg, trace.rows[-1].f_eps, trace.rows[-1].k, trace
+        return sqrt_minvol(X, r, cfg, ground_truth=ground_truth, start=start)
     Xm = as_matrix(X, "X")
     W0, H0 = _start_pair(Xm, r, start)
     if lambda_tilde is not None:
@@ -334,4 +315,4 @@ def solve(
             # The start is the sweeps' row 0, so its fault is reported there.
             raise NumericalFaultError(f"{err} at sweep 0", trace=SolveTrace()) from err
     W, H, trace = block_sweeps(Xm, W0, H0, cfg.lam, cfg.delta, cfg.max_outer, cfg.tol)
-    return W, H, cfg, trace.rows[-1].objective, trace.rows[-1].k, trace
+    return FactorPair(W, H, cfg), trace

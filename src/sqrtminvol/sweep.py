@@ -13,7 +13,8 @@ A section is one spec and its keys are that spec's fields: the
 [generator] keys are :class:`~sqrtminvol.datagen.InstanceSpec`'s, the
 [sweep] keys :class:`ExperimentSpec`'s but ``generator``
 (:data:`INI_KEYS`; any other section or key is an error), grids written
-as whitespace-separated values.  See the README.
+as whitespace-separated values, as :func:`write_ini` writes them.  See
+the README.
 """
 
 import configparser
@@ -27,7 +28,7 @@ from .datagen import InstanceSpec, make_instance
 from .errors import InvalidInputError, SqrtMinvolError
 from .initialization import snpa
 from .linalg import check_integer
-from .matrixio import _read_text
+from .matrixio import _read_text, format_value
 from .metrics import rel_rmse_W, rel_rmse_X
 from .solver import SETTINGS, make_config, solve
 
@@ -41,6 +42,7 @@ __all__ = [
     "summarize",
     "parse_generator_config",
     "parse_experiment_config",
+    "write_ini",
 ]
 
 @dataclass(frozen=True)
@@ -102,6 +104,14 @@ class ExperimentSpec:
         """Keywords of :func:`~sqrtminvol.solver.solve` for grid weight ``lam``."""
         weight = "lambda_tilde" if self.solver == "minvol-baseline" else "lam"
         return {weight: lam, **{name: getattr(self, name) for name in SETTINGS}}
+
+    def resolved(self):
+        """This spec with each setting at the value its solver runs with.
+
+        A setting the solver does not read (the baseline's ``epsilon``) stays None.
+        """
+        config = make_config(self.solver, **self.solve_settings(self.lambda_grid[0]))
+        return replace(self, **{name: getattr(config, name, None) for name in SETTINGS})
 
 
 @dataclass
@@ -168,15 +178,6 @@ def _row_start(spec, sigma, seed, row):
     return row["built"]
 
 
-def _solve_cell(spec, X, gt, lam, start):
-    """Run the configured solver; returns (relX, relW, final_obj, iters, stop)."""
-    W, H, _, final_obj, iters, trace = solve(
-        X, spec.generator.rank, spec.solver, start=start, **spec.solve_settings(lam)
-    )
-    relX, relW = rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W)
-    return relX, relW, final_obj, iters, trace.stop
-
-
 def run_cell(spec, sigma_index, replicate, lambda_index, row=None):
     """Execute one grid cell; solver faults land in the status field.
 
@@ -194,8 +195,13 @@ def run_cell(spec, sigma_index, replicate, lambda_index, row=None):
     t0 = time.perf_counter()
     try:
         gt, X, start = _row_start(spec, sigma, seed, {} if row is None else row)
+        factors, trace = solve(
+            X, spec.generator.rank, spec.solver, start=start, **spec.solve_settings(lam)
+        )
+        W, H = factors.W, factors.H
         rec.rel_rmse_X, rec.rel_rmse_W, rec.final_obj, rec.outer_iters, rec.stop = (
-            _solve_cell(spec, X, gt, lam, start)
+            rel_rmse_X(gt.X_star, W, H), rel_rmse_W(gt.W_star, W),
+            trace.objective, trace.rows[-1].k, trace.stop,
         )
     except SqrtMinvolError as err:
         rec.status = f"fault:{type(err).__name__}"
@@ -261,31 +267,19 @@ def summarize(records, sigma_grid, lambda_grid):
     """
     rows = []
     for sigma in sigma_grid:
-        best = {"X": (None, None), "W": (None, None)}
-        for lam in lambda_grid:
-            cells = [
-                r
-                for r in records
-                if r.status == "ok" and r.sigma == sigma and r.lam == lam
-            ]
-            if not cells:
-                continue
-            means = {
-                "X": float(np.mean([r.rel_rmse_X for r in cells])),
-                "W": float(np.mean([r.rel_rmse_W for r in cells])),
-            }
-            for key in ("X", "W"):
-                if best[key][0] is None or means[key] < best[key][0]:
-                    best[key] = (means[key], lam)
-        rows.append(
-            SummaryRow(
-                sigma=sigma,
-                min_rel_rmse_X=best["X"][0],
-                argmin_lambda_X=best["X"][1],
-                min_rel_rmse_W=best["W"][0],
-                argmin_lambda_W=best["W"][1],
-            )
-        )
+        row = SummaryRow(sigma=sigma)
+        ok = [r for r in records if r.status == "ok" and r.sigma == sigma]
+        for key in ("X", "W"):
+            means = {}
+            for lam in lambda_grid:
+                errors = [getattr(r, f"rel_rmse_{key}") for r in ok if r.lam == lam]
+                if errors:
+                    means[lam] = float(np.mean(errors))
+            if means:
+                lam = min(means, key=means.get)  # the first of equal minima
+                setattr(row, f"min_rel_rmse_{key}", means[lam])
+                setattr(row, f"argmin_lambda_{key}", lam)
+        rows.append(row)
     return rows
 
 
@@ -353,6 +347,25 @@ def _read_ini(path, required):
     return ini
 
 
+def write_ini(path, sections):
+    """Write ``{section: spec}`` as INI text that parses back to the same specs.
+
+    A section's keys are its :data:`INI_KEYS`, in field order, each with its
+    spec's value: None is left out, a tuple is space-separated, and every
+    value is written by :func:`~sqrtminvol.matrixio.format_value`.
+    """
+    lines = []
+    for section, spec in sections.items():
+        lines.append(f"[{section}]")
+        for key in INI_KEYS[section]:
+            value = getattr(spec, key)
+            if value is not None:
+                values = value if isinstance(value, tuple) else (value,)
+                lines.append(f"{key} = " + " ".join(format_value(key, v) for v in values))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _check_rank(generator):
     """Refuse a generator whose rank SNPA cannot select from its data."""
     top = min(generator.rows, generator.n)
@@ -381,13 +394,8 @@ def parse_generator_config(path):
 
 def parse_experiment_config(path):
     """[generator] and [sweep] sections, as an :class:`ExperimentSpec`."""
-    ini = _read_ini(
-        path,
-        {
-            "generator": ("name", "n"),
-            "sweep": ("solver", "sigma_grid", "lambda_grid", "base_seed"),
-        },
-    )
+    required = ("solver", "sigma_grid", "lambda_grid", "base_seed")
+    ini = _read_ini(path, {"generator": ("name", "n"), "sweep": required})
     generator = _build_generator(
         path, {"sigma": 0.0, "seed": 0, **ini["generator"]}, for_sweep=True
     )

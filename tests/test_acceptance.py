@@ -18,8 +18,8 @@ draws the solver ends with a lower ``f_eps`` than the ground truth has
 25x20x2000 instance), so the truth is not the model's minimizer and no
 solver could meet the recovery bounds there.
 
-These are slow tests; the full file takes about ten minutes on two
-cores.  Grid-style checks go through the sweep harness with a process
+These are slow tests; ``BENCH_<pr>.json`` records the time of each.
+Grid-style checks go through the sweep harness with a process
 pool, so wall time benefits from spare cores without affecting any
 asserted value.
 """
@@ -48,7 +48,7 @@ from sqrtminvol.metrics import align_columns
 from sqrtminvol.baseline import objective_minvol
 from sqrtminvol.projections import project_H_columns
 from sqrtminvol.initialization import snpa
-from sqrtminvol.solver import SqrtConfig, f_eps, sqrt_minvol
+from sqrtminvol.solver import SqrtConfig, f_eps, solve
 from sqrtminvol.sweep import (
     ExperimentSpec,
     SummaryRow,
@@ -159,8 +159,7 @@ def test_outer_descent_is_monotone():
             )
         _, X = make_instance(spec)
         lam = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
-        cfg = SqrtConfig(lam=lam, max_outer=25)
-        _, trace = sqrt_minvol(X, spec.rank, cfg)
+        _, trace = solve(X, spec.rank, "sqrt-minvol", lam=lam, max_outer=25)
         fs = [row.f_eps for row in trace.rows]
         for a, b in zip(fs, fs[1:]):
             if b > a + 1e-9 * abs(a):
@@ -301,9 +300,12 @@ def test_inner_weight_decay():
             alpha=RECOVERY_ALPHA,
         )
     )
-    cfg = SqrtConfig(lam=0.2, epsilon=1e-12, max_outer=200)
+    factors, trace = solve(
+        X, 20, "sqrt-minvol", lam=0.2, epsilon=1e-12, max_outer=200,
+        ground_truth=(gt.W_star, gt.X_star),
+    )
+    cfg = factors.config
     lam_cert = lambda_cert(gt, cfg.delta)
-    _, trace = sqrt_minvol(X, 20, cfg, ground_truth=(gt.W_star, gt.X_star))
     rows = trace.rows
     lam1, lam_last = rows[0].lambda_k, rows[-1].lambda_k
     increases = sum(

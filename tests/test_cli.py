@@ -12,8 +12,9 @@ import pytest
 
 from sqrtminvol.cli import _flag, build_parser, main
 from sqrtminvol.matrixio import read_matrix, write_matrix
-from sqrtminvol.solver import SETTINGS
-from sqrtminvol.sweep import parse_generator_config
+from sqrtminvol.baseline import MinvolConfig
+from sqrtminvol.solver import SETTINGS, SqrtConfig
+from sqrtminvol.sweep import parse_experiment_config, parse_generator_config
 
 GEN_INI = "[generator]\nname = paper-4x4\nn = 60\nsigma = 0\nseed = 3\n"
 
@@ -634,6 +635,23 @@ class TestSweep:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         header = (out1 / "sweep.csv").read_text().splitlines()[0]
         assert header.startswith("solver,sigma,lambda,replicate,seed,")
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    def test_spec_ini_is_the_resolved_spec_and_reruns(self, tmp_path, capsys, solver):
+        ini = write_ini(tmp_path, SWEEP_INI.replace("sqrt-minvol", solver), "sweep.ini")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["sweep", ini, "--out", str(first)]) == 0
+        spec = parse_experiment_config(ini)
+        written = parse_experiment_config(str(first / "spec.ini"))
+        assert written == spec.resolved()
+        # A setting left unset holds its solver's value; the baseline has no epsilon.
+        config = SqrtConfig if solver == "sqrt-minvol" else MinvolConfig
+        assert (spec.delta, spec.tol, spec.epsilon) == (None, None, None)
+        assert (written.delta, written.tol) == (config.delta, config.tol)
+        assert written.epsilon == getattr(config, "epsilon", None)
+        assert main(["sweep", str(first / "spec.ini"), "--out", str(again)]) == 0
+        assert strip_wall(again / "sweep.csv") == strip_wall(first / "sweep.csv")
+        assert (again / "spec.ini").read_bytes() == (first / "spec.ini").read_bytes()
 
     def test_out_of_range_rank_exits_2(self, tmp_path, capsys):
         # paper-4x4 has rank 4, so 3 columns would fault every cell in SNPA.

@@ -278,8 +278,8 @@ class TestEngineStep:
 def minvol(X, r, W0, H0, lam, **settings):
     """The baseline's ``(W, H, objectives)`` from ``(W0, H0)``, the objectives
     one per sweep from the start's."""
-    W, H, *_, trace = solve(X, r, "minvol-baseline", lam=lam, start=(W0, H0), **settings)
-    return W, H, [row.objective for row in trace.rows]
+    factors, trace = solve(X, r, "minvol-baseline", lam=lam, start=(W0, H0), **settings)
+    return factors.W, factors.H, [row.objective for row in trace.rows]
 
 
 class TestMinvol:
@@ -390,10 +390,10 @@ class TestMinvol:
         # The start fits exactly, so the objective is 0.  The first sweep
         # ends at 8.6e-32 by rounding; it is undone, and the sweeps stall.
         X = np.ones((1, 7))
-        W, H, _, final_obj, sweeps, trace = solve(X, 1, "minvol-baseline", lam=0.0)
+        factors, trace = solve(X, 1, "minvol-baseline", lam=0.0)
         assert ([row.objective for row in trace.rows], trace.stop) == ([0.0, 0.0], "stalled")
-        assert (final_obj, sweeps) == (0.0, 1)
-        np.testing.assert_array_equal(W @ H, X)
+        assert (trace.objective, trace.rows[-1].k) == (0.0, 1)
+        np.testing.assert_array_equal(factors.W @ factors.H, X)
 
     def test_a_rounding_rise_in_a_sweep_is_undone(self, monkeypatch):
         # The first sweep reads 1e-11 relative above the start, a rise within
@@ -411,14 +411,14 @@ class TestMinvol:
         X = (rng.random((6, 3)) + 0.1) @ rng.dirichlet(np.ones(3), size=60).T
         X += 0.01 * rng.random(X.shape)
         init = snpa(X, 3)
-        W, H, *_, trace = solve(
+        factors, trace = solve(
             X, 3, "minvol-baseline", lam=0.05, start=(init.W0, init.H0), max_outer=5
         )
         assert values[0] > 0.0
         assert [row.objective for row in trace.rows] == [values[0], values[0]]
         assert trace.stop == "stalled"
-        np.testing.assert_array_equal(W, init.W0)
-        np.testing.assert_array_equal(H, project_H_columns(init.H0))
+        np.testing.assert_array_equal(factors.W, init.W0)
+        np.testing.assert_array_equal(factors.H, project_H_columns(init.H0))
 
     def test_rejects_nonconforming_shapes(self):
         X = np.ones((3, 4))

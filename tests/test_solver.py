@@ -1,7 +1,7 @@
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from sqrtminvol.datagen import InstanceSpec, make_instance
 from sqrtminvol.errors import InvalidInputError, NumericalFaultError
 import sqrtminvol.baseline as baseline_mod
 import sqrtminvol.solver as solver_mod
-from sqrtminvol.baseline import MinvolConfig, block_sweeps
+from sqrtminvol.baseline import MinvolConfig, block_sweeps, lambda_from_init
 from sqrtminvol.initialization import snpa
 from sqrtminvol.matrixio import write_table
 from sqrtminvol.sweep import ExperimentSpec
@@ -94,8 +94,8 @@ class TestRmsResidual:
 
     @staticmethod
     def first_row(X, W, H):
-        config = SqrtConfig(lam=0.0, epsilon=0.1, max_outer=1)
-        return sqrt_minvol(X, W.shape[1], config, start=(W, H))[1].rows[0]
+        settings = dict(lam=0.0, epsilon=0.1, max_outer=1)
+        return solve(X, W.shape[1], "sqrt-minvol", start=(W, H), **settings)[1].rows[0]
 
     def test_exact_fit_floor(self):
         X = np.full((10, 10), 0.05)
@@ -205,17 +205,16 @@ class TestSqrtMinvol:
         rng = np.random.default_rng(1)
         X = separable_X(rng)
         cfg = SqrtConfig(lam=0.0, epsilon=1e-12, max_outer=60)
-        pair, trace = sqrt_minvol(X, 4, cfg)
+        pair, trace = solve(X, 4, "sqrt-minvol", **asdict(cfg))
         res = np.linalg.norm(X - pair.W @ pair.H) / np.linalg.norm(X)
         assert res <= 1e-6
-        assert pair.rank == 4
+        assert pair.config == cfg
 
     def test_trace_is_monotone_and_consistent(self):
         rng = np.random.default_rng(2)
         H_star = rng.dirichlet(np.ones(4), size=120).T
         X = W4 @ H_star + 0.01 * rng.random((4, 120))
-        cfg = SqrtConfig(lam=0.5, max_outer=40)
-        pair, trace = sqrt_minvol(X, 4, cfg)
+        pair, trace = solve(X, 4, "sqrt-minvol", lam=0.5, max_outer=40)
         rows = trace.rows
         assert rows[0].k == 1 and rows[-1].k == len(rows)
         for a, b in zip(rows, rows[1:]):
@@ -233,8 +232,9 @@ class TestSqrtMinvol:
         rng = np.random.default_rng(3)
         H_star = rng.dirichlet(np.ones(4), size=80).T
         X_star = W4 @ H_star
-        cfg = SqrtConfig(lam=0.1, max_outer=5)
-        _, trace = sqrt_minvol(X_star, 4, cfg, ground_truth=(W4, X_star))
+        _, trace = solve(
+            X_star, 4, "sqrt-minvol", lam=0.1, max_outer=5, ground_truth=(W4, X_star)
+        )
         for row in trace.rows:
             assert row.rel_rmse_X is not None and row.rel_rmse_X >= 0.0
             assert row.rel_rmse_W is not None and row.rel_rmse_W >= 0.0
@@ -242,8 +242,7 @@ class TestSqrtMinvol:
     def test_single_outer_iteration_returns_init(self):
         rng = np.random.default_rng(4)
         X = separable_X(rng)
-        cfg = SqrtConfig(lam=0.3, max_outer=1)
-        pair, trace = sqrt_minvol(X, 4, cfg)
+        pair, trace = solve(X, 4, "sqrt-minvol", lam=0.3, max_outer=1)
         init = snpa(X, 4)
         np.testing.assert_array_equal(pair.W, init.W0)
         np.testing.assert_array_equal(pair.H, init.H0)
@@ -255,7 +254,7 @@ class TestSqrtMinvol:
         truth, X = make_instance(InstanceSpec("paper-4x4", n=120, sigma=1e-3, seed=4))
         cfg = SqrtConfig(lam=0.5, epsilon=1e-9, max_outer=max_outer)
         gt = (truth.W_star, truth.X_star) if with_truth else None
-        pair, trace = sqrt_minvol(X, 4, cfg, ground_truth=gt)
+        pair, trace = solve(X, 4, "sqrt-minvol", ground_truth=gt, **asdict(cfg))
         W, H, last = pair.W, pair.H, trace.rows[-1]
         assert last.k == max_outer
         rk = residual_r(X, W, H, cfg.epsilon)
@@ -266,7 +265,7 @@ class TestSqrtMinvol:
 
     @staticmethod
     def replay_minvol_chain(lam):
-        """``sqrt_minvol`` against the design it replaced, one baseline solve per step.
+        """The square-root solve against the design it replaced, one baseline solve per step.
 
         Returns the factors and trace rows (less the metric and wall-time
         columns) of both.
@@ -274,7 +273,7 @@ class TestSqrtMinvol:
         rng = np.random.default_rng(5)
         X = separable_X(rng, n_extra=16)
         cfg = SqrtConfig(lam=lam, max_outer=6)
-        pair, trace = sqrt_minvol(X, 4, cfg)
+        pair, trace = solve(X, 4, "sqrt-minvol", **asdict(cfg))
         got = [(r.k, r.f_eps, r.r_k, r.lambda_k, r.rms_residual) for r in trace.rows]
 
         init = snpa(X, 4)
@@ -288,7 +287,7 @@ class TestSqrtMinvol:
                 break
             if k == cfg.max_outer:
                 break
-            W, H, *_ = solve(
+            factors, _ = solve(
                 X, 4, "minvol-baseline",
                 lam=lambda_k(rk, lam),
                 start=(W, H),
@@ -296,6 +295,7 @@ class TestSqrtMinvol:
                 max_outer=INNER_SWEEPS,
                 tol=INNER_TOL,
             )
+            W, H = factors.W, factors.H
         return (pair.W, pair.H, got), (W, H, rows)
 
     def test_zero_weight_equals_replayed_inner_chain(self):
@@ -322,7 +322,7 @@ class TestSqrtMinvol:
 
         monkeypatch.setattr(solver_mod, "block_sweeps", recording)
         _, X = make_instance(InstanceSpec("paper-4x4", n=120, sigma=1e-3, seed=4))
-        _, trace = sqrt_minvol(X, 4, SqrtConfig(lam=0.5, epsilon=1e-9, max_outer=8))
+        _, trace = solve(X, 4, "sqrt-minvol", lam=0.5, epsilon=1e-9, max_outer=8)
         assert len(histories) == len(trace.rows) - 1 >= 2
         for history in histories:
             assert 2 <= len(history) <= INNER_SWEEPS + 1
@@ -333,15 +333,14 @@ class TestSqrtMinvol:
     def test_huge_weight_stays_finite(self):
         rng = np.random.default_rng(6)
         X = separable_X(rng)
-        cfg = SqrtConfig(lam=1e3, max_outer=30)
-        pair, trace = sqrt_minvol(X, 4, cfg)
+        pair, trace = solve(X, 4, "sqrt-minvol", lam=1e3, max_outer=30)
         assert all(np.isfinite(row.f_eps) for row in trace.rows)
         assert np.all(np.isfinite(pair.W)) and np.all(np.isfinite(pair.H))
 
     def test_trace_csv_layout(self):
         rng = np.random.default_rng(7)
         X = separable_X(rng)
-        _, trace = sqrt_minvol(X, 4, SqrtConfig(lam=0.2, max_outer=4))
+        _, trace = solve(X, 4, "sqrt-minvol", lam=0.2, max_outer=4)
         buf = io.StringIO()
         write_table(buf, TraceRow, trace.rows)
         lines = buf.getvalue().splitlines()
@@ -356,6 +355,45 @@ class TestSqrtMinvol:
             assert "." in rec["wall_ms"]
 
 
+class TestOnePath:
+    """``solve`` is the one way to run a solver: ``(factors, trace)`` for both."""
+
+    @staticmethod
+    def rows(trace):
+        return [{k: v for k, v in vars(r).items() if k != "wall_ms"} for r in trace.rows]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_is_the_square_root_loop_bitwise(self, seed):
+        truth, X = make_instance(InstanceSpec("paper-4x4", n=120, sigma=1e-3, seed=seed))
+        cfg = SqrtConfig(lam=0.5, epsilon=1e-9, max_outer=6)
+        gt = (truth.W_star, truth.X_star)
+        factors, trace = solve(X, 4, "sqrt-minvol", ground_truth=gt, **asdict(cfg))
+        pair, loop = sqrt_minvol(X, 4, cfg, ground_truth=gt)
+        assert factors.config == pair.config == cfg
+        assert factors.W.tobytes() == pair.W.tobytes()
+        assert factors.H.tobytes() == pair.H.tobytes()
+        assert self.rows(trace) == self.rows(loop)
+        assert (trace.stop, trace.objective) == (loop.stop, loop.objective)
+        assert trace.objective == trace.rows[-1].f_eps
+
+    def test_baseline_config_holds_the_rescaled_weight(self):
+        _, X = make_instance(InstanceSpec("paper-4x4", n=60, sigma=1e-3, seed=1))
+        init = snpa(X, 4)
+        factors, trace = solve(X, 4, "minvol-baseline", lambda_tilde=0.01, max_outer=5)
+        lam = lambda_from_init(X, init.W0, init.H0, 0.01, MinvolConfig.delta)
+        assert factors.config == MinvolConfig(lam=lam, max_outer=5)
+        assert trace.objective == trace.rows[-1].objective
+
+    @pytest.mark.parametrize("solver", ["sqrt-minvol", "minvol-baseline"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_fault_trace_has_no_objective(self, solver):
+        _, X = make_instance(InstanceSpec("paper-4x4", n=60, sigma=1e-2, seed=0))
+        with pytest.raises(NumericalFaultError) as info:
+            solve(X, 4, solver, lam=1e308, max_outer=5)
+        trace = info.value.trace
+        assert trace.rows and (trace.stop, trace.objective) == (None, None)
+
+
 class TestStopReason:
     """Why the outer loop ended: stalled, converged or budget, in that order."""
 
@@ -364,8 +402,8 @@ class TestStopReason:
         # A small paper-4x4 draw whose inner solves stop making progress
         # after some 30 outer iterations, so f_eps repeats exactly.
         _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
-        *_, iters, trace = solve(X, 4, "sqrt-minvol", lam=1.0, epsilon=1e-12, **settings)
-        return iters, trace
+        _, trace = solve(X, 4, "sqrt-minvol", lam=1.0, epsilon=1e-12, **settings)
+        return trace.rows[-1].k, trace
 
     def test_exact_repeat_is_a_stall_not_convergence(self):
         # The old rule stopped here too, calling it convergence.
@@ -403,13 +441,13 @@ class TestStopReason:
         )
         _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=1e-2, seed=4))
         init = snpa(X, 4)
-        W, H, _, f, iters, trace = solve(X, 4, "sqrt-minvol", lam=1.0, max_outer=5)
-        assert (iters, trace.stop) == (2, "stalled")
+        factors, trace = solve(X, 4, "sqrt-minvol", lam=1.0, max_outer=5)
+        assert (trace.rows[-1].k, trace.stop) == (2, "stalled")
         first, second = trace.rows
         assert second == replace(first, k=2, wall_ms=second.wall_ms)
-        assert f == first.f_eps
-        np.testing.assert_array_equal(W, init.W0)
-        np.testing.assert_array_equal(H, init.H0)
+        assert trace.objective == first.f_eps
+        np.testing.assert_array_equal(factors.W, init.W0)
+        np.testing.assert_array_equal(factors.H, init.H0)
 
     def test_a_rise_past_rounding_is_a_fault(self, monkeypatch):
         # Sweeps that halve H raise f_eps far past rounding, as no MM step
@@ -440,10 +478,11 @@ class TestStopReason:
     def test_baseline_stops_by_the_same_rule(self, settings, stop):
         _, X = make_instance(InstanceSpec("paper-4x4", n=20, sigma=0.0, seed=4))
         init = snpa(X, 4)
-        started = solve(
+        _, started = solve(
             X, 4, "minvol-baseline", lam=1.0, start=(init.W0, init.H0), **settings
-        )[-1]
-        *_, iters, trace = solve(X, 4, "minvol-baseline", lam=1.0, **settings)
+        )
+        _, trace = solve(X, 4, "minvol-baseline", lam=1.0, **settings)
+        iters = trace.rows[-1].k
         assert trace.stop == started.stop == stop
         assert trace.rows == started.rows
         a, b = (row.objective for row in started.rows[-2:])
@@ -675,9 +714,9 @@ class TestSolveSettings:
     def test_shared_settings_reach_the_config(self, X, solver):
         weight = "lam" if solver == "sqrt-minvol" else "lambda_tilde"
         settings = dict(delta=0.2, max_outer=3, tol=1e-300)
-        _, _, cfg, _, iters, _ = solve(X, 4, solver, **{weight: 0.1}, **settings)
-        assert {key: getattr(cfg, key) for key in settings} == settings
-        assert iters == 3
+        factors, trace = solve(X, 4, solver, **{weight: 0.1}, **settings)
+        assert {key: getattr(factors.config, key) for key in settings} == settings
+        assert trace.rows[-1].k == 3
 
 
 class TestSolveStart:
@@ -689,10 +728,12 @@ class TestSolveStart:
 
     @staticmethod
     def answer(result):
-        W, H, cfg, final_obj, iters, trace = result
+        factors, trace = result
         rows = [{k: v for k, v in vars(r).items() if k != "wall_ms"} for r in trace.rows]
-        trace = (rows, trace.stop)
-        return W.tobytes(), H.tobytes(), cfg, final_obj, iters, trace
+        return (
+            factors.W.tobytes(), factors.H.tobytes(), factors.config, rows, trace.stop,
+            trace.objective,
+        )
 
     @pytest.mark.parametrize(
         "solver, settings",
@@ -783,8 +824,9 @@ class TestColumnPermutation:
     def test_permuted_columns_permute_H(self, solver, weight, seed):
         _, X = make_instance(InstanceSpec("paper-4x4", n=80, sigma=1e-2, seed=seed, alpha=0.05))
         perm = np.random.default_rng(seed).permutation(X.shape[1])
-        W, H, *_ = solve(X, 4, solver, max_outer=5, **weight)
-        W_p, H_p, *_ = solve(X[:, perm], 4, solver, max_outer=5, **weight)
+        factors, _ = solve(X, 4, solver, max_outer=5, **weight)
+        permuted, _ = solve(X[:, perm], 4, solver, max_outer=5, **weight)
+        W, H, W_p, H_p = factors.W, factors.H, permuted.W, permuted.H
         assert np.max(np.abs(W_p - W)) <= self.BOUND * np.max(np.abs(W))
         assert np.max(np.abs(H_p - H[:, perm])) <= self.BOUND
 
@@ -814,10 +856,10 @@ class TestRandomInstances:
 
     @settings(max_examples=60, deadline=None)
     @given(small_problems(), st.sampled_from([0.0, 0.01, 1.0]))
-    def test_sqrt_minvol(self, problem, lam):
+    def test_square_root(self, problem, lam):
         X, r = problem
-        W, H, *_, trace = solve(X, r, "sqrt-minvol", lam=lam, max_outer=4)
-        self.assert_feasible(W, H)
+        factors, trace = solve(X, r, "sqrt-minvol", lam=lam, max_outer=4)
+        self.assert_feasible(factors.W, factors.H)
         self.assert_descends([row.f_eps for row in trace.rows])
 
     @settings(max_examples=60, deadline=None)
@@ -826,6 +868,6 @@ class TestRandomInstances:
     @example((np.ones((1, 7)), 1), 0.0)
     def test_baseline(self, problem, lam):
         X, r = problem
-        W, H, *_, trace = solve(X, r, "minvol-baseline", lam=lam, max_outer=6)
-        self.assert_feasible(W, H)
+        factors, trace = solve(X, r, "minvol-baseline", lam=lam, max_outer=6)
+        self.assert_feasible(factors.W, factors.H)
         self.assert_descends([row.objective for row in trace.rows])

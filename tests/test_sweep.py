@@ -201,10 +201,10 @@ class TestRunCell:
         assert (rec.status, rec.stop) == ("fault:NumericalFaultError", None)
 
     def test_fault_is_recorded_not_raised(self, monkeypatch):
-        def boom(spec, X, gt, lam, start):
+        def boom(*args, **kwargs):
             raise NumericalFaultError("synthetic blow-up")
 
-        monkeypatch.setattr(sweep_mod, "_solve_cell", boom)
+        monkeypatch.setattr(sweep_mod, "solve", boom)
         rec = run_cell(tiny_spec(), 0, 0, 0)
         assert rec.status == "fault:NumericalFaultError"
         assert rec.rel_rmse_X is None and rec.final_obj is None
@@ -224,14 +224,14 @@ class TestRunSweep:
         assert keys == want
 
     def test_fault_does_not_stop_the_sweep(self, monkeypatch):
-        real = sweep_mod._solve_cell
+        real = sweep_mod.solve
 
-        def sometimes(spec, X, gt, lam, start):
+        def sometimes(*args, lam, **kwargs):
             if lam == 0.01:
                 raise NumericalFaultError("synthetic blow-up")
-            return real(spec, X, gt, lam, start)
+            return real(*args, lam=lam, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "_solve_cell", sometimes)
+        monkeypatch.setattr(sweep_mod, "solve", sometimes)
         records = run_sweep(tiny_spec(max_outer=2), jobs=1)
         by_lam = {
             lam: [(r.status, r.stop) for r in records if r.lam == lam] for lam in (0.1, 0.01)
